@@ -2,60 +2,34 @@
 
 The package splits into five layers: ``spectral_model`` (eigenvalue laws,
 Beta priors, model realizations), ``simulator`` (componentwise trajectory
-generation and rendering), ``estimators`` (classical and Bayesian
-coefficient estimators plus plug-in prediction), ``metrics`` (EFMSE,
-asymptotic limits, statistical diagnostics) and ``harness`` (seeded
-parallel experiment runner with CSV/JSON emission; CLI in ``cli``).
+generation), ``estimators`` (classical and Bayesian coefficient estimators
+plus plug-in prediction), ``metrics`` (EFMSE, asymptotic limits,
+statistical diagnostics) and ``harness`` (seeded parallel experiment
+runner with CSV/JSON emission; CLI in ``cli``).  The top level re-exports
+the experiment and diagnostic API and the calls one replication makes;
+everything else is imported from its submodule.
 """
 from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
     PriorSpec,
-    RatioDecayDiagnostic,
     SpectralModelSpec,
-    check_ratio_decay,
-    draw_rho,
-    eigenvalue,
-    prior_mean,
-    prior_mean_sq,
-    prior_params,
-    prior_variance,
     realize,
     truncate_realization,
 )
-from .simulator import (
-    PositivityReport,
-    Trajectory,
-    positivity_diagnostic,
-    read_trajectory_binary,
-    render_curve,
-    simulate,
-    trigonometric_basis,
-    write_trajectory_binary,
-    write_trajectory_csv,
-)
+from .simulator import Trajectory, simulate
 from .estimators import (
     ComplexRootError,
     DegenerateTrajectoryError,
-    EstimateSet,
-    SufficientStats,
-    bayes_estimate,
-    classical_estimate,
-    cubic_score_solve,
     estimate_all,
-    plugin_predict,
     sufficient_stats,
 )
 from .metrics import (
     EfmseInput,
     EfmseReport,
     KtRule,
-    bartlett_check,
     efmse_param,
     efmse_pred,
-    ergodic_estimates,
-    ks_distance_to_normal,
-    normality_check,
     prior_param_limit,
     prior_pred_limit,
     theory_param_limit,

@@ -100,7 +100,7 @@ def _parse_rho_mode(text: str) -> tuple[str, tuple[float, ...] | None]:
             raise CliError(f"coefficient file {path} is not valid JSON: {exc}") from exc
         if not isinstance(values, list) or not values:
             raise CliError(f"coefficient file {path} must hold a nonempty JSON array")
-        return "explicit", tuple(float(v) for v in values)
+        return "explicit", tuple(values)
     raise CliError(
         f"--rho-mode expects redraw, fixed or explicit:FILE, got {text!r}"
     )

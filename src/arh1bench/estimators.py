@@ -239,7 +239,6 @@ class EstimateSet:
     rho_hat: np.ndarray
     rho_tilde_minus: np.ndarray
     stats: tuple[SufficientStats, ...]
-    rho_tilde_plus: np.ndarray | None = None
 
 
 def estimate_all(
@@ -247,7 +246,6 @@ def estimate_all(
     real: ModelRealization,
     k_T: int,
     priors: PriorSpec,
-    include_plus: bool = False,
 ) -> EstimateSet:
     """Estimate the first k_T components of a trajectory both ways.
 
@@ -268,7 +266,6 @@ def estimate_all(
         raise ValueError(f"realization has {real.k} components, need {k_T}")
     rho_hat = np.empty(k_T)
     rho_minus = np.empty(k_T)
-    rho_plus = np.empty(k_T) if include_plus else None
     stats_all = []
     for j in range(1, k_T + 1):
         st = sufficient_stats(traj, j)
@@ -290,15 +287,12 @@ def estimate_all(
                 )
         rho_hat[j - 1] = hat
         rho_minus[j - 1] = minus
-        if include_plus:
-            rho_plus[j - 1] = bayes_estimate(st, sigma2, a, b, root="plus")
         stats_all.append(st)
     return EstimateSet(
         k_T=k_T,
         rho_hat=rho_hat,
         rho_tilde_minus=rho_minus,
         stats=tuple(stats_all),
-        rho_tilde_plus=rho_plus,
     )
 
 

@@ -18,6 +18,8 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +47,6 @@ from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
     PriorSpec,
-    RHO_MODES,
     SpectralModelSpec,
     realize,
     truncate_realization,
@@ -87,16 +88,48 @@ class AbortedReplicationsError(RuntimeError):
         )
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is not a count, a seed or an example.
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def example_model(
+    example: int,
+    T_max: int,
+    kT_rule: KtRule | None = None,
+    rho_mode: str = "redraw",
+    rho_values: tuple[float, ...] | None = None,
+) -> tuple[SpectralModelSpec, KtRule]:
+    """The model of built-in example 1, 2 or 3 and its truncation rule.
+
+    ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
+    components that rule keeps at sample size ``T_max``, which covers every
+    smaller T because k_T never decreases in T.
+    """
+    if not _is_int(example) or example not in EXAMPLE_EXPONENTS:
+        raise ValueError(f"example must be 1, 2 or 3, got {example!r}")
+    rule = EXAMPLE_KT_RULES[example] if kT_rule is None else kT_rule
+    spec = SpectralModelSpec(
+        law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
+        prior=PriorSpec(),
+        k_max=truncation_order(T_max, rule),
+        rho_mode=rho_mode,
+        rho_values=rho_values,
+    )
+    return spec, rule
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines a benchmark run.
 
-    ``example`` is 1, 2 or 3 for the built-in models, or a full
-    SpectralModelSpec for a custom one (which then supplies rho_mode and
-    rho_values itself, and requires an explicit kT_rule).
+    ``example`` is the built-in model 1, 2 or 3; ``kT_rule`` defaults to
+    that example's rule.  ``spec`` is derived at construction: the
+    example's model with the components the largest T on the grid needs,
+    which validates ``rho_mode`` and ``rho_values``.
     """
 
-    example: int | SpectralModelSpec
+    example: int
     T_grid: tuple[int, ...] = DEFAULT_T_GRID
     N: int = 1000
     kT_rule: KtRule | None = None
@@ -105,72 +138,63 @@ class ExperimentConfig:
     rho_values: tuple[float, ...] | None = None
     output_dir: Path = Path("out")
     formats: tuple[str, ...] = ("csv", "json")
+    spec: SpectralModelSpec = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        grid = tuple(int(t) for t in self.T_grid)
-        if not grid or any(t < 1 for t in grid):
-            raise ValueError("T_grid must be a nonempty sequence of positive integers")
+        grid = self.T_grid
+        if (
+            not isinstance(grid, (tuple, list))
+            or not grid
+            or not all(_is_int(t) and t >= 1 for t in grid)
+        ):
+            raise ValueError(
+                f"T_grid must be a nonempty sequence of positive integers, got {grid!r}"
+            )
+        grid = tuple(int(t) for t in grid)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"T_grid must be strictly increasing, got {grid}")
         object.__setattr__(self, "T_grid", grid)
-        if self.N < 1:
-            raise ValueError(f"replication count N must be >= 1, got {self.N}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        if not _is_int(self.N) or self.N < 1:
+            raise ValueError(f"replication count N must be an integer >= 1, got {self.N!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer that fits in 64 bits, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
+        if self.kT_rule is not None and not isinstance(self.kT_rule, KtRule):
+            raise ValueError(f"kT_rule must be a truncation rule, got {self.kT_rule!r}")
 
-        if isinstance(self.example, SpectralModelSpec):
-            if self.kT_rule is None:
-                raise ValueError("a custom model spec requires an explicit kT_rule")
-            # A custom model object carries its own coefficient-draw policy.
-            object.__setattr__(self, "rho_mode", self.example.rho_mode)
-            object.__setattr__(self, "rho_values", self.example.rho_values)
-        elif self.example in EXAMPLE_EXPONENTS:
-            if self.kT_rule is None:
-                object.__setattr__(self, "kT_rule", EXAMPLE_KT_RULES[self.example])
-            if self.rho_mode not in RHO_MODES:
-                raise ValueError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
-            if self.rho_mode == "explicit":
-                if not self.rho_values:
-                    raise ValueError("rho_mode 'explicit' requires rho_values")
-                object.__setattr__(
-                    self, "rho_values", tuple(float(v) for v in self.rho_values)
-                )
-            elif self.rho_values is not None:
-                raise ValueError("rho_values only apply to rho_mode 'explicit'")
-        else:
-            raise ValueError(
-                f"example must be 1, 2, 3 or a SpectralModelSpec, got {self.example!r}"
-            )
+        spec, rule = example_model(
+            self.example, grid[-1], self.kT_rule, self.rho_mode, self.rho_values
+        )
+        object.__setattr__(self, "kT_rule", rule)
+        object.__setattr__(self, "rho_values", spec.rho_values)
+        object.__setattr__(self, "spec", spec)
 
         fmts = self.formats
         if isinstance(fmts, str):
             fmts = tuple(f for f in fmts.split(",") if f)
-        fmts = tuple(dict.fromkeys(fmts))
-        if any(f not in ("csv", "json") for f in fmts):
-            raise ValueError(f"formats must be a subset of csv,json, got {fmts}")
-        object.__setattr__(self, "formats", fmts)
+        if not isinstance(fmts, (tuple, list)) or any(f not in ("csv", "json") for f in fmts):
+            raise ValueError(f"formats must be a subset of csv,json, got {fmts!r}")
+        object.__setattr__(self, "formats", tuple(dict.fromkeys(fmts)))
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
 
     @property
     def label(self) -> str:
-        return "custom" if isinstance(self.example, SpectralModelSpec) else str(self.example)
+        return str(self.example)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build a config from a JSON-style mapping with the field names above."""
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig) if f.init}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     kwargs = dict(data)
     if isinstance(kwargs.get("kT_rule"), str):
         kwargs["kT_rule"] = KtRule.parse(kwargs["kT_rule"])
-    for key in ("T_grid", "rho_values", "formats"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(kwargs[key])
     if "example" not in kwargs:
         raise ValueError("config must specify an example")
     return ExperimentConfig(**kwargs)
@@ -183,25 +207,6 @@ def load_config(path) -> dict:
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     return data
-
-
-def _build_spec(config: ExperimentConfig, k_needed: int) -> SpectralModelSpec:
-    if isinstance(config.example, SpectralModelSpec):
-        spec = config.example
-        if spec.k_max < k_needed:
-            raise ValueError(
-                f"custom spec holds {spec.k_max} components but the T grid "
-                f"needs {k_needed}"
-            )
-        return spec
-    law = EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[config.example])
-    return SpectralModelSpec(
-        law=law,
-        prior=PriorSpec(),
-        k_max=k_needed,
-        rho_mode=config.rho_mode,
-        rho_values=config.rho_values,
-    )
 
 
 def _partition(n: int, parts: int) -> list[tuple[int, int]]:
@@ -255,8 +260,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     """
     workers = 1 if workers is None else max(1, int(workers))
     rule = config.kT_rule
-    k_needed = max(truncation_order(T, rule) for T in config.T_grid)
-    spec = _build_spec(config, k_needed)
+    spec = config.spec
 
     fixed_real = None
     if spec.rho_mode == "fixed":
@@ -457,18 +461,11 @@ def run_diagnostics(kind: str, params: dict | None, seed: int, output_dir) -> Pa
         }
     else:  # positivity
         p = _diag_params(kind, params, {"example": 1, "T": 500, "N": 100})
-        example, T, N = int(p["example"]), int(p["T"]), int(p["N"])
-        if example not in EXAMPLE_EXPONENTS:
-            raise ValueError(f"example must be 1, 2 or 3, got {example}")
+        T, N = int(p["T"]), int(p["N"])
         if T < 2 or N < 1:
             raise ValueError("positivity diagnostic needs T >= 2 and N >= 1")
-        k = truncation_order(T, EXAMPLE_KT_RULES[example])
-        spec = SpectralModelSpec(
-            law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
-            prior=PriorSpec(),
-            k_max=k,
-        )
-        per_component = np.zeros(k)
+        spec, _ = example_model(p["example"], T)
+        per_component = np.zeros(spec.k_max)
         all_hold = 0
         for i in range(1, N + 1):
             rep_rng = np.random.default_rng([int(seed), 3, _DIAG_STREAM[kind], i])

@@ -16,18 +16,12 @@ contract and must not change between releases.
 """
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
 
 from .spectral_model import ModelRealization
-
-BINARY_MAGIC = b"ARH1TRJ\x00"
-_BINARY_HEADER = struct.Struct("<8sII")  # magic, T, k (little-endian, 16 bytes)
-
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -108,43 +102,6 @@ def simulate(
     return Trajectory(coeffs=coeffs, innovations=eps if record_innovations else None)
 
 
-def trigonometric_basis(j: int, t: np.ndarray) -> np.ndarray:
-    """Orthonormal trigonometric basis on [0, 1].
-
-    phi_1 = 1, phi_2m(t) = sqrt(2) cos(2 pi m t),
-    phi_{2m+1}(t) = sqrt(2) sin(2 pi m t).
-    """
-    if j < 1:
-        raise IndexError(f"basis index must be >= 1, got {j}")
-    t = np.asarray(t, dtype=float)
-    if j == 1:
-        return np.ones_like(t)
-    m = j // 2
-    if j % 2 == 0:
-        return np.sqrt(2.0) * np.cos(2.0 * np.pi * m * t)
-    return np.sqrt(2.0) * np.sin(2.0 * np.pi * m * t)
-
-
-def render_curve(traj: Trajectory, row: int, grid, basis="trigonometric") -> np.ndarray:
-    """Evaluate the truncated expansion sum_j coeffs[row, j] * phi_j(t) on a grid.
-
-    ``basis`` is either the name of the built-in trigonometric system or a
-    callable (j, t_array) -> array for custom orthonormal systems.
-    """
-    if not 0 <= row <= traj.T:
-        raise IndexError(f"row {row} out of range 0..{traj.T}")
-    t = np.asarray(grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("evaluation grid must be nonempty")
-    phi = trigonometric_basis if basis == "trigonometric" else basis
-    out = np.zeros_like(t)
-    for j in range(1, traj.k + 1):
-        c = traj.coeffs[row, j - 1]
-        if c != 0.0:
-            out += c * phi(j, t)
-    return out
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     """Per-component minima of the running innovation-state correlations.
@@ -170,37 +127,3 @@ def positivity_diagnostic(traj: Trajectory) -> PositivityReport:
     partial = np.cumsum(traj.innovations * traj.coeffs[:-1], axis=0)
     mins = partial[1:].min(axis=0)  # partial sums from T' = 2 on
     return PositivityReport(min_partial_sums=mins, holds=mins >= 0.0)
-
-
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the coefficient matrix as rows (n, j, x), components 1-based."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "j", "x"])
-        for n in range(traj.T + 1):
-            for j in range(traj.k):
-                writer.writerow([n, j + 1, repr(float(traj.coeffs[n, j]))])
-
-
-def write_trajectory_binary(traj: Trajectory, path) -> None:
-    """Write the coefficient matrix as little-endian float64, row-major.
-
-    Layout: 16-byte header (8-byte magic, uint32 T, uint32 k) followed by
-    (T+1)*k doubles.  Innovations are not serialized.
-    """
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_HEADER.pack(BINARY_MAGIC, traj.T, traj.k))
-        fh.write(np.ascontiguousarray(traj.coeffs, dtype="<f8").tobytes())
-
-
-def read_trajectory_binary(path) -> Trajectory:
-    """Read a trajectory written by ``write_trajectory_binary``."""
-    with open(path, "rb") as fh:
-        header = fh.read(_BINARY_HEADER.size)
-        magic, T, k = _BINARY_HEADER.unpack(header)
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"not a trajectory dump: bad magic {magic!r}")
-        data = np.frombuffer(fh.read((T + 1) * k * 8), dtype="<f8")
-    if data.size != (T + 1) * k:
-        raise ValueError("trajectory dump truncated")
-    return Trajectory(coeffs=data.reshape(T + 1, k).astype(float))

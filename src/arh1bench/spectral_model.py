@@ -17,6 +17,7 @@ from concurrent workers without synchronization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +202,13 @@ class SpectralModelSpec:
         if self.rho_mode == "explicit":
             if not self.rho_values:
                 raise ValueError("explicit rho_mode requires rho_values")
+            if not isinstance(self.rho_values, (tuple, list)) or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in self.rho_values
+            ):
+                raise ValueError(
+                    f"explicit rho values must be a sequence of numbers, got {self.rho_values!r}"
+                )
             vals = tuple(float(v) for v in self.rho_values)
             if any(not 0.0 < v < 1.0 for v in vals):
                 raise ValueError("explicit rho values must lie strictly in (0, 1)")
@@ -263,53 +271,3 @@ def truncate_realization(real: ModelRealization, k: int) -> ModelRealization:
     if not 1 <= k <= real.k:
         raise IndexError(f"cannot truncate realization of {real.k} components to {k}")
     return ModelRealization(C=real.C[:k], rho=real.rho[:k], sigma2=real.sigma2[:k])
-
-
-@dataclass(frozen=True)
-class RatioDecayDiagnostic:
-    """Decay diagnostic for the innovation-to-process variance ratios.
-
-    The simulated processes remain well behaved only when
-    sigma2_k / C_k = 1 - rho_k**2 stays bounded by one and decays roughly
-    like k**-(1+gamma); ``slope`` is the least-squares slope of the ratio on
-    a log-log scale and ``passed`` requires both the bound and the decay.
-    """
-
-    max_ratio: float
-    ratio_bounded: bool
-    slope: float
-    slope_ok: bool
-    gamma: float
-
-    @property
-    def passed(self) -> bool:
-        return self.ratio_bounded and self.slope_ok
-
-
-# Least-squares slope tolerance: the power-law fit over a finite component
-# budget is noisy, so the decay exponent only needs to come within this
-# margin of -(1 + gamma).
-SLOPE_FIT_TOLERANCE = 0.2
-
-
-def check_ratio_decay(real: ModelRealization, gamma: float = 0.1) -> RatioDecayDiagnostic:
-    """Diagnose the variance-ratio decay of a realization.
-
-    Purely informational: realizations violating the decay are legal (users
-    may explore them deliberately) but fall outside the asymptotic regime
-    the estimators are designed for.
-    """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if real.k < 3:
-        raise ValueError("ratio-decay diagnostic needs at least 3 components")
-    ratio = real.sigma2 / real.C
-    ks = np.arange(1, real.k + 1)
-    slope = float(np.polyfit(np.log(ks), np.log(ratio), 1)[0])
-    return RatioDecayDiagnostic(
-        max_ratio=float(ratio.max()),
-        ratio_bounded=bool(np.all(ratio <= 1.0 + 1e-15)),
-        slope=slope,
-        slope_ok=slope <= -(1.0 + gamma) + SLOPE_FIT_TOLERANCE,
-        gamma=gamma,
-    )

@@ -29,9 +29,3 @@ def naive_sums(col) -> tuple[float, float]:
         alpha += col[i - 1] * col[i]
         beta += col[i - 1] * col[i - 1]
     return alpha, beta
-
-
-def lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Textbook least-squares slope of y on x via centered normal equations."""
-    xc = x - x.mean()
-    return float(np.dot(xc, y - y.mean()) / np.dot(xc, xc))

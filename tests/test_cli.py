@@ -4,6 +4,7 @@ import pytest
 
 from arh1bench import cli
 from arh1bench.harness import AbortedReplicationsError
+from test_harness import BAD_CONFIG_FIELDS
 
 
 def _run(args):
@@ -118,6 +119,24 @@ class TestRunErrors:
             "run", "--example", "1", "--T", "20", "--N", "2",
             "--rho-mode", f"explicit:{tmp_path / 'nope.json'}",
         ]) == 1
+
+    def test_non_numeric_rho_file(self, tmp_path, capsys):
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text("[null]")
+        assert _run([
+            "run", "--example", "1", "--T", "20", "--N", "2",
+            "--rho-mode", f"explicit:{rho_file}", "--out", str(tmp_path),
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("fields", BAD_CONFIG_FIELDS)
+    def test_mistyped_config_field(self, tmp_path, capsys, fields):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"example": 1, "T_grid": [10], "N": 2, **fields}))
+        assert _run(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_bad_config_file(self, tmp_path):
         missing = tmp_path / "missing.json"

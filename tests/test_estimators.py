@@ -249,14 +249,16 @@ class TestEstimateAll:
         spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=5)
         real = realize(spec, np.random.default_rng(21))
         traj = simulate(real, 2_000, np.random.default_rng(22))
-        est = estimate_all(traj, real, 5, spec.prior, include_plus=True)
+        est = estimate_all(traj, real, 5, spec.prior)
         for j in range(5):
             a, b = prior_params(spec.prior, j + 1)
-            bound = math.sqrt(float(real.sigma2[j]) * (a + b - 2.0) / est.stats[j].beta)
+            sigma2 = float(real.sigma2[j])
+            bound = math.sqrt(sigma2 * (a + b - 2.0) / est.stats[j].beta)
             delta = est.rho_hat[j] - est.rho_tilde_minus[j]
             if est.rho_hat[j] <= 1.0:
                 assert -1e-12 <= delta <= bound + 1e-12
-            assert est.rho_tilde_plus[j] >= est.rho_tilde_minus[j]
+            plus = bayes_estimate(est.stats[j], sigma2, a, b, root="plus")
+            assert plus >= est.rho_tilde_minus[j]
 
     def test_range_validation(self):
         traj = _column_traj([1.0, 2.0, 1.5])

@@ -25,6 +25,21 @@ from arh1bench.spectral_model import (
     truncate_realization,
 )
 
+# Config fields of the wrong type, none of which may be coerced.
+BAD_CONFIG_FIELDS = [
+    {"N": "5"},
+    {"N": 5.7},
+    {"N": True},
+    {"T_grid": 10},
+    {"T_grid": [10.9, 20]},
+    {"T_grid": ["10"]},
+    {"seed": 1.5},
+    {"kT_rule": 5},
+    {"formats": 5},
+    {"example": True},
+    {"rho_mode": "explicit", "rho_values": [None]},
+]
+
 
 class TestConfig:
     def test_defaults(self):
@@ -69,14 +84,6 @@ class TestConfig:
         )
         assert cfg.rho_values == (0.5, 0.4, 0.3, 0.2, 0.1)
 
-    def test_custom_spec(self):
-        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=5)
-        with pytest.raises(ValueError):
-            ExperimentConfig(example=spec)  # needs a truncation rule
-        cfg = ExperimentConfig(example=spec, kT_rule=KtRule.fixed(4))
-        assert cfg.label == "custom"
-        assert cfg.rho_mode == "redraw"
-
     def test_config_from_dict(self):
         cfg = config_from_dict(
             {
@@ -96,6 +103,12 @@ class TestConfig:
             config_from_dict({"N": 5})
         with pytest.raises(ValueError):
             config_from_dict([1, 2])
+
+    @pytest.mark.parametrize("fields", BAD_CONFIG_FIELDS)
+    def test_field_types_rejected(self, fields):
+        # each would otherwise crash with a raw TypeError or be coerced
+        with pytest.raises(ValueError):
+            config_from_dict({"example": 1, "T_grid": [10], "N": 2, **fields})
 
     def test_load_config(self, tmp_path):
         path = tmp_path / "cfg.json"

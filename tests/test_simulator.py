@@ -1,6 +1,3 @@
-import csv
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +6,7 @@ from hypothesis import strategies as st
 from arh1bench.simulator import (
     Trajectory,
     positivity_diagnostic,
-    read_trajectory_binary,
-    render_curve,
     simulate,
-    trigonometric_basis,
-    write_trajectory_binary,
-    write_trajectory_csv,
 )
 from arh1bench.spectral_model import ModelRealization
 from conftest import reference_ar1
@@ -100,42 +92,6 @@ class TestSimulate:
         assert np.array_equal(a.coeffs, b.coeffs)
 
 
-class TestRenderCurve:
-    def test_constant_component(self):
-        traj = Trajectory(coeffs=np.array([[1.0, 0.0, 0.0]]))
-        grid = np.linspace(0.0, 1.0, 11)
-        assert np.array_equal(render_curve(traj, 0, grid), np.ones(11))
-
-    def test_zero_row(self):
-        traj = Trajectory(coeffs=np.zeros((2, 4)))
-        assert np.array_equal(render_curve(traj, 1, [0.0, 0.3]), np.zeros(2))
-
-    def test_cosine_component_at_zero(self):
-        traj = Trajectory(coeffs=np.array([[0.0, 1.0]]))
-        out = render_curve(traj, 0, [0.0])
-        assert out[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
-
-    def test_callable_basis_and_range_check(self):
-        traj = Trajectory(coeffs=np.array([[2.0], [3.0]]))
-        out = render_curve(traj, 1, [0.25, 0.5], basis=lambda j, t: t**j)
-        assert out == pytest.approx([0.75, 1.5])
-        with pytest.raises(IndexError):
-            render_curve(traj, 2, [0.0])
-        with pytest.raises(ValueError):
-            render_curve(traj, 0, [])
-
-    def test_basis_orthonormality(self):
-        # trapezoid quadrature of phi_i * phi_j over [0,1] approximates
-        # the identity matrix
-        t = np.linspace(0.0, 1.0, 20_001)
-        for i in range(1, 6):
-            for j in range(i, 6):
-                inner = np.trapezoid(trigonometric_basis(i, t) * trigonometric_basis(j, t), t)
-                assert inner == pytest.approx(1.0 if i == j else 0.0, abs=1e-6)
-        with pytest.raises(IndexError):
-            trigonometric_basis(0, t)
-
-
 class TestPositivity:
     def test_zero_innovations_hold(self):
         traj = Trajectory(coeffs=np.ones((4, 2)), innovations=np.zeros((3, 2)))
@@ -176,32 +132,3 @@ class TestPositivity:
             for seed in range(50)
         )
         assert rerun == held
-
-
-class TestSerialization:
-    def test_csv_layout(self, tmp_path):
-        traj = simulate(_real([1.0, 0.25], [0.6, 0.3]), 3, np.random.default_rng(1))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["n", "j", "x"]
-        assert len(rows) == 1 + 4 * 2
-        assert rows[1][:2] == ["0", "1"]
-        assert float(rows[1][2]) == traj.coeffs[0, 0]
-        assert float(rows[-1][2]) == traj.coeffs[3, 1]
-
-    def test_binary_roundtrip(self, tmp_path):
-        traj = simulate(_real([1.0, 0.5, 0.2], [0.9, 0.5, 0.1]), 17,
-                        np.random.default_rng(2))
-        path = tmp_path / "traj.bin"
-        write_trajectory_binary(traj, path)
-        back = read_trajectory_binary(path)
-        assert back.T == traj.T and back.k == traj.k
-        assert np.array_equal(back.coeffs, traj.coeffs)
-
-    def test_binary_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"not a trajectory at all....")
-        with pytest.raises(ValueError):
-            read_trajectory_binary(path)

@@ -11,7 +11,6 @@ from arh1bench.spectral_model import (
     ModelRealization,
     PriorSpec,
     SpectralModelSpec,
-    check_ratio_decay,
     draw_rho,
     eigenvalue,
     prior_mean,
@@ -21,7 +20,6 @@ from arh1bench.spectral_model import (
     realize,
     truncate_realization,
 )
-from conftest import lstsq_slope
 
 
 class TestEigenvalueLaw:
@@ -210,54 +208,3 @@ class TestRealize:
             SpectralModelSpec(law=law, k_max=1, rho_mode="explicit", rho_values=(1.5,))
         with pytest.raises(ValueError):
             SpectralModelSpec(law=law, k_max=3, rho_values=(0.5, 0.5, 0.5))
-
-
-class TestRatioDecay:
-    def test_constant_ratio_fails(self):
-        # rho = 0 everywhere keeps sigma2/C = 1: bounded but non-decaying
-        k = np.arange(1, 9)
-        C = k**-1.5
-        real = ModelRealization(C=C, rho=np.zeros(8), sigma2=C.copy())
-        diag = check_ratio_decay(real)
-        assert diag.max_ratio == pytest.approx(1.0)
-        assert diag.ratio_bounded
-        assert abs(diag.slope) < 1e-12
-        assert not diag.slope_ok
-        assert not diag.passed
-
-    def test_exact_power_decay_passes(self):
-        # rho_k**2 = 1 - k**-2 gives ratio exactly k**-2, slope -2
-        k = np.arange(1, 11).astype(float)
-        ratio = k**-2.0
-        rho = np.sqrt(1.0 - ratio)
-        C = np.ones(10)
-        real = ModelRealization(C=C, rho=rho, sigma2=C * (1.0 - rho**2))
-        diag = check_ratio_decay(real, gamma=1.0)
-        assert diag.slope == pytest.approx(-2.0, abs=1e-9)
-        assert diag.passed
-
-    def test_unbounded_ratio_flagged(self):
-        real = ModelRealization(C=[1.0, 0.5, 0.25], rho=[0.0, 0.0, 0.0],
-                                sigma2=[2.0, 0.2, 0.02])
-        diag = check_ratio_decay(real)
-        assert diag.max_ratio == 2.0
-        assert not diag.ratio_bounded
-        assert not diag.passed
-
-    def test_default_model_passes_with_independent_slope(self):
-        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=8)
-        real = realize(spec, np.random.default_rng(42))
-        diag = check_ratio_decay(real)
-        assert diag.passed
-        ratio = real.sigma2 / real.C
-        oracle = lstsq_slope(np.log(np.arange(1, 9)), np.log(ratio))
-        assert diag.slope == pytest.approx(oracle, abs=1e-9)
-
-    def test_parameter_validation(self):
-        real = ModelRealization(C=[1.0, 0.5], rho=[0.5, 0.5], sigma2=[0.75, 0.375])
-        with pytest.raises(ValueError):
-            check_ratio_decay(real)  # too few components
-        real3 = ModelRealization(C=[1.0, 0.5, 0.2], rho=[0.5] * 3,
-                                 sigma2=[0.75, 0.375, 0.15])
-        with pytest.raises(ValueError):
-            check_ratio_decay(real3, gamma=0.0)
