@@ -1,6 +1,6 @@
 """Golden outputs: SHA-256 of emitted reports for small fixed configs.
 
-The hashes pin every byte of ``efmse.csv`` (and of one diagnostic record)
+The hashes pin every byte of ``efmse.csv`` and of each diagnostic record
 across refactors.  A change that alters output bytes on purpose must
 update the hash here and say why in CHANGES.md.
 """
@@ -30,7 +30,24 @@ GOLDEN_RUNS = {
     ),
 }
 
-GOLDEN_POSITIVITY = "9de165f5aef75deffa2c4107861afb35347bf30cc3871eababa491e266f84e83"
+GOLDEN_DIAGNOSTICS = {
+    "bartlett": (
+        {"T": 200, "N": 300},
+        "c5496f9b22b3ad7ec26e02392073b9372a8c427f378b28ee1459534eb4ff33b5",
+    ),
+    "normality": (
+        {"T": 200, "N": 150},
+        "cb4a86478b7285bff753aaee0929347835043a62c7b0c7d0b4d2fab9b6b850fe",
+    ),
+    "ergodic": (
+        {"n": 5000},
+        "e52ded5889be075bf0d127bb165eb979771d43755cfcd5d0257bc7d2a30fb11e",
+    ),
+    "positivity": (
+        {"N": 10, "T": 50},
+        "9de165f5aef75deffa2c4107861afb35347bf30cc3871eababa491e266f84e83",
+    ),
+}
 
 
 def _sha256(path) -> str:
@@ -48,6 +65,8 @@ def test_efmse_csv_bytes(name, workers, tmp_path):
     assert _sha256(tmp_path / "efmse.csv") == want
 
 
-def test_positivity_record_bytes(tmp_path):
-    path = run_diagnostics("positivity", {"N": 10, "T": 50}, 0, tmp_path)
-    assert _sha256(path) == GOLDEN_POSITIVITY
+@pytest.mark.parametrize("kind", sorted(GOLDEN_DIAGNOSTICS))
+def test_diagnostic_record_bytes(kind, tmp_path):
+    params, want = GOLDEN_DIAGNOSTICS[kind]
+    path = run_diagnostics(kind, params, 0, tmp_path)
+    assert _sha256(path) == want
