@@ -19,7 +19,7 @@ import sys
 
 from .harness import (
     AbortedReplicationsError,
-    DIAGNOSTIC_KINDS,
+    DIAGNOSTICS,
     config_from_dict,
     emit_reports,
     load_config,
@@ -29,6 +29,9 @@ from .harness import (
 
 CI_SCALE_N = 200
 PAPER_SCALE_N = 1000
+
+# Each diagnostic parameter with the type of its defaults; one --flag each.
+_DIAG_PARAMS = {n: type(v) for _, dflt, _ in DIAGNOSTICS.values() for n, v in dflt.items()}
 
 
 class CliError(ValueError):
@@ -66,16 +69,12 @@ def _build_parser() -> _Parser:
                      help=f"full-size study: N defaults to {PAPER_SCALE_N}")
 
     diag = sub.add_parser("diag", help="run a statistical self-check")
-    diag.add_argument("kind", choices=DIAGNOSTIC_KINDS)
+    diag.add_argument("kind", choices=DIAGNOSTICS)
     diag.add_argument("--seed", type=int, default=0, help="64-bit seed (default 0)")
     diag.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    diag.add_argument("--rho", type=float, help="autocorrelation coefficient")
-    diag.add_argument("--sigma2", type=float, help="innovation variance (bartlett)")
-    diag.add_argument("--T", type=int, help="path length")
-    diag.add_argument("--N", type=int, help="number of paths / replications")
-    diag.add_argument("--C", type=float, help="coefficient variance (ergodic)")
-    diag.add_argument("--n", type=int, help="averaging horizon (ergodic)")
-    diag.add_argument("--example", type=int, help="model preset (positivity)")
+    for name, typ in _DIAG_PARAMS.items():
+        users = [kind for kind, (_, defaults, _) in DIAGNOSTICS.items() if name in defaults]
+        diag.add_argument(f"--{name}", type=typ, help=f"{typ.__name__} ({', '.join(users)})")
     return parser
 
 
@@ -155,11 +154,7 @@ def _run_command(args) -> int:
 
 
 def _diag_command(args) -> int:
-    params = {
-        name: getattr(args, name)
-        for name in ("rho", "sigma2", "T", "N", "C", "n", "example")
-        if getattr(args, name) is not None
-    }
+    params = {n: getattr(args, n) for n in _DIAG_PARAMS if getattr(args, n) is not None}
     path = run_diagnostics(args.kind, params, args.seed, args.out)
     record = json.loads(path.read_text(encoding="utf-8"))
     verdict = record["pass"]

@@ -72,10 +72,6 @@ CSV_HEADER = (
 EXAMPLE_EXPONENTS = {1: 1.5, 2: 1.1, 3: 2.0}
 EXAMPLE_KT_RULES = {1: KtRule.fixed(5), 2: KtRule.fixed(5), 3: KtRule.power(4.1)}
 
-DIAGNOSTIC_KINDS = ("bartlett", "normality", "ergodic", "positivity")
-_DIAG_STREAM = {"bartlett": 1, "normality": 2, "ergodic": 3, "positivity": 4}
-
-
 class AbortedReplicationsError(RuntimeError):
     """Raised when degenerate replications exceed the documented threshold."""
 
@@ -91,6 +87,12 @@ class AbortedReplicationsError(RuntimeError):
 def _is_int(value) -> bool:
     # bool is an int subclass, but True is not a count, a seed or an example.
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_seed(seed) -> int:
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
+    return int(seed)
 
 
 def example_model(
@@ -156,9 +158,7 @@ class ExperimentConfig:
         object.__setattr__(self, "T_grid", grid)
         if not _is_int(self.N) or self.N < 1:
             raise ValueError(f"replication count N must be an integer >= 1, got {self.N!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be an integer that fits in 64 bits, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.kT_rule is not None and not isinstance(self.kT_rule, KtRule):
             raise ValueError(f"kT_rule must be a truncation rule, got {self.kT_rule!r}")
 
@@ -394,100 +394,93 @@ def emit_reports(reports, formats, output_dir) -> list[Path]:
     return written
 
 
-def _diag_params(kind: str, params: dict, defaults: dict) -> dict:
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} parameters: {', '.join(unknown)} "
-            f"(accepted: {', '.join(sorted(defaults))})"
-        )
-    merged = dict(defaults)
-    merged.update(params)
-    return merged
+def _bartlett(key, rho, sigma2, T, N):
+    t_mse, target = bartlett_check(rho, sigma2, T, N, np.random.default_rng(key))
+    tol = 0.1 * target
+    return {"t_mse": t_mse}, {"limit": target, "tolerance": tol}, abs(t_mse - target) <= tol
+
+
+def _normality(key, rho, T, N):
+    ks, _ = normality_check(rho, T, N, np.random.default_rng(key))
+    crit = KS_CRITICAL / math.sqrt(N)
+    return {"ks_distance": ks}, {"critical_value": crit}, ks <= crit
+
+
+def _ergodic(key, rho, C, n):
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+    if not 0.0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
+    real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
+    traj = simulate(real, n, np.random.default_rng(key))
+    c_hat, d_hat = ergodic_estimates(traj, 1, n)
+    ratio = rho * n / (n - 1)
+    return (
+        {"c_hat": c_hat, "d_hat": d_hat, "ratio": d_hat / c_hat},
+        {"c": C, "c_tolerance": 0.05 * C, "ratio": ratio, "ratio_tolerance": 0.02},
+        abs(c_hat - C) <= 0.05 * C and abs(d_hat / c_hat - ratio) <= 0.02,
+    )
+
+
+def _positivity(key, example, T, N):
+    if T < 2 or N < 1:
+        raise ValueError("positivity diagnostic needs T >= 2 and N >= 1")
+    spec, _ = example_model(example, T)
+    per_component = np.zeros(spec.k_max)
+    all_hold = 0
+    for i in range(1, N + 1):
+        rng = np.random.default_rng([*key, i])
+        traj = simulate(realize(spec, rng), T, rng, record_innovations=True)
+        report = positivity_diagnostic(traj)
+        per_component += report.holds
+        all_hold += bool(report.all_hold)
+    fractions = (per_component / N).tolist()
+    return {"satisfied_fraction": all_hold / N, "component_fractions": fractions}, {}, None
+
+
+# kind -> (stream code, parameter defaults, runner).  A default's type is
+# its parameter's type; a runner takes the stream key and the parameters and
+# returns (outputs, targets, pass), pass None where the check is informational.
+DIAGNOSTICS = {
+    "bartlett": (1, {"rho": 0.6, "sigma2": 1.0, "T": 4000, "N": 4000}, _bartlett),
+    "normality": (2, {"rho": 0.5, "T": 3000, "N": 2000}, _normality),
+    "ergodic": (3, {"rho": 0.9, "C": 1.0, "n": 200_000}, _ergodic),
+    "positivity": (4, {"example": 1, "T": 500, "N": 100}, _positivity),
+}
 
 
 def run_diagnostics(kind: str, params: dict | None, seed: int, output_dir) -> Path:
     """Run one statistical self-check and write diag_<kind>.json.
 
-    Each kind validates its parameters, runs the corresponding metrics
-    operation on a dedicated seeded stream, and records inputs, outputs,
-    targets and the pass verdict (None where the check is informational).
+    Parameters not given take the kind's defaults; each must have its
+    default's type (int, or any real number for a float).  The check runs
+    on its own ``[seed, 3, stream]`` stream, and the record holds inputs,
+    outputs, targets and the pass verdict (None where informational).
     """
-    if kind not in DIAGNOSTIC_KINDS:
-        raise ValueError(f"diagnostic kind must be one of {DIAGNOSTIC_KINDS}, got {kind!r}")
-    params = dict(params or {})
-    rng = np.random.default_rng([int(seed), 3, _DIAG_STREAM[kind]])
-
-    if kind == "bartlett":
-        p = _diag_params(kind, params, {"rho": 0.6, "sigma2": 1.0, "T": 4000, "N": 4000})
-        t_mse, target = bartlett_check(p["rho"], p["sigma2"], int(p["T"]), int(p["N"]), rng)
-        tol = 0.1 * target
-        record = {
-            "inputs": p,
-            "outputs": {"t_mse": t_mse},
-            "targets": {"limit": target, "tolerance": tol},
-            "pass": bool(abs(t_mse - target) <= tol),
-        }
-    elif kind == "normality":
-        p = _diag_params(kind, params, {"rho": 0.5, "T": 3000, "N": 2000})
-        ks, _ = normality_check(p["rho"], int(p["T"]), int(p["N"]), rng)
-        crit = KS_CRITICAL / math.sqrt(int(p["N"]))
-        record = {
-            "inputs": p,
-            "outputs": {"ks_distance": ks},
-            "targets": {"critical_value": crit},
-            "pass": bool(ks <= crit),
-        }
-    elif kind == "ergodic":
-        p = _diag_params(kind, params, {"rho": 0.9, "C": 1.0, "n": 200_000})
-        rho, C, n = float(p["rho"]), float(p["C"]), int(p["n"])
-        real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
-        traj = simulate(real, n, rng)
-        c_hat, d_hat = ergodic_estimates(traj, 1, n)
-        ratio_target = rho * n / (n - 1)
-        record = {
-            "inputs": p,
-            "outputs": {"c_hat": c_hat, "d_hat": d_hat, "ratio": d_hat / c_hat},
-            "targets": {
-                "c": C,
-                "c_tolerance": 0.05 * C,
-                "ratio": ratio_target,
-                "ratio_tolerance": 0.02,
-            },
-            "pass": bool(
-                abs(c_hat - C) <= 0.05 * C
-                and abs(d_hat / c_hat - ratio_target) <= 0.02
-            ),
-        }
-    else:  # positivity
-        p = _diag_params(kind, params, {"example": 1, "T": 500, "N": 100})
-        T, N = int(p["T"]), int(p["N"])
-        if T < 2 or N < 1:
-            raise ValueError("positivity diagnostic needs T >= 2 and N >= 1")
-        spec, _ = example_model(p["example"], T)
-        per_component = np.zeros(spec.k_max)
-        all_hold = 0
-        for i in range(1, N + 1):
-            rep_rng = np.random.default_rng([int(seed), 3, _DIAG_STREAM[kind], i])
-            real = realize(spec, rep_rng)
-            traj = simulate(real, T, rep_rng, record_innovations=True)
-            report = positivity_diagnostic(traj)
-            per_component += report.holds
-            all_hold += bool(report.all_hold)
-        record = {
-            "inputs": p,
-            "outputs": {
-                "satisfied_fraction": all_hold / N,
-                "component_fractions": (per_component / N).tolist(),
-            },
-            "targets": {},
-            "pass": None,
-        }
+    if kind not in DIAGNOSTICS:
+        raise ValueError(f"diagnostic kind must be one of {tuple(DIAGNOSTICS)}, got {kind!r}")
+    stream, defaults, runner = DIAGNOSTICS[kind]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown {kind} parameters: {', '.join(unknown)} "
+                         f"(accepted: {', '.join(sorted(defaults))})")
+    inputs = {}
+    for name, default in defaults.items():
+        value, typ = params.get(name, default), type(default)
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (_is_int(value) if typ is int else real):
+            raise ValueError(f"{kind} parameter {name} must be {typ.__name__}, got {value!r}")
+        inputs[name] = typ(value)
+    seed = _check_seed(seed)
+    outputs, targets, verdict = runner([seed, 3, stream], **inputs)
+    record = {"kind": kind, "seed": seed, "inputs": inputs, "outputs": outputs,
+              "targets": targets, "pass": verdict}
 
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"diag_{kind}.json"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump({"kind": kind, "seed": int(seed), **record}, fh, indent=2)
+        json.dump(record, fh, indent=2)
         fh.write("\n")
     return path

@@ -241,6 +241,8 @@ def normality_check(
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+    if T < 1:
+        raise ValueError(f"T must be positive, got {T}")
     if N < 100:
         raise ValueError(f"normality check needs N >= 100, got {N}")
     rho_hats = _ar1_rho_hat_samples(rho, 1.0, T, N, rng)

@@ -277,3 +277,20 @@ class TestDiagnostics:
             run_diagnostics("bartlett", {"C": 2.0}, 0, tmp_path)
         with pytest.raises(ValueError):
             run_diagnostics("positivity", {"example": 9}, 0, tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind, params, seed",
+        [
+            ("ergodic", {"C": 0.0, "n": 10}, 0),  # was a ZeroDivisionError
+            ("ergodic", {"rho": 1.0, "n": 10}, 0),  # was a degenerate chain
+            ("normality", {"T": 0, "N": 100}, 0),  # was a NaN KS distance
+            ("bartlett", {"T": 10, "N": 10}, 2**64),  # was accepted
+            ("bartlett", {"T": 100.7}, 0),  # was recorded as 100.7, run as 100
+            ("bartlett", {"N": True}, 0),  # was run with N=1
+            ("bartlett", {"rho": "0.5"}, 0),  # was a raw TypeError
+        ],
+    )
+    def test_bad_inputs_rejected(self, tmp_path, kind, params, seed):
+        with pytest.raises(ValueError):
+            run_diagnostics(kind, params, seed, tmp_path)
+        assert not list(tmp_path.iterdir())
