@@ -173,7 +173,7 @@ def main(argv=None) -> int:
     except AbortedReplicationsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

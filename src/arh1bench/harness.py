@@ -270,7 +270,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
 
     reports: list[EfmseReport] = []
     aborted_total = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    blocks = _partition(config.N, workers)
+    pool = ProcessPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
     try:
         for T in config.T_grid:
             k_T = truncation_order(T, rule)
@@ -280,10 +281,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
             else:
                 spec_T = spec
                 real_T = truncate_realization(fixed_real, k_T)
-            tasks = [
-                (spec_T, T, k_T, lo, hi, config.seed, real_T)
-                for lo, hi in _partition(config.N, workers)
-            ]
+            tasks = [(spec_T, T, k_T, lo, hi, config.seed, real_T) for lo, hi in blocks]
             if pool is None:
                 results = [_run_block(t) for t in tasks]
             else:
@@ -345,30 +343,25 @@ def _csv_cell(value) -> str:
 
 
 def emit_reports(reports, formats, output_dir) -> list[Path]:
-    """Write efmse.csv / efmse.json plus the two plot tables; returns paths."""
+    """Write efmse.csv / efmse.json plus the two plot tables; returns paths.
+
+    Every table is serialized before any file is written, so a bad report
+    (such as a non-finite value bound for strict JSON) leaves no output.
+    """
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to emit")
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
+    texts = {}
     if "csv" in formats:
         lines = [CSV_HEADER]
         for r in reports:
             lines.append(
                 ",".join(_csv_cell(getattr(r, f.name)) for f in dataclasses.fields(r))
             )
-        path = out / "efmse.csv"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-        written.append(path)
-
+        texts["efmse.csv"] = "\n".join(lines) + "\n"
     if "json" in formats:
-        path = out / "efmse.json"
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2)
-            fh.write("\n")
-        written.append(path)
+        rows = [dataclasses.asdict(r) for r in reports]
+        texts["efmse.json"] = json.dumps(rows, indent=2, allow_nan=False) + "\n"
 
     by_T: dict[int, dict[str, EfmseReport]] = {}
     for r in reports:
@@ -388,10 +381,14 @@ def emit_reports(reports, formats, output_dir) -> list[Path]:
                     )
                 )
             )
-        path = out / fname
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-        written.append(path)
-    return written
+        texts[fname] = "\n".join(lines) + "\n"
+    return [_write_text(Path(output_dir) / name, text) for name, text in texts.items()]
+
+
+def _write_text(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
 
 
 def _bartlett(key, rho, sigma2, T, N):
@@ -460,7 +457,7 @@ def run_diagnostics(kind: str, params: dict | None, seed: int, output_dir) -> Pa
     if kind not in DIAGNOSTICS:
         raise ValueError(f"diagnostic kind must be one of {tuple(DIAGNOSTICS)}, got {kind!r}")
     stream, defaults, runner = DIAGNOSTICS[kind]
-    params = params or {}
+    params = dict(params or {})
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ValueError(f"unknown {kind} parameters: {', '.join(unknown)} "
@@ -471,16 +468,17 @@ def run_diagnostics(kind: str, params: dict | None, seed: int, output_dir) -> Pa
         real = isinstance(value, numbers.Real) and not isinstance(value, bool)
         if not (_is_int(value) if typ is int else real):
             raise ValueError(f"{kind} parameter {name} must be {typ.__name__}, got {value!r}")
-        inputs[name] = typ(value)
+        try:
+            inputs[name] = typ(value)
+        except OverflowError:
+            raise ValueError(f"{kind} parameter {name} is beyond float range: {value!r}") from None
     seed = _check_seed(seed)
-    outputs, targets, verdict = runner([seed, 3, stream], **inputs)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            outputs, targets, verdict = runner([seed, 3, stream], **inputs)
+    except ArithmeticError as exc:
+        raise ValueError(f"{kind} diagnostic is not computable at {inputs}: {exc}") from exc
     record = {"kind": kind, "seed": seed, "inputs": inputs, "outputs": outputs,
               "targets": targets, "pass": verdict}
-
-    out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"diag_{kind}.json"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(record, fh, indent=2)
-        fh.write("\n")
-    return path
+    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
+    return _write_text(Path(output_dir) / f"diag_{kind}.json", text)

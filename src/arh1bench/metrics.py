@@ -211,8 +211,8 @@ def bartlett_check(
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    if sigma2 <= 0.0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     if T < 1 or N < 1:
         raise ValueError("T and N must be positive")
     rho_hats = _ar1_rho_hat_samples(rho, math.sqrt(sigma2), T, N, rng)

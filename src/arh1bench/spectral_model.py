@@ -195,6 +195,10 @@ class SpectralModelSpec:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError(f"component budget k_max must be >= 1, got {self.k_max}")
+        if self.prior.a is None and self.k_max > MAX_PRIOR_EXPONENT:
+            raise ValueError(
+                f"the default prior covers k_max <= {MAX_PRIOR_EXPONENT}, got {self.k_max}"
+            )
         if self.rho_mode not in RHO_MODES:
             raise ValueError(
                 f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}"

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arh1bench import cli
-from arh1bench.harness import AbortedReplicationsError
+from arh1bench.harness import DIAGNOSTICS, AbortedReplicationsError
 from test_harness import BAD_CONFIG_FIELDS
 
 
@@ -199,3 +206,47 @@ class TestDiagCommand:
         assert _run([
             "diag", "bartlett", "--C", "2.0", "--out", str(tmp_path),
         ]) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ergodic", "--C", "0"],
+            ["ergodic", "--rho", "1"],
+            ["ergodic", "--C", "1e308", "--n", "10"],
+            ["normality", "--T", "0"],
+            ["bartlett", "--seed", "18446744073709551616"],
+        ],
+    )
+    def test_bad_value_is_one_line_error(self, tmp_path, capsys, argv):
+        assert _run(["diag", *argv, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fuzzed_argv(self, data):
+        kind = data.draw(st.sampled_from(sorted(DIAGNOSTICS)))
+        argv = ["diag", kind, "--seed", str(data.draw(st.integers(-1, 2**64)))]
+        for name, default in DIAGNOSTICS[kind][1].items():
+            if isinstance(default, int):
+                # always given and at most 300, so no run takes its default length
+                value = data.draw(st.one_of(st.integers(-2, 4), st.integers(100, 300)))
+            elif data.draw(st.booleans()):
+                value = data.draw(st.one_of(
+                    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0]),
+                    st.floats(-1.0, 1.0),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ))
+            else:
+                continue
+            argv += [f"--{name}", repr(value)]
+        with tempfile.TemporaryDirectory() as out:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", out])
+            assert code in (0, 1)
+            assert "Traceback" not in err.getvalue()
+            for path in Path(out).iterdir():
+                json.loads(path.read_text(), parse_constant=pytest.fail)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from arh1bench import harness
 from arh1bench.harness import (
     AbortedReplicationsError,
     CSV_HEADER,
@@ -38,6 +39,7 @@ BAD_CONFIG_FIELDS = [
     {"formats": 5},
     {"example": True},
     {"rho_mode": "explicit", "rho_values": [None]},
+    {"kT_rule": "fixed:1021"},  # beyond the default prior's 2**1020 shape
 ]
 
 
@@ -106,7 +108,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields", BAD_CONFIG_FIELDS)
     def test_field_types_rejected(self, fields):
-        # each would otherwise crash with a raw TypeError or be coerced
+        # each would otherwise crash (a raw TypeError, or an OverflowError
+        # mid-run) or be coerced
         with pytest.raises(ValueError):
             config_from_dict({"example": 1, "T_grid": [10], "N": 2, **fields})
 
@@ -136,6 +139,22 @@ class TestRunExperiment:
         inline = run_experiment(cfg, workers=1)
         pooled = run_experiment(cfg, workers=3)
         assert inline == pooled
+
+    def test_pool_sized_to_blocks(self, monkeypatch):
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            map = staticmethod(map)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=2), workers=4)
+        assert asked == [2]
 
     def test_rerun_is_deterministic(self):
         cfg = ExperimentConfig(example=2, T_grid=(120,), N=6, seed=1)
@@ -234,6 +253,13 @@ class TestEmitReports:
         with pytest.raises(ValueError):
             emit_reports([], ("csv",), tmp_path)
 
+    def test_non_finite_value_writes_nothing(self, tmp_path):
+        reports = self._reports()
+        reports[0] = dataclasses.replace(reports[0], efmse_pred=math.nan)
+        with pytest.raises(ValueError):
+            emit_reports(reports, ("csv", "json"), tmp_path)
+        assert not list(tmp_path.iterdir())
+
 
 class TestDiagnostics:
     def test_bartlett_record(self, tmp_path):
@@ -288,6 +314,7 @@ class TestDiagnostics:
             ("bartlett", {"T": 100.7}, 0),  # was recorded as 100.7, run as 100
             ("bartlett", {"N": True}, 0),  # was run with N=1
             ("bartlett", {"rho": "0.5"}, 0),  # was a raw TypeError
+            ("bartlett", {"rho": 10**400}, 0),  # no float holds it
         ],
     )
     def test_bad_inputs_rejected(self, tmp_path, kind, params, seed):
