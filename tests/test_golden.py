@@ -30,6 +30,22 @@ GOLDEN_RUNS = {
     ),
 }
 
+# Example 3 at T=20000 keeps 11 components, so one replication holds 20001
+# rows of 11 columns, more than a simulation chunk: this run crosses row
+# chunks where the small runs above fit in one.
+ROW_CHUNK_RUN = (
+    {
+        "example": 3,
+        "kT_rule": "power:4.1",
+        "rho_mode": "fixed",
+        "T_grid": [20000],
+        "N": 3,
+        "seed": 0,
+        "formats": ["csv"],
+    },
+    "0d00b4b424db27047fe934ce50159d35b08a3ce0ee3792461a5f8140ba2d14ad",
+)
+
 GOLDEN_DIAGNOSTICS = {
     "bartlett": (
         {"T": 200, "N": 300},
@@ -61,6 +77,14 @@ def test_efmse_csv_bytes(name, workers, tmp_path):
     config = config_from_dict(
         {**fields, "T_grid": [30, 60], "N": 20, "seed": 0, "formats": ["csv"]}
     )
+    emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
+    assert _sha256(tmp_path / "efmse.csv") == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_row_chunked_efmse_csv_bytes(workers, tmp_path):
+    fields, want = ROW_CHUNK_RUN
+    config = config_from_dict(fields)
     emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
     assert _sha256(tmp_path / "efmse.csv") == want
 
