@@ -11,6 +11,13 @@ coefficient draw for ``rho_mode == "fixed"`` comes from
 Workers receive contiguous replication blocks and results are merged in
 replication order, so every emitted byte depends only on (config, seed),
 never on the worker count or scheduling.
+
+Within a block, replications are simulated and estimated together in
+groups (``_run_group``): one time loop over the columns of every
+replication in the group, exact column sums and elementwise estimators,
+the same helpers that ``simulate``, ``sufficient_stats`` and
+``estimate_all`` run for a single replication, so both routes give the
+same bits.
 """
 from __future__ import annotations
 
@@ -26,7 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import DegenerateTrajectoryError, estimate_all
+from .estimators import (
+    CHUNK_ELEMENTS,
+    ColumnSums,
+    DegenerateTrajectoryError,
+    estimate_columns,
+    first_fault,
+    lag_products,
+    lag_sums,
+    prior_columns,
+)
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -42,7 +58,7 @@ from .metrics import (
     theory_pred_limit,
     truncation_order,
 )
-from .simulator import positivity_diagnostic, simulate
+from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
@@ -59,6 +75,11 @@ DEFAULT_T_GRID = (250, 500, 750, 1000, 1250, 1500, 1750, 2000)
 # Fraction of degenerate (aborted) replications above which a run is
 # considered misconfigured and fails outright.
 ABORT_THRESHOLD = 1e-3
+
+# A replication group has at most this many columns (replications times
+# components); its rows are simulated in chunks whose product arrays hold at
+# most CHUNK_ELEMENTS values.
+GROUP_COLUMNS = 2048
 
 # One-sided 0.5% Kolmogorov-Smirnov critical value is KS_CRITICAL / sqrt(N).
 KS_CRITICAL = 1.73
@@ -225,31 +246,82 @@ def _partition(n: int, parts: int) -> list[tuple[int, int]]:
 def _run_block(task):
     """Run one contiguous block of replications; returns stacked records.
 
-    Must stay a module-level function so worker processes can unpickle it.
+    Every realization, shared or drawn, has exactly k_T components.  Must
+    stay a module-level function so worker processes can unpickle it.
     """
     spec, T, k_T, lo, hi, seed, fixed_real = task
-    m = hi - lo
-    est_c = np.empty((m, k_T))
-    est_b = np.empty((m, k_T))
-    truth = np.empty((m, k_T))
-    last = np.empty((m, k_T))
-    ok = np.ones(m, dtype=bool)
-    aborted = []
-    for i, omega in enumerate(range(lo, hi)):
-        rng = np.random.default_rng([seed, 1, T, omega])
-        real = fixed_real if fixed_real is not None else realize(spec, rng)
-        traj = simulate(real, T, rng)
-        try:
-            est = estimate_all(traj, real, k_T, spec.prior)
-        except DegenerateTrajectoryError:
-            ok[i] = False
-            aborted.append(omega)
-            continue
-        est_c[i] = est.rho_hat
-        est_b[i] = est.rho_tilde_minus
-        truth[i] = real.rho[:k_T]
-        last[i] = traj.coeffs[-1, :k_T]
+    per = max(1, GROUP_COLUMNS // k_T)
+    groups = [
+        _run_group(spec, T, k_T, range(g, min(g + per, hi)), seed, fixed_real)
+        for g in range(lo, hi, per)
+    ]
+    est_c, est_b, truth, last, ok = (np.concatenate(parts) for parts in zip(*groups))
+    aborted = [lo + i for i in np.flatnonzero(~ok).tolist()]
     return est_c[ok], est_b[ok], truth[ok], last[ok], aborted
+
+
+def _run_group(spec, T, k, omegas, seed, fixed_real):
+    """Simulate and estimate replications ``omegas`` together.
+
+    Each replication seeds its own stream, realizes its coefficients (unless
+    they are shared) and draws its normals chunk by chunk, in the order
+    ``simulate`` draws them.  A column whose chunked sum is not certified
+    exact is re-summed from its replication, re-run whole.
+    """
+    rngs = [np.random.default_rng([seed, 1, T, omega]) for omega in omegas]
+    reals = [fixed_real if fixed_real is not None else realize(spec, r) for r in rngs]
+    m, c = len(rngs), len(rngs) * k
+    rho = np.concatenate([r.rho for r in reals])
+    sigma2 = np.concatenate([r.sigma2 for r in reals])
+    sd = np.sqrt(sigma2)
+
+    rows = max(1, min(T, CHUNK_ELEMENTS // (2 * c)))
+    x = np.empty((rows + 1, c))
+    products = np.empty((rows, 2 * c))
+    for i, rng in enumerate(rngs):
+        x[0, i * k : (i + 1) * k] = rng.standard_normal(k)
+    x[0] *= np.sqrt(np.concatenate([r.C for r in reals]))
+    finite = np.isfinite(x[0])
+    sums = ColumnSums(2 * c)
+    done = 0
+    while done < T:
+        n = min(rows, T - done)
+        for i, rng in enumerate(rngs):
+            x[1 : n + 1, i * k : (i + 1) * k] = rng.standard_normal((n, k))
+        x[1 : n + 1] *= sd
+        ar1_steps(x[: n + 1], rho)
+        finite &= np.isfinite(x[1 : n + 1]).all(axis=0)
+        sums.add(lag_products(x[: n + 1], out=products[:n]))
+        x[0] = x[n]
+        done += n
+    total, exact = sums.result()
+    alpha, beta = total[:c].reshape(m, k), total[c:].reshape(m, k)
+    exact = (exact[:c] & exact[c:]).reshape(m, k).all(axis=1)
+    finite = finite.reshape(m, k).all(axis=1)
+    for i in np.flatnonzero(finite & ~exact).tolist():
+        rng = np.random.default_rng([seed, 1, T, omegas[i]])
+        real = fixed_real if fixed_real is not None else realize(spec, rng)
+        alpha[i], beta[i] = lag_sums(simulate(real, T, rng).coeffs)
+
+    alpha, beta = alpha.ravel(), beta.ravel()
+    a, b = (np.tile(v, m) for v in prior_columns(spec.prior, k))
+    est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, a, b)
+    ok = np.ones(m, dtype=bool)
+    # the first failure in replication order decides, as in a one-by-one run
+    for i in np.flatnonzero(~finite | fault.reshape(m, k).any(axis=1)).tolist():
+        if not finite[i]:
+            raise ValueError("trajectory contains non-finite coefficients")
+        cols = slice(i * k, (i + 1) * k)
+        error = first_fault(
+            fault[cols], T, alpha[cols], beta[cols], sigma2[cols], a[cols], b[cols]
+        )
+        if not isinstance(error, DegenerateTrajectoryError):
+            raise error
+        ok[i] = False
+    return (
+        est_c.reshape(m, k), est_b.reshape(m, k), rho.reshape(m, k),
+        x[0].reshape(m, k).copy(), ok,
+    )
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[EfmseReport]:

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.special import ndtr
 
 from .simulator import Trajectory
 from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq
@@ -186,6 +184,8 @@ def _ar1_rho_hat_samples(
     free of the trajectory simulator on purpose so the two can vouch for
     each other.
     """
+    from scipy.signal import lfilter  # only the diagnostics need scipy
+
     out = np.empty(N)
     scale0 = sigma / math.sqrt(1.0 - rho * rho)
     done = 0
@@ -222,6 +222,8 @@ def bartlett_check(
 
 def ks_distance_to_normal(z) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal law."""
+    from scipy.special import ndtr  # only the diagnostics need scipy
+
     zs = np.sort(np.asarray(z, dtype=float))
     n = zs.size
     if n < 1:

@@ -11,15 +11,20 @@ stationary coefficient law, so no burn-in is needed.
 
 Draw-order contract: ``simulate`` consumes exactly one (T+1) x k block of
 standard normals from its stream; row 0 seeds the initial states and rows
-1..T the innovations.  This ordering is part of the reproducibility
-contract and must not change between releases.
+1..T the innovations.  The generator fills a block row by row, so drawing
+the same rows in consecutive chunks (as the experiment harness does to
+bound its memory) consumes the identical stream.  This ordering is part of
+the reproducibility contract and must not change between releases.
+
+The recursion itself is ``ar1_steps``, one numpy time loop over all
+columns; the harness runs the same loop over the columns of many
+replications at once, so both produce the same bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .spectral_model import ModelRealization
 
@@ -62,6 +67,17 @@ class Trajectory:
         return self.coeffs.shape[1]
 
 
+def ar1_steps(x: np.ndarray, rho) -> None:
+    """Run the recursion x[t] = x[t] + rho * x[t-1] down the rows of x, in
+    place: on entry row 0 holds the state before the first step and rows
+    1.. the innovations; on exit the rows hold the states.  ``rho`` is a
+    scalar or one coefficient per column."""
+    step = np.empty_like(x[0])
+    for prev, row in zip(x[:-1], x[1:]):
+        np.multiply(rho, prev, out=step)
+        row += step
+
+
 def simulate(
     real: ModelRealization,
     T: int,
@@ -85,21 +101,12 @@ def simulate(
     """
     if T < 0:
         raise ValueError(f"transition count T must be >= 0, got {T}")
-    k = real.k
-    z = rng.standard_normal((T + 1, k))
-    coeffs = np.empty((T + 1, k))
-    coeffs[0] = np.sqrt(real.C) * z[0]
-    eps = np.sqrt(real.sigma2) * z[1:]
-    if T > 0:
-        for j in range(k):
-            # lfilter runs the recursion y[n] = eps[n] + rho*y[n-1] in C;
-            # with zi = rho*X0 it reproduces the scalar recursion bit for
-            # bit.
-            rho_j = real.rho[j]
-            coeffs[1:, j], _ = lfilter(
-                [1.0], [1.0, -rho_j], eps[:, j], zi=[rho_j * coeffs[0, j]]
-            )
-    return Trajectory(coeffs=coeffs, innovations=eps if record_innovations else None)
+    coeffs = rng.standard_normal((T + 1, real.k))
+    coeffs[0] *= np.sqrt(real.C)
+    coeffs[1:] *= np.sqrt(real.sigma2)
+    eps = coeffs[1:].copy() if record_innovations else None
+    ar1_steps(coeffs, real.rho)
+    return Trajectory(coeffs=coeffs, innovations=eps)
 
 
 @dataclass(frozen=True)

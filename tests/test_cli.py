@@ -121,6 +121,14 @@ class TestRunErrors:
         assert _run(args + ["--workers", "0"]) == 1
         assert _run(args + ["--workers", "soon"]) == 1
 
+    def test_auto_workers_count_usable_cpus(self, monkeypatch):
+        # resolved without starting any process
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert cli._resolve_workers("auto") == 1
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        assert cli._resolve_workers("auto") == 8
+
     def test_missing_rho_file(self, tmp_path):
         assert _run([
             "run", "--example", "1", "--T", "20", "--N", "2",

@@ -1,11 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arh1bench import estimators
 from arh1bench.estimators import (
+    ColumnSums,
     ComplexRootError,
     DegenerateTrajectoryError,
     SufficientStats,
@@ -13,6 +16,7 @@ from arh1bench.estimators import (
     classical_estimate,
     cubic_score_solve,
     estimate_all,
+    exact_sums,
     plugin_predict,
     sufficient_stats,
 )
@@ -62,6 +66,73 @@ class TestSufficientStats:
             SufficientStats(alpha=1.0, beta=-0.5, T=3)
         with pytest.raises(ValueError):
             SufficientStats(alpha=1.0, beta=0.5, T=0)
+
+
+# Summands for the exact-sum tests: magnitudes over the whole normal range,
+# subnormals and zeros, and values that make exact rounding ties with 1.0.
+_MAGNITUDES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.0, max_value=2.0**-1022),
+    st.sampled_from([0.0, 1.0, 2.0**-52, 2.0**-53, 2.0**-54, 3 * 2.0**-53, 2.0**53]),
+)
+
+
+def _column(rng, pool, n, cancel):
+    """n summands drawn from the pool or spread over 1e-300..1e300, with
+    random signs; ``cancel`` makes half of them the negatives of the rest."""
+    wide = rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-997, 997, n).astype(float))
+    col = np.where(rng.random(n) < 0.5, rng.choice(pool, n), wide)
+    col *= rng.choice([-1.0, 1.0], n)
+    if cancel:
+        half = col[: n // 2]
+        col = rng.permutation(np.concatenate([half, -half, col[2 * (n // 2) :]]))
+    return col
+
+
+class TestExactSums:
+    @given(
+        pool=st.lists(_MAGNITUDES, min_size=1, max_size=20),
+        n=st.integers(min_value=1, max_value=300),
+        cancel=st.lists(st.booleans(), min_size=1, max_size=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        chunk=st.sampled_from([estimators.CHUNK_ELEMENTS, 5, 1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_bit_for_bit(self, pool, n, cancel, seed, chunk):
+        rng = np.random.default_rng(seed)
+        cols = [_column(rng, pool, n, c) for c in cancel]
+        with mock.patch.object(estimators, "CHUNK_ELEMENTS", chunk):
+            got = exact_sums(np.array(cols).T)
+        want = np.array([math.fsum(col.tolist()) for col in cols])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            [1.0, 2.0**-53],  # a tie, rounded to even
+            [1.0, 2.0**-53, 2.0**-105],  # just past the tie
+            [1.0, -(2.0**-54), -(2.0**-110)],  # just below a power of two
+            [1e300, 1e-300, -1e300],
+            [-0.0],
+            [0.0, -0.0],
+            [5e-324, 5e-324, -1e-310],
+        ],
+    )
+    def test_adversarial_columns(self, col):
+        got = exact_sums(np.array(col)[:, None])
+        assert got.view(np.int64)[0] == np.float64(math.fsum(col)).view(np.int64)
+
+    def test_certificate_clears_simulated_columns(self):
+        # the fast path, not the fsum fallback, serves ordinary data
+        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(2.0), k_max=40)
+        traj = simulate(realize(spec, np.random.default_rng(9)), 2_000,
+                        np.random.default_rng(10))
+        x = traj.coeffs
+        sums = ColumnSums(2 * x.shape[1])
+        sums.add(np.hstack([x[:-1] * x[1:], x[:-1] * x[:-1]]))
+        total, exact = sums.result()
+        assert exact.all()
+        assert np.array_equal(total, exact_sums(np.hstack([x[:-1] * x[1:], x[:-1] ** 2])))
 
 
 class TestClassical:

@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from arh1bench import harness
+from arh1bench import estimators, harness
+from arh1bench.estimators import (
+    COMPLEX_ROOTS,
+    DEGENERATE,
+    ESCAPED,
+    ComplexRootError,
+    estimate_all,
+)
 from arh1bench.harness import (
     AbortedReplicationsError,
     CSV_HEADER,
@@ -17,7 +24,8 @@ from arh1bench.harness import (
     run_diagnostics,
     run_experiment,
 )
-from arh1bench.metrics import KtRule, theory_param_limit, theory_pred_limit
+from arh1bench.metrics import KtRule, theory_param_limit, theory_pred_limit, truncation_order
+from arh1bench.simulator import simulate
 from arh1bench.spectral_model import (
     EigenvalueLaw,
     PriorSpec,
@@ -207,6 +215,85 @@ class TestRunExperiment:
         assert err.aborted == 3
         assert err.total == 1000
         assert "3 of 1000" in str(err)
+
+
+def _block_task(fields, T, N):
+    """The task run_experiment hands one worker for all N replications."""
+    config = config_from_dict({**fields, "T_grid": [T], "N": N, "seed": 0})
+    spec, k_T = config.spec, truncation_order(T, config.kT_rule)
+    if spec.rho_mode == "redraw":
+        return (dataclasses.replace(spec, k_max=k_T), T, k_T, 1, N + 1, 0, None)
+    shared = realize(spec, np.random.default_rng([0, 2]))
+    return (spec, T, k_T, 1, N + 1, 0, truncate_realization(shared, k_T))
+
+
+BLOCK_FIELDS = [
+    {"example": 1, "rho_mode": "redraw"},
+    {"example": 3, "kT_rule": "power:4.1", "rho_mode": "fixed"},
+]
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("fields", BLOCK_FIELDS)
+    def test_matches_one_replication_at_a_time(self, fields):
+        # the public calls, one replication each, are the reference
+        spec, T, k_T, lo, hi, seed, shared = task = _block_task(fields, T=300, N=7)
+        est_c, est_b, truth, last, aborted = harness._run_block(task)
+        assert aborted == []
+        for i, omega in enumerate(range(lo, hi)):
+            rng = np.random.default_rng([seed, 1, T, omega])
+            real = shared if shared is not None else realize(spec, rng)
+            traj = simulate(real, T, rng)
+            est = estimate_all(traj, real, k_T, spec.prior)
+            assert np.array_equal(est.rho_hat, est_c[i])
+            assert np.array_equal(est.rho_tilde_minus, est_b[i])
+            assert np.array_equal(real.rho, truth[i])
+            assert np.array_equal(traj.coeffs[-1], last[i])
+
+    @pytest.mark.parametrize("fields", BLOCK_FIELDS)
+    def test_fallbacks_match_default_path(self, monkeypatch, fields):
+        task = _block_task(fields, T=300, N=7)
+        want = harness._run_block(task)
+        reruns = []
+        whole = harness.simulate
+
+        def simulate(real, T, rng):
+            reruns.append(T)
+            return whole(real, T, rng)
+
+        # every row a chunk, and no column sum certified: each replication
+        # is re-run whole and each of its sums taken by math.fsum
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(estimators, "_certified", lambda r, *rest: np.zeros(r.shape, bool))
+        monkeypatch.setattr(harness, "simulate", simulate)
+        got = harness._run_block(task)
+        assert reruns == [300] * 7
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_first_failure_in_replication_order_decides(self, monkeypatch):
+        task = _block_task({"example": 1}, T=40, N=6)
+        estimate_columns = harness.estimate_columns
+        faults = {}
+
+        def faulty(*args):
+            hat, minus, fault = estimate_columns(*args)
+            for col, code in faults.items():
+                fault[col] = code
+            return hat, minus, fault
+
+        monkeypatch.setattr(harness, "estimate_columns", faulty)
+        # replication 2 (columns 5..9) has a zero-energy first component: it
+        # is dropped and reported, and its later fault is never reached
+        faults = {5: DEGENERATE, 8: COMPLEX_ROOTS}
+        est_c, est_b, truth, last, aborted = harness._run_block(task)
+        assert aborted == [2] and est_c.shape == (5, 5)
+        faults = {5: DEGENERATE, 24: COMPLEX_ROOTS}
+        with pytest.raises(ComplexRootError):
+            harness._run_block(task)
+        faults = {7: COMPLEX_ROOTS, 3: ESCAPED}
+        with pytest.raises(RuntimeError, match="component 4: shrinkage"):
+            harness._run_block(task)
 
 
 class TestEmitReports:

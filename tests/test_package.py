@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import arh1bench
 
@@ -45,3 +49,26 @@ def test_public_top_level_names():
     }
     assert names == PUBLIC_NAMES
     assert len(names) == 29
+
+
+def test_run_path_does_not_import_scipy():
+    # At T=20 some column sums fail the exactness certificate, so the run
+    # also takes the math.fsum fallback; only the diagnostics load scipy.
+    code = """
+import math, sys
+calls = []
+fsum = math.fsum
+math.fsum = lambda xs: calls.append(1) or fsum(xs)
+import arh1bench.cli
+from arh1bench.harness import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=50))
+print(len(calls), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(arh1bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    fallbacks, modules = out.stdout.split(" ", 1)
+    assert int(fallbacks) > 0
+    assert modules.strip() == "[]"
