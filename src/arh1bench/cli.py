@@ -109,7 +109,7 @@ def _resolve_workers(value: str | None) -> int:
     if value is None:
         value = os.environ.get("ARH1_BENCH_WORKERS") or "auto"
     if value == "auto":
-        # the CPUs this process may run on, which taskset or a cgroup can
+        # the CPUs this process may run on, which taskset or a cpuset can
         # make fewer than the host's
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0)) or 1

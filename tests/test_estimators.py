@@ -17,6 +17,7 @@ from arh1bench.estimators import (
     cubic_score_solve,
     estimate_all,
     exact_sums,
+    lag_products,
     plugin_predict,
     sufficient_stats,
 )
@@ -127,12 +128,12 @@ class TestExactSums:
         spec = SpectralModelSpec(law=EigenvalueLaw.power_law(2.0), k_max=40)
         traj = simulate(realize(spec, np.random.default_rng(9)), 2_000,
                         np.random.default_rng(10))
-        x = traj.coeffs
-        sums = ColumnSums(2 * x.shape[1])
-        sums.add(np.hstack([x[:-1] * x[1:], x[:-1] * x[:-1]]))
+        products = lag_products(traj.coeffs)
+        sums = ColumnSums(products.shape[1])
+        sums.add(products)
         total, exact = sums.result()
         assert exact.all()
-        assert np.array_equal(total, exact_sums(np.hstack([x[:-1] * x[1:], x[:-1] ** 2])))
+        assert np.array_equal(total, exact_sums(products))
 
 
 class TestClassical:
