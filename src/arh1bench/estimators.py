@@ -308,6 +308,8 @@ def cubic_score_solve(
     independent oracle for ``bayes_estimate``.  The default bounds cover
     the autocorrelation range [0, 1]; widen them to inspect exterior roots.
     """
+    from scipy.optimize import brentq  # the run path never loads scipy
+
     if stats.beta <= 0.0:
         raise DegenerateTrajectoryError("cubic score equation needs beta > 0")
     if sigma2 <= 0.0:
@@ -337,8 +339,6 @@ def cubic_score_solve(
         if fu == 0.0 or fv == 0.0:
             continue  # endpoint roots already collected
         if (fu < 0.0) != (fv < 0.0):
-            from scipy.optimize import brentq  # the oracle alone needs scipy
-
             roots.append(brentq(poly, u, v, xtol=1e-15, rtol=4e-15))
 
     roots.sort()
