@@ -1,9 +1,9 @@
 """Spectral simulation and estimation benchmark for ARH(1) processes.
 
-The package splits into five layers: ``spectral_model`` (eigenvalue laws,
-Beta priors, model realizations), ``simulator`` (componentwise trajectory
-generation), ``estimators`` (classical and Bayesian coefficient estimators
-plus plug-in prediction), ``metrics`` (EFMSE, asymptotic limits,
+The package splits into five layers: ``spectral_model`` (power-law
+eigenvalues, Beta priors, model realizations), ``simulator``
+(componentwise trajectory generation), ``estimators`` (classical and
+Bayesian coefficient estimators), ``metrics`` (EFMSE, asymptotic limits,
 statistical diagnostics) and ``harness`` (seeded parallel experiment
 runner with CSV/JSON emission; CLI in ``cli``).  The top level re-exports
 the experiment and diagnostic API and the calls one replication makes;

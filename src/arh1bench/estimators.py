@@ -185,21 +185,10 @@ def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
     so they are the correctly rounded sums even for T ~ 1e5 with mixed
     magnitudes.
     """
-    if traj.T < 1:
-        raise ValueError("sufficient statistics need at least one transition")
     if not 1 <= j <= traj.k:
         raise IndexError(f"component {j} out of range 1..{traj.k}")
     alpha, beta = lag_sums(traj.coeffs[:, j - 1 : j])
     return SufficientStats(alpha=float(alpha[0]), beta=float(beta[0]), T=traj.T)
-
-
-def classical_estimate(stats: SufficientStats) -> float:
-    """Moment estimator alpha / beta."""
-    if stats.beta == 0.0:
-        raise DegenerateTrajectoryError(
-            "component carries no energy (beta = 0); cannot form alpha/beta"
-        )
-    return stats.alpha / stats.beta
 
 
 def _quadratic_roots(alpha, beta, sigma2, a, b):
@@ -351,12 +340,14 @@ def cubic_score_solve(
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """Classical and Bayes estimates for components 1..k_T of one trajectory."""
+    """Classical and Bayes estimates for components 1..k_T of one trajectory,
+    with the sufficient statistics (alpha, beta) of those components."""
 
     k_T: int
     rho_hat: np.ndarray
     rho_tilde_minus: np.ndarray
-    stats: tuple[SufficientStats, ...]
+    alpha: np.ndarray
+    beta: np.ndarray
 
 
 def prior_columns(priors: PriorSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -444,33 +435,6 @@ def estimate_all(
     if error is not None:
         raise error
     return EstimateSet(
-        k_T=k_T,
-        rho_hat=rho_hat,
-        rho_tilde_minus=rho_minus,
-        stats=tuple(
-            SufficientStats(alpha=al, beta=be, T=traj.T)
-            for al, be in zip(alpha.tolist(), beta.tolist())
-        ),
+        k_T=k_T, rho_hat=rho_hat, rho_tilde_minus=rho_minus, alpha=alpha, beta=beta
     )
 
-
-def plugin_predict(est: EstimateSet, which: str, xT) -> np.ndarray:
-    """Apply the estimated diagonal operator to a coefficient vector.
-
-    Components above k_T are zeroed: the predictor lives on the truncated
-    span.
-    """
-    xT = np.asarray(xT, dtype=float)
-    if xT.ndim != 1 or xT.size < est.k_T:
-        raise ValueError(
-            f"coefficient vector of length >= {est.k_T} required, got shape {xT.shape}"
-        )
-    if which == "classical":
-        coeff = est.rho_hat
-    elif which == "bayes_minus":
-        coeff = est.rho_tilde_minus
-    else:
-        raise ValueError(f"which must be 'classical' or 'bayes_minus', got {which!r}")
-    out = np.zeros_like(xT)
-    out[: est.k_T] = coeff * xT[: est.k_T]
-    return out

@@ -193,8 +193,12 @@ class ExperimentConfig:
         fmts = self.formats
         if isinstance(fmts, str):
             fmts = tuple(f for f in fmts.split(",") if f)
-        if not isinstance(fmts, (tuple, list)) or any(f not in ("csv", "json") for f in fmts):
-            raise ValueError(f"formats must be a subset of csv,json, got {fmts!r}")
+        if (
+            not isinstance(fmts, (tuple, list))
+            or not fmts
+            or any(f not in ("csv", "json") for f in fmts)
+        ):
+            raise ValueError(f"formats must be a nonempty subset of csv,json, got {fmts!r}")
         object.__setattr__(self, "formats", tuple(dict.fromkeys(fmts)))
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")

@@ -25,9 +25,9 @@ import numpy as np
 # Open-interval clamp for Beta draws: keeps sigma2 > 0 and |rho| < 1.
 RHO_CLAMP_EPS = 1e-12
 
-# 2**k stops being safely representable as a float64 near the exponent
-# limit; refuse shapes beyond this rather than produce infinities.
-MAX_PRIOR_EXPONENT = 1020
+# Largest k for the default shape a_k = 2**k: beyond it the product
+# a*(a+1) in prior_mean_sq overflows to inf and the prior limits turn nan.
+MAX_PRIOR_EXPONENT = 511
 
 DEFAULT_K_MAX = 64
 DEFAULT_PRIOR_B = 1.01
@@ -37,55 +37,28 @@ RHO_MODES = ("redraw", "fixed", "explicit")
 
 @dataclass(frozen=True)
 class EigenvalueLaw:
-    """Eigenvalue sequence of the covariance operator.
+    """Power-law eigenvalues ``C_k = k**(-exponent)`` of the covariance
+    operator; ``exponent > 1`` makes the operator trace class."""
 
-    Either a power law ``C_k = k**(-exponent)`` with ``exponent > 1`` (trace
-    class), or an explicit strictly positive, strictly decreasing sequence.
-    """
-
-    kind: str
-    exponent: float | None = None
-    values: tuple[float, ...] | None = None
+    exponent: float
 
     def __post_init__(self):
-        if self.kind == "power_law":
-            if self.exponent is None or not self.exponent > 1.0:
-                raise ValueError(
-                    f"power-law exponent must exceed 1 for a trace-class "
-                    f"operator, got {self.exponent}"
-                )
-        elif self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit law requires a nonempty value sequence")
-            vals = tuple(float(v) for v in self.values)
-            if any(v <= 0.0 for v in vals):
-                raise ValueError("explicit eigenvalues must be strictly positive")
-            if any(u <= v for u, v in zip(vals, vals[1:])):
-                raise ValueError("explicit eigenvalues must be strictly decreasing")
-            object.__setattr__(self, "values", vals)
-        else:
-            raise ValueError(f"unknown eigenvalue law kind {self.kind!r}")
+        if not self.exponent > 1.0:
+            raise ValueError(
+                f"power-law exponent must exceed 1 for a trace-class "
+                f"operator, got {self.exponent}"
+            )
 
     @classmethod
     def power_law(cls, exponent: float) -> "EigenvalueLaw":
-        return cls(kind="power_law", exponent=float(exponent))
-
-    @classmethod
-    def explicit(cls, values) -> "EigenvalueLaw":
-        return cls(kind="explicit", values=tuple(float(v) for v in values))
+        return cls(exponent=float(exponent))
 
 
 def eigenvalue(law: EigenvalueLaw, k: int) -> float:
     """Return the k-th eigenvalue C_k (components are 1-based)."""
     if k < 1:
         raise IndexError(f"component index must be >= 1, got {k}")
-    if law.kind == "power_law":
-        return float(k) ** (-law.exponent)
-    if k > len(law.values):
-        raise IndexError(
-            f"component {k} out of range for explicit law of length {len(law.values)}"
-        )
-    return law.values[k - 1]
+    return float(k) ** (-law.exponent)
 
 
 @dataclass(frozen=True)
@@ -133,33 +106,16 @@ def prior_params(prior: PriorSpec, k: int) -> tuple[float, float]:
         return prior.a[k - 1], prior.b[k - 1]
     if k > MAX_PRIOR_EXPONENT:
         raise OverflowError(
-            f"default prior shape 2**{k} exceeds the representable range "
+            f"default prior shape 2**{k} has overflowing moments "
             f"(limit 2**{MAX_PRIOR_EXPONENT})"
         )
     return math.ldexp(1.0, k), DEFAULT_PRIOR_B
-
-
-def prior_mean(prior: PriorSpec, k: int) -> float:
-    """Prior mean E(rho_k) = a / (a + b)."""
-    a, b = prior_params(prior, k)
-    return a / (a + b)
 
 
 def prior_mean_sq(prior: PriorSpec, k: int) -> float:
     """Prior second moment E(rho_k**2) = a(a+1) / ((a+b)(a+b+1))."""
     a, b = prior_params(prior, k)
     return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-
-
-def prior_variance(prior: PriorSpec, k: int) -> float:
-    """Prior variance a*b / ((a+b+1)(a+b)**2).
-
-    These are the terms of the summability series that makes the infinite
-    product prior well defined; for the default rule they decay like 2**(-k).
-    """
-    a, b = prior_params(prior, k)
-    s = a + b
-    return a * b / ((s + 1.0) * s * s)
 
 
 def draw_rho(prior: PriorSpec, k: int, rng: np.random.Generator) -> float:

@@ -90,7 +90,7 @@ def fixed_draw_run() -> FixedDrawRun:
         est_c[i] = est.rho_hat
         est_b[i] = est.rho_tilde_minus
         last[i] = traj.coeffs[-1]
-        betas[i] = [s.beta for s in est.stats]
+        betas[i] = est.beta
     truth = np.tile(real.rho, (N_FIX, 1))
     return FixedDrawRun(
         real=real, prior=spec.prior, est_classical=est_c, est_bayes=est_b,

@@ -152,6 +152,7 @@ class TestRunErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_bad_config_file(self, tmp_path):
         missing = tmp_path / "missing.json"

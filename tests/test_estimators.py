@@ -13,14 +13,16 @@ from arh1bench.estimators import (
     DegenerateTrajectoryError,
     SufficientStats,
     bayes_estimate,
-    classical_estimate,
     cubic_score_solve,
     estimate_all,
+    estimate_columns,
     exact_sums,
     lag_products,
-    plugin_predict,
+    lag_sums,
     sufficient_stats,
 )
+from arh1bench.harness import example_model
+from arh1bench.metrics import truncation_order
 from arh1bench.simulator import Trajectory, simulate
 from arh1bench.spectral_model import (
     EigenvalueLaw,
@@ -29,12 +31,22 @@ from arh1bench.spectral_model import (
     SpectralModelSpec,
     prior_params,
     realize,
+    truncate_realization,
 )
 from conftest import naive_sums, reference_ar1
 
 
 def _column_traj(values) -> Trajectory:
     return Trajectory(coeffs=np.asarray(values, dtype=float)[:, None])
+
+
+def _classical(values) -> float:
+    """The classical estimate alpha / beta of one column, as the kernel
+    forms it (flat prior, unit innovation variance)."""
+    alpha, beta = lag_sums(np.asarray(values, dtype=float)[:, None])
+    hat, _, fault = estimate_columns(alpha, beta, np.ones(1), np.ones(1), np.ones(1))
+    assert fault[0] == 0
+    return float(hat[0])
 
 
 class TestSufficientStats:
@@ -45,10 +57,12 @@ class TestSufficientStats:
         assert st_.T == 2
 
     def test_zero_column(self):
-        st_ = sufficient_stats(_column_traj([0.0, 0.0, 0.0]), 1)
+        traj = _column_traj([0.0, 0.0, 0.0])
+        st_ = sufficient_stats(traj, 1)
         assert (st_.alpha, st_.beta) == (0.0, 0.0)
+        real = ModelRealization(C=[1.0], rho=[0.5], sigma2=[0.75])
         with pytest.raises(DegenerateTrajectoryError):
-            classical_estimate(st_)
+            estimate_all(traj, real, 1, PriorSpec())
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -138,18 +152,15 @@ class TestExactSums:
 
 class TestClassical:
     def test_constant_column(self):
-        st_ = sufficient_stats(_column_traj([2.0, 2.0, 2.0, 2.0]), 1)
-        assert classical_estimate(st_) == 1.0
+        assert _classical([2.0, 2.0, 2.0, 2.0]) == 1.0
 
     def test_alternating_column(self):
-        st_ = sufficient_stats(_column_traj([1.0, 0.0, 1.0, 0.0]), 1)
-        assert classical_estimate(st_) == 0.0
+        assert _classical([1.0, 0.0, 1.0, 0.0]) == 0.0
 
     def test_ar1_consistency_with_lstsq_oracle(self):
         real = ModelRealization(C=[1.0], rho=[0.8], sigma2=[1.0 - 0.64])
         traj = simulate(real, 100_000, np.random.default_rng(12))
-        st_ = sufficient_stats(traj, 1)
-        est = classical_estimate(st_)
+        est = float(estimate_all(traj, real, 1, PriorSpec()).rho_hat[0])
         assert abs(est - 0.8) < 0.01
         x = traj.coeffs[:, 0]
         slope, *_ = np.linalg.lstsq(x[:-1, None], x[1:], rcond=None)
@@ -163,8 +174,8 @@ class TestClassical:
     def test_scale_equivariance(self, col, scale):
         arr = np.asarray(col)
         assume(float(np.max(np.abs(arr[:-1]))) > 0.1)
-        base = classical_estimate(sufficient_stats(_column_traj(arr), 1))
-        scaled = classical_estimate(sufficient_stats(_column_traj(scale * arr), 1))
+        base = _classical(arr)
+        scaled = _classical(scale * arr)
         assert scaled == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
@@ -325,12 +336,33 @@ class TestEstimateAll:
         for j in range(5):
             a, b = prior_params(spec.prior, j + 1)
             sigma2 = float(real.sigma2[j])
-            bound = math.sqrt(sigma2 * (a + b - 2.0) / est.stats[j].beta)
+            bound = math.sqrt(sigma2 * (a + b - 2.0) / est.beta[j])
             delta = est.rho_hat[j] - est.rho_tilde_minus[j]
             if est.rho_hat[j] <= 1.0:
                 assert -1e-12 <= delta <= bound + 1e-12
-            plus = bayes_estimate(est.stats[j], sigma2, a, b, root="plus")
+            stats = SufficientStats(alpha=float(est.alpha[j]), beta=float(est.beta[j]), T=traj.T)
+            plus = bayes_estimate(stats, sigma2, a, b, root="plus")
             assert plus >= est.rho_tilde_minus[j]
+
+    @pytest.mark.parametrize(
+        "example, rho_mode, T", [(1, "redraw", 2_000), (3, "fixed", 2_000)]
+    )
+    def test_sums_match_sufficient_stats(self, example, rho_mode, T):
+        # estimate_all's alpha and beta are sufficient_stats' bit for bit
+        spec, rule = example_model(example, T, rho_mode=rho_mode)
+        k_T = truncation_order(T, rule)
+        rng = np.random.default_rng([0, 1, T, 1])
+        if rho_mode == "fixed":
+            assert k_T > 5
+            real = truncate_realization(realize(spec, np.random.default_rng([0, 2])), k_T)
+        else:
+            real = realize(spec, rng)
+        traj = simulate(real, T, rng)
+        est = estimate_all(traj, real, k_T, spec.prior)
+        for j in range(1, k_T + 1):
+            stats = sufficient_stats(traj, j)
+            assert np.float64(stats.alpha).view(np.int64) == est.alpha[j - 1].view(np.int64)
+            assert np.float64(stats.beta).view(np.int64) == est.beta[j - 1].view(np.int64)
 
     def test_range_validation(self):
         traj = _column_traj([1.0, 2.0, 1.5])
@@ -340,39 +372,3 @@ class TestEstimateAll:
         with pytest.raises(ValueError):
             estimate_all(Trajectory(coeffs=np.ones((1, 1))), real, 1, PriorSpec())
 
-
-class TestPluginPredict:
-    def test_trivial_cases(self):
-        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=2)
-        real = realize(spec, np.random.default_rng(1))
-        traj = simulate(real, 50, np.random.default_rng(2))
-        est = estimate_all(traj, real, 2, spec.prior)
-
-        zeroed = est.__class__(
-            k_T=2, rho_hat=np.zeros(2), rho_tilde_minus=np.zeros(2), stats=est.stats
-        )
-        assert np.array_equal(plugin_predict(zeroed, "classical", [5.0, 6.0]), [0.0, 0.0])
-
-        ones = est.__class__(
-            k_T=2, rho_hat=np.ones(2), rho_tilde_minus=np.ones(2), stats=est.stats
-        )
-        assert np.array_equal(plugin_predict(ones, "bayes_minus", [5.0, 6.0]), [5.0, 6.0])
-
-        halves = est.__class__(
-            k_T=2,
-            rho_hat=np.array([0.5, 0.25]),
-            rho_tilde_minus=np.array([0.5, 0.25]),
-            stats=est.stats,
-        )
-        assert np.array_equal(plugin_predict(halves, "classical", [2.0, 4.0]), [1.0, 1.0])
-
-    def test_truncation_and_kind_validation(self):
-        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=2)
-        real = realize(spec, np.random.default_rng(3))
-        traj = simulate(real, 50, np.random.default_rng(4))
-        est = estimate_all(traj, real, 2, spec.prior)
-        out = plugin_predict(est, "classical", [1.0, 1.0, 9.0, 9.0])
-        assert out.shape == (4,)
-        assert np.array_equal(out[2:], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            plugin_predict(est, "bayes_plus", [1.0, 1.0])

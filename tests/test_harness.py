@@ -47,7 +47,10 @@ BAD_CONFIG_FIELDS = [
     {"formats": 5},
     {"example": True},
     {"rho_mode": "explicit", "rho_values": [None]},
-    {"kT_rule": "fixed:1021"},  # beyond the default prior's 2**1020 shape
+    {"kT_rule": "fixed:1021"},
+    {"kT_rule": "fixed:512"},  # the first default shape whose moments overflow
+    {"formats": ""},
+    {"formats": []},
 ]
 
 
@@ -117,7 +120,7 @@ class TestConfig:
     @pytest.mark.parametrize("fields", BAD_CONFIG_FIELDS)
     def test_field_types_rejected(self, fields):
         # each would otherwise crash (a raw TypeError, or an OverflowError
-        # mid-run) or be coerced
+        # mid-run), be coerced, or write nan limits or no efmse report
         with pytest.raises(ValueError):
             config_from_dict({"example": 1, "T_grid": [10], "N": 2, **fields})
 

@@ -160,6 +160,14 @@ class TestTheoryLimits:
         direct = math.fsum(1.0 - prior_mean_sq(prior, k) for k in range(1, 8))
         assert prior_param_limit(prior, 7) == pytest.approx(direct, rel=1e-15)
 
+    def test_prior_limits_finite_at_largest_default_shape(self):
+        # 2**511 is the last default shape whose moments stay finite; the
+        # terms past k ~ 60 no longer change either sum
+        prior = PriorSpec()
+        law = EigenvalueLaw.power_law(2.0)
+        assert prior_param_limit(prior, 511) == pytest.approx(1.27370810940, rel=1e-10)
+        assert prior_pred_limit(law, prior, 511) == pytest.approx(0.62001128545, rel=1e-10)
+
 
 class TestTruncationOrder:
     def test_power_rule_on_paper_grid(self):

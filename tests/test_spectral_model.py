@@ -13,10 +13,8 @@ from arh1bench.spectral_model import (
     SpectralModelSpec,
     draw_rho,
     eigenvalue,
-    prior_mean,
     prior_mean_sq,
     prior_params,
-    prior_variance,
     realize,
     truncate_realization,
 )
@@ -40,21 +38,9 @@ class TestEigenvalueLaw:
         with pytest.raises(ValueError):
             EigenvalueLaw.power_law(0.5)
 
-    def test_explicit_law(self):
-        law = EigenvalueLaw.explicit((2.0, 1.0, 0.25))
-        assert eigenvalue(law, 2) == 1.0
+    def test_index_validation(self):
         with pytest.raises(IndexError):
-            eigenvalue(law, 4)
-        with pytest.raises(IndexError):
-            eigenvalue(law, 0)
-
-    def test_explicit_law_validation(self):
-        with pytest.raises(ValueError):
-            EigenvalueLaw.explicit(())
-        with pytest.raises(ValueError):
-            EigenvalueLaw.explicit((1.0, 1.0))
-        with pytest.raises(ValueError):
-            EigenvalueLaw.explicit((1.0, -0.5))
+            eigenvalue(EigenvalueLaw.power_law(1.5), 0)
 
 
 class TestPrior:
@@ -65,6 +51,9 @@ class TestPrior:
         assert prior_params(prior, 50) == (2.0**50, 1.01)
 
     def test_default_rule_overflow(self):
+        assert prior_params(PriorSpec(), 511) == (2.0**511, 1.01)
+        with pytest.raises(OverflowError):
+            prior_params(PriorSpec(), 512)
         with pytest.raises(OverflowError):
             prior_params(PriorSpec(), 1030)
 
@@ -90,8 +79,6 @@ class TestPrior:
         for a, b in [(2.0, 1.01), (8.0, 1.01), (2.0, 3.0)]:
             prior = PriorSpec(a=(a,), b=(b,))
             mean, var = sps.beta.stats(a, b, moments="mv")
-            assert prior_mean(prior, 1) == pytest.approx(float(mean), rel=1e-12)
-            assert prior_variance(prior, 1) == pytest.approx(float(var), rel=1e-12)
             assert prior_mean_sq(prior, 1) == pytest.approx(
                 float(var) + float(mean) ** 2, rel=1e-12
             )
@@ -100,7 +87,7 @@ class TestPrior:
         # the prior-variance series for the default rule must stay summable:
         # positive, strictly decreasing terms with a finite partial sum
         prior = PriorSpec()
-        terms = [prior_variance(prior, k) for k in range(1, 61)]
+        terms = [float(sps.beta.var(*prior_params(prior, k))) for k in range(1, 61)]
         assert all(t > 0.0 for t in terms)
         assert all(u > v for u, v in zip(terms, terms[1:]))
         assert math.fsum(terms) < 1.0
@@ -109,7 +96,7 @@ class TestPrior:
         rng = np.random.default_rng(101)
         draws = np.array([draw_rho(PriorSpec(), 1, rng) for _ in range(100_000)])
         assert abs(draws.mean() - 2.0 / 3.01) < 0.005
-        target_var = prior_variance(PriorSpec(), 1)
+        target_var = float(sps.beta.var(2.0, 1.01))
         assert abs(draws.var() - target_var) < 0.1 * target_var
 
     def test_draw_rho_concentrates_near_one(self):
@@ -137,17 +124,19 @@ class TestPrior:
         b=st.floats(min_value=1.01, max_value=10.0),
     )
     def test_moment_identity(self, a, b):
-        prior = PriorSpec(a=(a,), b=(b,))
-        mean = prior_mean(prior, 1)
-        assert 0.0 < mean < 1.0
-        identity = prior_mean_sq(prior, 1) - mean * mean
-        assert prior_variance(prior, 1) == pytest.approx(identity, rel=1e-9, abs=1e-15)
+        # E(rho**2) = Var(rho) + E(rho)**2, and rho**2 < rho on (0, 1)
+        second = prior_mean_sq(PriorSpec(a=(a,), b=(b,)), 1)
+        mean = a / (a + b)
+        assert mean * mean < second < mean
+        want = float(sps.beta.var(a, b)) + mean * mean
+        assert second == pytest.approx(want, rel=1e-9, abs=1e-15)
 
 
 class TestRealize:
     def test_explicit_sigma2(self):
+        # C_1 = 1 under any power law
         spec = SpectralModelSpec(
-            law=EigenvalueLaw.explicit((1.0,)),
+            law=EigenvalueLaw.power_law(3.0),
             k_max=1,
             rho_mode="explicit",
             rho_values=(0.9,),
