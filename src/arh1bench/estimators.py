@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import Trajectory
-from .spectral_model import ModelRealization, PriorSpec, prior_params
+from .spectral_model import ModelRealization, PriorSpec, prior_shapes
 
 # Discriminants more negative than this multiple of (alpha - beta + 1)**2
 # cannot be rounding artifacts and signal a genuinely complex root pair.
@@ -83,11 +83,15 @@ class SufficientStats:
             raise ValueError(f"beta is a sum of squares and cannot be {self.beta}")
 
 
-def _two_sum(a, b):
-    """Knuth's TwoSum: s = fl(a + b) and e with s + e == a + b exactly."""
-    s = a + b
-    t = s - a  # b's share of s
-    e = b - t  # what b lost
+def _two_sum(a, b, s=None, t=None, e=None):
+    """Knuth's TwoSum: s = fl(a + b) and e with s + e == a + b exactly.
+
+    s, t (a temporary) and e are written into the arrays given, or new
+    ones; e may be b itself, but neither s nor t may overlap a or b.
+    """
+    s = np.add(a, b, out=s)
+    t = np.subtract(s, a, out=t)  # b's share of s
+    e = np.subtract(b, t, out=e)  # what b lost
     np.subtract(s, t, out=t)  # a's share
     np.subtract(a, t, out=t)  # what a lost
     e += t
@@ -110,21 +114,67 @@ def _certified(r, t, mag, terms):
     return 2.0 * bound < gap
 
 
+def _aligned(nbytes: int) -> int:
+    # parts of a workspace start on 64-byte boundaries
+    return -(-nbytes // 64) * 64
+
+
+class Workspace:
+    """Scratch arrays reused from call to call, as views of flat buffers.
+
+    ``parts`` plans each part's largest shape and dtype; the planned parts
+    share one allocation, so when a workspace of the same plan follows, the
+    memory allocator hands back the same pages instead of fresh ones to
+    fault in.  A part asked for beyond its plan, or not planned, gets a
+    buffer of its own, regrown as needed.  A view stays valid until the
+    next ``take`` of its name, so a workspace serves one caller at a time.
+    """
+
+    def __init__(self, **parts: tuple[tuple[int, ...], type]):
+        plan = [
+            (name, math.prod(shape) * np.dtype(dtype).itemsize, dtype)
+            for name, (shape, dtype) in parts.items()
+        ]
+        arena = np.empty(sum(_aligned(n) for _, n, _ in plan), np.uint8)
+        self._flat = {}
+        offset = 0
+        for name, n, dtype in plan:
+            self._flat[name] = arena[offset : offset + n].view(dtype)
+            offset += _aligned(n)
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+
 class ColumnSums:
     """Exact column sums of an array fed in blocks of rows.
 
     Each block is reduced by a pairwise TwoSum tree; the tree tops are
     carried into a running total by TwoSum, and the errors of every TwoSum
-    are summed (with their magnitudes) for the final correction.
+    are summed (with their magnitudes) for the final correction.  The tree
+    runs in the three "tree" buffers of ``work`` (its own workspace if none
+    is given) and never writes into the block it is fed.
     """
 
-    def __init__(self, columns: int):
+    def __init__(self, columns: int, work: Workspace | None = None):
         self.top = np.zeros(columns)
         self.err = np.zeros(columns)
         self.mag = np.zeros(columns)
         self.terms = 0
+        self.work = Workspace() if work is None else work
+
+    @staticmethod
+    def tree_shape(rows: int, columns: int) -> tuple[int, int, int]:
+        """The "tree" scratch ``add`` takes for a block of that shape."""
+        return 3, rows // 2, columns
 
     def add(self, p) -> None:
+        tree = self.work.take("tree", self.tree_shape(*p.shape))
+        level = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while len(p):
                 if len(p) % 2:
@@ -133,12 +183,18 @@ class ColumnSums:
                     self.mag += np.abs(e)
                     self.terms += 1
                     p = p[:-1]
-                else:
-                    half = len(p) // 2
-                    p, e = _two_sum(p[:half], p[half:])
-                    self.err += e.sum(axis=0)
-                    self.mag += np.abs(e, out=e).sum(axis=0)
-                    self.terms += half
+                    continue
+                half = len(p) // 2
+                # s alternates between buffers 0 and 1, so it never lands on
+                # p, and t takes buffer 2; e goes to buffer 1 at the first
+                # level, then over the b half of p, but never into the block
+                s, t = tree[level % 2, :half], tree[2, :half]
+                e = tree[1, :half] if level == 0 else p[half:]
+                _two_sum(p[:half], p[half:], s, t, e)
+                self.err += e.sum(axis=0)
+                self.mag += np.abs(e, out=e).sum(axis=0)
+                self.terms += half
+                p, level = s, level + 1
 
     def result(self) -> tuple[np.ndarray, np.ndarray]:
         """The sums and a mask of the columns certified to equal fsum."""
@@ -350,12 +406,6 @@ class EstimateSet:
     beta: np.ndarray
 
 
-def prior_columns(priors: PriorSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Beta prior shapes (a_j, b_j) of components 1..k as two arrays."""
-    a, b = zip(*(prior_params(priors, j) for j in range(1, k + 1)))
-    return np.array(a), np.array(b)
-
-
 def estimate_columns(alpha, beta, sigma2, a, b):
     """Classical and minus-root estimates of columns with sums (alpha, beta).
 
@@ -429,7 +479,8 @@ def estimate_all(
         raise ValueError(f"realization has {real.k} components, need {k_T}")
     alpha, beta = lag_sums(traj.coeffs[:, :k_T])
     sigma2 = real.sigma2[:k_T]
-    a, b = prior_columns(priors, k_T)
+    shapes = prior_shapes(priors, k_T)
+    a, b = shapes[0::2], shapes[1::2]
     rho_hat, rho_minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
     error = first_fault(fault, traj.T, alpha, beta, sigma2, a, b)
     if error is not None:

@@ -37,11 +37,11 @@ from .estimators import (
     CHUNK_ELEMENTS,
     ColumnSums,
     DegenerateTrajectoryError,
+    Workspace,
     estimate_columns,
     first_fault,
     lag_products,
     lag_sums,
-    prior_columns,
 )
 from .metrics import (
     EfmseInput,
@@ -64,6 +64,9 @@ from .spectral_model import (
     ModelRealization,
     PriorSpec,
     SpectralModelSpec,
+    draw_rho,
+    eigenvalues,
+    prior_shapes,
     realize,
     truncate_realization,
 )
@@ -250,13 +253,15 @@ def _partition(n: int, parts: int) -> list[tuple[int, int]]:
 def _run_block(task):
     """Run one contiguous block of replications; returns stacked records.
 
-    Every realization, shared or drawn, has exactly k_T components.  Must
-    stay a module-level function so worker processes can unpickle it.
+    Every realization, shared or drawn, has exactly k_T components.  The
+    block's groups share one workspace.  Must stay a module-level function
+    so worker processes can unpickle it.
     """
     spec, T, k_T, lo, hi, seed, fixed_real = task
     per = max(1, GROUP_COLUMNS // k_T)
+    rows, work = _workspace(min(per, hi - lo) * k_T)
     groups = [
-        _run_group(spec, T, k_T, range(g, min(g + per, hi)), seed, fixed_real)
+        _run_group(spec, T, k_T, range(g, min(g + per, hi)), seed, fixed_real, rows, work)
         for g in range(lo, hi, per)
     ]
     est_c, est_b, truth, last, ok = (np.concatenate(parts) for parts in zip(*groups))
@@ -264,38 +269,63 @@ def _run_block(task):
     return est_c[ok], est_b[ok], truth[ok], last[ok], aborted
 
 
-def _run_group(spec, T, k, omegas, seed, fixed_real):
+def _workspace(c: int) -> tuple[int, Workspace]:
+    """The row-chunk length of groups of at most c columns and a workspace
+    that holds their chunks.
+
+    Every group of a block walks the rows in chunks sized for the widest,
+    so all fit in one workspace.  Its size does not depend on T, so the
+    blocks of a run ask for the same memory and get the same pages back.
+    """
+    rows = max(1, CHUNK_ELEMENTS // (2 * c))
+    return rows, Workspace(
+        x=((rows + 1, c), float),
+        products=((rows, 2 * c), float),
+        finite=((rows, c), bool),
+        tree=(ColumnSums.tree_shape(rows, 2 * c), float),
+    )
+
+
+def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
     """Simulate and estimate replications ``omegas`` together.
 
     Each replication seeds its own stream, realizes its coefficients (unless
     they are shared) and draws its normals chunk by chunk, in the order
-    ``simulate`` draws them.  A column whose chunked sum is not certified
-    exact is re-summed from its replication, re-run whole.
+    ``simulate`` draws them, ``rows`` at a time.  A column whose chunked
+    sum is not certified exact is re-summed from its replication, re-run
+    whole.  Every array the size of a row chunk is a view into ``work``.
     """
     rngs = [np.random.default_rng([seed, 1, T, omega]) for omega in omegas]
-    reals = [fixed_real if fixed_real is not None else realize(spec, r) for r in rngs]
     m, c = len(rngs), len(rngs) * k
-    rho = np.concatenate([r.rho for r in reals])
-    sigma2 = np.concatenate([r.sigma2 for r in reals])
+    if fixed_real is None:
+        C = eigenvalues(spec.law, k)
+        rho = draw_rho(prior_shapes(spec.prior, k), rngs)
+        sigma2 = (C * (1.0 - rho**2)).ravel()
+        rho = rho.ravel()
+    else:
+        C, rho, sigma2 = fixed_real.C, np.tile(fixed_real.rho, m), np.tile(fixed_real.sigma2, m)
     sd = np.sqrt(sigma2)
 
-    rows = max(1, min(T, CHUNK_ELEMENTS // (2 * c)))
-    x = np.empty((rows + 1, c))
-    products = np.empty((rows, 2 * c))
+    x = work.take("x", (rows + 1, c))
+    finite_rows = work.take("finite", (rows, c), bool)
     for i, rng in enumerate(rngs):
         x[0, i * k : (i + 1) * k] = rng.standard_normal(k)
-    x[0] *= np.sqrt(np.concatenate([r.C for r in reals]))
+    x[0] *= np.tile(np.sqrt(C), m)
     finite = np.isfinite(x[0])
-    sums = ColumnSums(2 * c)
+    sums = ColumnSums(2 * c, work)
     done = 0
     while done < T:
         n = min(rows, T - done)
-        for i, rng in enumerate(rngs):
-            x[1 : n + 1, i * k : (i + 1) * k] = rng.standard_normal((n, k))
+        # the normals go through the products buffer, free until the
+        # products of this chunk fill it
+        z = work.take("products", (m, n, k))
+        for row, rng in zip(z, rngs):
+            rng.standard_normal(out=row)
+        x[1 : n + 1].reshape(n, m, k)[...] = z.transpose(1, 0, 2)
         x[1 : n + 1] *= sd
         ar1_steps(x[: n + 1], rho)
-        finite &= np.isfinite(x[1 : n + 1]).all(axis=0)
-        sums.add(lag_products(x[: n + 1], out=products[:n]))
+        finite &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
+        sums.add(lag_products(x[: n + 1], out=work.take("products", (n, 2 * c))))
         x[0] = x[n]
         done += n
     total, exact = sums.result()
@@ -308,7 +338,8 @@ def _run_group(spec, T, k, omegas, seed, fixed_real):
         alpha[i], beta[i] = lag_sums(simulate(real, T, rng).coeffs)
 
     alpha, beta = alpha.ravel(), beta.ravel()
-    a, b = (np.tile(v, m) for v in prior_columns(spec.prior, k))
+    shapes = np.tile(prior_shapes(spec.prior, k), m)
+    a, b = shapes[0::2], shapes[1::2]
     est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, a, b)
     ok = np.ones(m, dtype=bool)
     # the first failure in replication order decides, as in a one-by-one run
@@ -462,8 +493,16 @@ def emit_reports(reports, formats, output_dir) -> list[Path]:
 
 
 def _write_text(path: Path, text: str) -> Path:
+    """Write text to path atomically: to a temporary file beside it, then
+    renamed over it, so a failed write leaves any earlier file whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -61,6 +61,11 @@ def eigenvalue(law: EigenvalueLaw, k: int) -> float:
     return float(k) ** (-law.exponent)
 
 
+def eigenvalues(law: EigenvalueLaw, k: int) -> np.ndarray:
+    """C_1..C_k as an array, each computed by ``eigenvalue``."""
+    return np.array([eigenvalue(law, j) for j in range(1, k + 1)])
+
+
 @dataclass(frozen=True)
 class PriorSpec:
     """Componentwise Beta(a_k, b_k) prior on the autocorrelation coefficients.
@@ -118,18 +123,27 @@ def prior_mean_sq(prior: PriorSpec, k: int) -> float:
     return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
 
 
-def draw_rho(prior: PriorSpec, k: int, rng: np.random.Generator) -> float:
-    """Draw one Beta(a_k, b_k) variate, clamped into the open unit interval.
+def prior_shapes(prior: PriorSpec, k: int) -> np.ndarray:
+    """The Beta shapes of components 1..k interleaved: [a_1, b_1, ..., a_k, b_k]."""
+    return np.array([v for j in range(1, k + 1) for v in prior_params(prior, j)])
 
-    Sampled as G_a / (G_a + G_b) with independent Gamma variates so that the
-    default rule's huge shapes (a_k = 2**k) stay well conditioned; direct
-    Beta samplers are not reliable in that range.
+
+def draw_rho(shapes: np.ndarray, rngs) -> np.ndarray:
+    """One Beta draw per component from each stream, clamped into the open
+    unit interval: row i of the result holds stream i's draws.
+
+    ``shapes`` are interleaved as ``prior_shapes`` returns them, so each
+    stream draws G_a then G_b component by component in one
+    ``standard_gamma`` call, and rho = G_a / (G_a + G_b).  The Gamma ratio
+    keeps the default rule's huge shapes (a_k = 2**k) well conditioned;
+    direct Beta samplers are not reliable in that range.
     """
-    a, b = prior_params(prior, k)
-    ga = rng.gamma(a)
-    gb = rng.gamma(b)
+    g = np.empty((len(rngs), len(shapes)))
+    for row, rng in zip(g, rngs):
+        rng.standard_gamma(shapes, out=row)
+    ga, gb = g[:, 0::2], g[:, 1::2]
     rho = ga / (ga + gb)
-    return float(min(max(rho, RHO_CLAMP_EPS), 1.0 - RHO_CLAMP_EPS))
+    return np.minimum(np.maximum(rho, RHO_CLAMP_EPS, out=rho), 1.0 - RHO_CLAMP_EPS, out=rho)
 
 
 @dataclass(frozen=True)
@@ -214,14 +228,13 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
     ``sigma2 = C * (1 - rho**2)``, making the stationary identity hold to
     machine precision by construction.
     """
-    ks = np.arange(1, spec.k_max + 1)
-    C = np.array([eigenvalue(spec.law, int(k)) for k in ks])
+    C = eigenvalues(spec.law, spec.k_max)
     if spec.rho_mode == "explicit":
         rho = np.array(spec.rho_values[: spec.k_max])
     else:
         if rng is None:
             raise ValueError(f"rho_mode {spec.rho_mode!r} requires a random stream")
-        rho = np.array([draw_rho(spec.prior, int(k), rng) for k in ks])
+        rho = draw_rho(prior_shapes(spec.prior, spec.k_max), [rng])[0]
     sigma2 = C * (1.0 - rho**2)
     return ModelRealization(C=C, rho=rho, sigma2=sigma2)
 

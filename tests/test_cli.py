@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -172,6 +173,111 @@ class TestRunErrors:
         ])
         assert code == 2
         assert "5 of 100" in capsys.readouterr().err
+
+
+# Config fields for the run fuzz, each as (valid values, invalid values).
+# Valid runs stay at N <= 3 and T <= 50, so every run is quick.
+_FUZZ_FIELDS = {
+    "example": (st.integers(1, 3), st.sampled_from([0, 4, True, "1", 1.0, None])),
+    "T_grid": (
+        st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True).map(sorted),
+        st.sampled_from([[], [0], [20, 10], 10, "20", [10.5], [[10]], None]),
+    ),
+    "N": (st.integers(1, 3), st.sampled_from([0, -1, True, 2.5, "2", None])),
+    "kT_rule": (
+        st.sampled_from(["fixed:1", "fixed:3", "fixed:40", "power:4.1", "power:6", "power:inf"]),
+        st.sampled_from(["fixed:0", "fixed:512", "power:4", "power:nan", "fixed:x", "", 3]),
+    ),
+    "seed": (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 1.5, "0", None])),
+    "rho_mode": (st.sampled_from(["redraw", "fixed"]), st.sampled_from(["bogus", 1, None])),
+    "rho_values": (
+        st.lists(st.floats(0.01, 0.99), min_size=40, max_size=40),
+        st.lists(st.one_of(st.floats(), st.sampled_from([None, "0.5", True])), max_size=6),
+    ),
+    "formats": (
+        st.sampled_from(["csv", "json", "csv,json", ["json", "csv"]]),
+        st.sampled_from(["", "xml", [], 5]),
+    ),
+    "bogus": (None, st.integers()),  # an unknown key, so only ever broken
+}
+
+# run flags, each as (valid values, invalid values); --workers is always 1,
+# so no process starts
+_FUZZ_FLAGS = {
+    "--example": (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "x"])),
+    "--T": (
+        st.lists(st.integers(1, 50), min_size=1, max_size=3, unique=True).map(
+            lambda ts: ",".join(map(str, sorted(ts)))),
+        st.sampled_from(["", "a,b", "20,10", "0", "-5"]),
+    ),
+    "--N": (st.sampled_from(["1", "2", "3"]), st.sampled_from(["0", "-1", "x"])),
+    "--kT": (st.sampled_from(["fixed:2", "power:4.5"]), st.sampled_from(["fixed:0", "power:3"])),
+    "--seed": (st.sampled_from(["0", "7"]), st.sampled_from(["-1", "18446744073709551616", "x"])),
+    "--rho-mode": (
+        st.sampled_from(["redraw", "fixed", "explicit:"]),
+        st.sampled_from(["explicit", "explicit:missing.json", "bogus"]),
+    ),
+    "--format": (st.sampled_from(["csv", "json", "csv,json"]), st.sampled_from(["", "xml"])),
+}
+
+
+def _check_strict(path: Path) -> None:
+    """A written report parses strictly: JSON without NaN or infinities, a
+    CSV table of equal-length rows whose numeric cells are finite floats."""
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=pytest.fail)
+        return
+    header, *rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows
+    for row in rows:
+        assert len(row) == len(header)
+        for name, cell in zip(header, row):
+            if name != "estimator":
+                assert math.isfinite(float(cell))
+
+
+class TestRunFuzz:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_fuzzed_config_and_argv(self, data):
+        # a valid config and flags with at most two of them broken, so that
+        # runs succeed as well as fail
+        broken = set(data.draw(st.lists(
+            st.sampled_from(sorted(_FUZZ_FIELDS.keys() | _FUZZ_FLAGS.keys())), max_size=2)))
+        config = {"example": 1, "N": 2}
+        fields = set(data.draw(st.lists(st.sampled_from(sorted(_FUZZ_FIELDS)))))
+        for name in sorted(fields | broken & _FUZZ_FIELDS.keys()):
+            valid, invalid = _FUZZ_FIELDS[name]
+            if name in broken:
+                config[name] = data.draw(invalid, label=name)
+            elif valid is not None:
+                config[name] = data.draw(valid, label=name)
+        if "rho_values" in fields - broken and "rho_mode" not in broken:
+            config["rho_mode"] = "explicit"
+        argv = ["run", "--workers", "1"]
+        flags = set(data.draw(st.lists(st.sampled_from(sorted(_FUZZ_FLAGS)))))
+        for flag in sorted(flags | broken & _FUZZ_FLAGS.keys()):
+            valid, invalid = _FUZZ_FLAGS[flag]
+            argv += [flag, data.draw(invalid if flag in broken else valid, label=flag)]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "cfg.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp / "cfg.json")]
+            if "explicit:" in argv:
+                values = data.draw(st.lists(st.floats(-0.5, 1.5), max_size=50), label="rho file")
+                (tmp / "rho.json").write_text(json.dumps(values))
+                argv[argv.index("explicit:")] = f"explicit:{tmp / 'rho.json'}"
+            out = tmp / "out"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv + ["--out", str(out)])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            written = sorted(out.iterdir()) if out.exists() else []
+            assert bool(written) == (code == 0)
+            for path in written:
+                _check_strict(path)
 
 
 class TestWorkersEnv:

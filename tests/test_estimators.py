@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arh1bench import estimators
@@ -149,6 +150,53 @@ class TestExactSums:
         assert exact.all()
         assert np.array_equal(total, exact_sums(products))
 
+
+    @given(
+        rows=st.lists(st.integers(min_value=0, max_value=41), min_size=1, max_size=6),
+        columns=st.integers(min_value=1, max_value=4),
+        wide=st.booleans(),
+        pool=st.lists(_MAGNITUDES, min_size=1, max_size=20),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(rows=[2, 7, 40, 1, 13], columns=3, wide=False, pool=[1.0], seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_reused_scratch_equals_fsum(self, rows, columns, wide, pool, seed):
+        # one ColumnSums fed blocks of changing row counts, odd ones and
+        # larger ones after smaller (its tree scratch regrows), certifies
+        # only fsum's sums and never writes into a block
+        rng = np.random.default_rng(seed)
+        n = sum(rows)
+        cols = [_column(rng, pool, n, False) if wide else rng.standard_normal(n)
+                for _ in range(columns)]
+        data = np.array(cols).reshape(columns, n).T.copy()
+        sums = ColumnSums(columns)
+        for lo, hi in zip(np.cumsum([0, *rows[:-1]]), np.cumsum(rows)):
+            block = data[lo:hi]
+            before = block.copy()
+            sums.add(block)
+            assert np.array_equal(block.view(np.int64), before.view(np.int64))
+        total, exact = sums.result()
+        want = np.array([math.fsum(col.tolist()) for col in cols])
+        assert np.array_equal(total[exact].view(np.int64), want[exact].view(np.int64))
+
+    def test_reused_scratch_allocates_no_block(self):
+        # after the first block sizes the tree scratch, three more blocks of
+        # 2 MB each allocate under an eighth of a block
+        rng = np.random.default_rng(2)
+        blocks = [rng.standard_normal((64, 4090)) ** 2 for _ in range(4)]
+        sums = ColumnSums(4090)
+        sums.add(blocks[0])
+        tracemalloc.start()
+        try:
+            for block in blocks[1:]:
+                sums.add(block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks[0].nbytes / 8
+        total, exact = sums.result()
+        assert exact.all()
+        assert np.array_equal(total, exact_sums(np.concatenate(blocks)))
 
 class TestClassical:
     def test_constant_column(self):

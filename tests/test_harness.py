@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,6 +301,25 @@ class TestBlockKernel:
             harness._run_block(task)
 
 
+    def test_second_group_reuses_workspace(self):
+        # every array the size of a row chunk lives in the workspace, so a
+        # second group allocates less than its smallest part, the mask of
+        # one chunk's finite values
+        spec, T, k, lo, hi, seed, _ = _block_task(
+            {"example": 1, "kT_rule": "fixed:16"}, T=3000, N=8
+        )
+        rows, work = harness._workspace(8 * k)
+        first = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+        tracemalloc.start()
+        try:
+            second = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows < T and peak < rows * 8 * k
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
 class TestEmitReports:
     def _reports(self, seed=7):
         cfg = ExperimentConfig(example=1, T_grid=(250,), N=2, seed=seed)
@@ -350,6 +371,21 @@ class TestEmitReports:
             emit_reports(reports, ("csv", "json"), tmp_path)
         assert not list(tmp_path.iterdir())
 
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        reports = self._reports()
+        emit_reports(reports, ("csv",), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_text = Path.write_text
+
+        def partial(self, text, *args, **kwargs):
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", partial)
+        with pytest.raises(OSError, match="disk full"):
+            emit_reports(self._reports(seed=8), ("csv",), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 class TestDiagnostics:
     def test_bartlett_record(self, tmp_path):

@@ -9,12 +9,14 @@ from scipy import stats as sps
 from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
+    RHO_CLAMP_EPS,
     PriorSpec,
     SpectralModelSpec,
     draw_rho,
     eigenvalue,
     prior_mean_sq,
     prior_params,
+    prior_shapes,
     realize,
     truncate_realization,
 )
@@ -94,7 +96,7 @@ class TestPrior:
 
     def test_draw_rho_sample_moments(self):
         rng = np.random.default_rng(101)
-        draws = np.array([draw_rho(PriorSpec(), 1, rng) for _ in range(100_000)])
+        draws = draw_rho(np.array(prior_params(PriorSpec(), 1)), [rng] * 100_000)[:, 0]
         assert abs(draws.mean() - 2.0 / 3.01) < 0.005
         target_var = float(sps.beta.var(2.0, 1.01))
         assert abs(draws.var() - target_var) < 0.1 * target_var
@@ -104,20 +106,48 @@ class TestPrior:
         # so every draw must land in (0.9, 1)
         assert sps.beta.cdf(0.9, 2.0**10, 1.01) < 1e-40
         rng = np.random.default_rng(7)
-        draws = [draw_rho(PriorSpec(), 10, rng) for _ in range(10_000)]
-        assert all(0.9 < r < 1.0 for r in draws)
+        draws = draw_rho(np.array(prior_params(PriorSpec(), 10)), [rng] * 10_000)
+        assert np.all((0.9 < draws) & (draws < 1.0))
 
     def test_draw_rho_distribution_matches_beta_cdf(self):
         # the gamma-ratio sampler against scipy's Beta distribution function
         rng = np.random.default_rng(5)
-        draws = [draw_rho(PriorSpec(), 3, rng) for _ in range(4_000)]
+        draws = draw_rho(np.array(prior_params(PriorSpec(), 3)), [rng] * 4_000)[:, 0]
         _, pvalue = sps.kstest(draws, sps.beta(8.0, 1.01).cdf)
         assert pvalue > 1e-3
 
     def test_draw_rho_deterministic(self):
-        a = [draw_rho(PriorSpec(), k, np.random.default_rng(3)) for k in (1, 2, 3)]
-        b = [draw_rho(PriorSpec(), k, np.random.default_rng(3)) for k in (1, 2, 3)]
-        assert a == b
+        shapes = prior_shapes(PriorSpec(), 3)
+        a = draw_rho(shapes, [np.random.default_rng(3), np.random.default_rng(4)])
+        b = draw_rho(shapes, [np.random.default_rng(3), np.random.default_rng(4)])
+        assert np.array_equal(a, b)
+        assert np.array_equal(a[0], draw_rho(shapes, [np.random.default_rng(3)])[0])
+
+    def test_draw_rho_clamps_into_open_interval(self):
+        # a tiny first shape drives G_a / (G_a + G_b) below the clamp, a
+        # huge one rounds it to 1
+        rng = np.random.default_rng(8)
+        draws = draw_rho(np.array([1e-6, 5.0, 1e30, 1.0]), [rng] * 200)
+        assert np.all(draws[:, 0] == RHO_CLAMP_EPS)
+        assert np.all(draws[:, 1] == 1.0 - RHO_CLAMP_EPS)
+
+    @pytest.mark.parametrize("k", [5, 16, 40])
+    def test_draw_rho_matches_scalar_gamma_loop(self, k):
+        # the per-component loop of scalar Gamma draws is the reference:
+        # same bits, and the stream left at the same position
+        prior = PriorSpec()
+        shapes = prior_shapes(prior, k)
+        for seed in range(200):
+            loop = np.random.default_rng([seed, k])
+            want = []
+            for j in range(1, k + 1):
+                a, b = prior_params(prior, j)
+                ga, gb = loop.gamma(a), loop.gamma(b)
+                want.append(min(max(ga / (ga + gb), RHO_CLAMP_EPS), 1.0 - RHO_CLAMP_EPS))
+            batch = np.random.default_rng([seed, k])
+            got = draw_rho(shapes, [batch])[0]
+            assert got.tolist() == want
+            assert batch.random() == loop.random()
 
     @given(
         a=st.floats(min_value=0.99, max_value=60.0),
