@@ -6,8 +6,8 @@ Two subcommands:
   JSON config) and writes the report tables.
 * ``diag`` executes one statistical self-check and writes its JSON record.
 
-Exit codes: 0 success, 1 validation/usage error, 2 aborted-replication
-threshold exceeded.
+Exit codes: 0 success, 1 validation/usage error or a replication whose
+estimate fails its check, 2 aborted-replication threshold exceeded.
 """
 from __future__ import annotations
 
@@ -177,6 +177,10 @@ def main(argv=None) -> int:
     except AbortedReplicationsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # an estimate outside the shrinkage proximity bound
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (CliError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,7 +5,9 @@ Determinism contract
 --------------------
 Replication omega of sample size T draws everything it needs from
 ``numpy.random.default_rng([seed, 1, T, omega])`` — first the coefficient
-redraw (when ``rho_mode == "redraw"``), then the trajectory.  A shared
+redraw (when ``rho_mode == "redraw"``), then the trajectory.  The kernel
+derives those generators a group at a time (``_replication_rngs``), with
+the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
 Workers receive contiguous replication blocks and results are merged in
@@ -22,6 +24,7 @@ same bits.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
 import math
@@ -83,6 +86,12 @@ ABORT_THRESHOLD = 1e-3
 # components); its rows are simulated in chunks whose product arrays hold at
 # most CHUNK_ELEMENTS values.
 GROUP_COLUMNS = 2048
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # One-sided 0.5% Kolmogorov-Smirnov critical value is KS_CRITICAL / sqrt(N).
 KS_CRITICAL = 1.73
@@ -180,8 +189,11 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError(f"T_grid must be strictly increasing, got {grid}")
         object.__setattr__(self, "T_grid", grid)
-        if not _is_int(self.N) or self.N < 1:
-            raise ValueError(f"replication count N must be an integer >= 1, got {self.N!r}")
+        # each replication's stream key takes omega <= N as one 32-bit word
+        if not _is_int(self.N) or not 1 <= self.N < 2**32:
+            raise ValueError(
+                f"replication count N must be an integer in [1, 2**32), got {self.N!r}"
+            )
         object.__setattr__(self, "seed", _check_seed(self.seed))
         if self.kT_rule is not None and not isinstance(self.kT_rule, KtRule):
             raise ValueError(f"kT_rule must be a truncation rule, got {self.kT_rule!r}")
@@ -286,6 +298,90 @@ def _workspace(c: int) -> tuple[int, Workspace]:
     )
 
 
+def _words(n: int) -> list[int]:
+    """n as little-endian 32-bit words, split as SeedSequence splits an int."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(init: int, mult: int, n: int):
+    """The xor and multiply constants of n successive SeedSequence hash
+    steps, as two (n, 1) uint32 arrays."""
+    h = [init]
+    for _ in range(n):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, np.uint32)[:, None]
+    return h[:-1], h[1:]
+
+
+def _mix(x, y):
+    r = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return r ^ r >> 16
+
+
+@functools.cache
+def _fixed_seed_sequence():
+    """An ISeedSequence that hands PCG64 the state words it was built with.
+
+    Built on first use, so that importing the package leaves numpy.random
+    unloaded.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeedSequence(ISeedSequence):
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return FixedSeedSequence
+
+
+def _replication_rngs(seed: int, T: int, omegas) -> list:
+    """``default_rng([seed, 1, T, omega])`` for each omega, in one pass.
+
+    SeedSequence hashes the 32-bit words of its entropy with uint32
+    arithmetic whose constants do not depend on the data, so that hash runs
+    here once over all omegas, each a single word, and yields every
+    stream's ``generate_state(4, uint64)``.  PCG64 seeds itself from those
+    words exactly as from a SeedSequence, so the states are the same.
+    """
+    omegas = list(omegas)
+    if omegas and not 0 <= min(omegas) <= max(omegas) < 2**32:
+        raise ValueError("replication numbers must lie in [0, 2**32)")
+    key = [*_words(seed), 1, *_words(T)]
+    words = np.empty((len(key) + 1, len(omegas)), np.uint32)
+    words[:-1] = np.array(key, np.uint32)[:, None]
+    words[-1] = omegas
+    # SeedSequence.mix_entropy into a pool of 4 words: hash in the first 4,
+    # mix each pool word into the other 3, then hash and mix in the rest
+    xor, mul = _hash_consts(_INIT_A, _MULT_A, 4 * len(words))
+
+    def hashmix(v, i, n):
+        v = (v ^ xor[i : i + n]) * mul[i : i + n]
+        return v ^ v >> 16
+
+    pool = hashmix(words[:4], 0, 4)
+    i = 4
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], hashmix(pool[src], i, 3))
+        i += 3
+    for word in words[4:]:
+        pool = _mix(pool, hashmix(word, i, 4))
+        i += 4
+    # SeedSequence.generate_state(4, uint64): 8 words cycled from the pool
+    xor, mul = _hash_consts(_INIT_B, _MULT_B, 8)
+    state = (np.concatenate([pool, pool]) ^ xor) * mul
+    state ^= state >> 16
+    states = np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
+    seq = _fixed_seed_sequence()
+    return [np.random.Generator(np.random.PCG64(seq(row))) for row in states]
+
+
 def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
     """Simulate and estimate replications ``omegas`` together.
 
@@ -295,7 +391,7 @@ def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
     sum is not certified exact is re-summed from its replication, re-run
     whole.  Every array the size of a row chunk is a view into ``work``.
     """
-    rngs = [np.random.default_rng([seed, 1, T, omega]) for omega in omegas]
+    rngs = _replication_rngs(seed, T, omegas)
     m, c = len(rngs), len(rngs) * k
     if fixed_real is None:
         C = eigenvalues(spec.law, k)
@@ -332,8 +428,8 @@ def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
     alpha, beta = total[:c].reshape(m, k), total[c:].reshape(m, k)
     exact = (exact[:c] & exact[c:]).reshape(m, k).all(axis=1)
     finite = finite.reshape(m, k).all(axis=1)
-    for i in np.flatnonzero(finite & ~exact).tolist():
-        rng = np.random.default_rng([seed, 1, T, omegas[i]])
+    redo = np.flatnonzero(finite & ~exact).tolist()
+    for i, rng in zip(redo, _replication_rngs(seed, T, [omegas[i] for i in redo])):
         real = fixed_real if fixed_real is not None else realize(spec, rng)
         alpha[i], beta[i] = lag_sums(simulate(real, T, rng).coeffs)
 

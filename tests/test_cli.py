@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arh1bench import cli
+from arh1bench import cli, harness
+from arh1bench.estimators import ESCAPED
 from arh1bench.harness import DIAGNOSTICS, AbortedReplicationsError
 from test_harness import BAD_CONFIG_FIELDS
 
@@ -173,6 +174,24 @@ class TestRunErrors:
         ])
         assert code == 2
         assert "5 of 100" in capsys.readouterr().err
+
+    def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+        estimate_columns = harness.estimate_columns
+
+        def escaped(*args):
+            hat, minus, fault = estimate_columns(*args)
+            fault[7] = ESCAPED  # replication 2, component 3
+            return hat, minus, fault
+
+        monkeypatch.setattr(harness, "estimate_columns", escaped)
+        code = _run([
+            "run", "--example", "1", "--T", "20", "--N", "3",
+            "--out", str(tmp_path), "--workers", "1",
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: component 3: shrinkage") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 # Config fields for the run fuzz, each as (valid values, invalid values).

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arh1bench import estimators, harness
 from arh1bench.estimators import (
@@ -53,6 +55,7 @@ BAD_CONFIG_FIELDS = [
     {"kT_rule": "fixed:512"},  # the first default shape whose moments overflow
     {"formats": ""},
     {"formats": []},
+    {"N": 2**32},  # replication numbers are single 32-bit stream words
 ]
 
 
@@ -319,6 +322,39 @@ class TestBlockKernel:
         assert rows < T and peak < rows * 8 * k
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+def _assert_same_streams(seed, T, omegas):
+    rngs = harness._replication_rngs(seed, T, omegas)
+    assert len(rngs) == len(omegas)
+    for omega, rng in zip(omegas, rngs):
+        ref = np.random.default_rng([seed, 1, T, omega])
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_normal(5), ref.standard_normal(5))
+        assert np.array_equal(rng.standard_gamma(0.7, 5), ref.standard_gamma(0.7, 5))
+
+
+class TestReplicationStreams:
+    # numpy's SeedSequence is the reference: every stream the kernel builds
+    # must start in the state default_rng gives it
+    @pytest.mark.parametrize("T", [1, 20, 2**32 - 1, 2**32, 10**20])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_same_states_as_default_rng(self, seed, T):
+        _assert_same_streams(seed, T, [*range(1, 301), 2**32 - 1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**130),
+        T=st.integers(1, 2**100),
+        omegas=st.lists(st.integers(0, 2**32 - 1), max_size=8),
+    )
+    def test_same_states_fuzzed(self, seed, T, omegas):
+        _assert_same_streams(seed, T, omegas)
+
+    @pytest.mark.parametrize("omegas", [[2**32], [1, 2**32 + 5], [2**64], [-1]])
+    def test_replication_number_beyond_one_word_rejected(self, omegas):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            harness._replication_rngs(0, 20, omegas)
+
 
 class TestEmitReports:
     def _reports(self, seed=7):

@@ -51,6 +51,22 @@ def test_public_top_level_names():
     assert len(names) == 29
 
 
+def _run_python(code: str) -> str:
+    src = str(Path(arh1bench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
+def test_cli_import_does_not_load_numpy_random():
+    # the kernel builds its seeding class on first use, so startup does not
+    # pay for numpy.random
+    code = "import sys, arh1bench.cli; print('numpy.random' in sys.modules)"
+    assert _run_python(code).strip() == "False"
+
+
 def test_run_path_does_not_import_scipy():
     # At T=20 some column sums fail the exactness certificate, so the run
     # also takes the math.fsum fallback; only the diagnostics load scipy.
@@ -64,11 +80,6 @@ from arh1bench.harness import ExperimentConfig, run_experiment
 run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=50))
 print(len(calls), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
-    src = str(Path(arh1bench.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    fallbacks, modules = out.stdout.split(" ", 1)
+    fallbacks, modules = _run_python(code).split(" ", 1)
     assert int(fallbacks) > 0
     assert modules.strip() == "[]"
