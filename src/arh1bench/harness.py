@@ -30,7 +30,6 @@ import logging
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,7 +43,6 @@ from .estimators import (
     estimate_columns,
     first_fault,
     lag_products,
-    lag_sums,
 )
 from .metrics import (
     EfmseInput,
@@ -61,7 +59,7 @@ from .metrics import (
     theory_pred_limit,
     truncation_order,
 )
-from .simulator import ar1_steps, positivity_diagnostic, simulate
+from .simulator import ar1_steps, positivity_diagnostic, simulate, stationary_path
 from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
@@ -382,31 +380,67 @@ def _replication_rngs(seed: int, T: int, omegas) -> list:
     return [np.random.Generator(np.random.PCG64(seq(row))) for row in states]
 
 
+def _coefficients(spec, k, rngs, fixed_real):
+    """C, rho and sigma2 of the columns of the replications with streams
+    ``rngs``, k per replication: drawn from each stream in turn (redraw
+    mode), or the shared realization repeated."""
+    m = len(rngs)
+    if fixed_real is None:
+        C = eigenvalues(spec.law, k)
+        rho = draw_rho(prior_shapes(spec.prior, k), rngs)
+        return np.tile(C, m), rho.ravel(), (C * (1.0 - rho**2)).ravel()
+    return tuple(np.tile(v, m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
+
+
+def _whole_trajectories(spec, T, k, omegas, seed, fixed_real):
+    """The trajectories of replications ``omegas`` side by side, each drawn
+    and run whole: columns i*k..(i+1)*k hold what ``simulate`` gives
+    replication omegas[i]."""
+    rngs = _replication_rngs(seed, T, omegas)
+    C, rho, sigma2 = _coefficients(spec, k, rngs, fixed_real)
+    z = np.empty((len(rngs), T + 1, k))
+    for block, rng in zip(z, rngs):
+        rng.standard_normal(out=block)
+    x = z.transpose(1, 0, 2).reshape(T + 1, -1)
+    stationary_path(x, C, sigma2, rho)
+    return x
+
+
+def _fsum_into(sums, redo, batch, products):
+    """Set each sum that ``redo`` marks for replications ``batch`` to the
+    math.fsum of its products.
+
+    ``sums`` and ``redo`` are (2, m, k): alpha then beta, by replication and
+    component; ``products`` holds the lag products of the batch's
+    replications, side by side as ``lag_products`` lays them out.
+    """
+    products = products.reshape(len(products), 2, len(batch), -1)
+    for half, i, j in zip(*np.nonzero(redo[:, batch])):
+        sums[half, batch[i], j] = math.fsum(products[:, half, i, j].tolist())
+
+
 def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
     """Simulate and estimate replications ``omegas`` together.
 
     Each replication seeds its own stream, realizes its coefficients (unless
     they are shared) and draws its normals chunk by chunk, in the order
-    ``simulate`` draws them, ``rows`` at a time.  A column whose chunked
-    sum is not certified exact is re-summed from its replication, re-run
-    whole.  Every array the size of a row chunk is a view into ``work``.
+    ``simulate`` draws them, ``rows`` at a time.  Every array the size of a
+    row chunk is a view into ``work``.  A column whose chunked sum is not
+    certified exact is summed by ``math.fsum`` over its products: when the
+    rows ran as one chunk those are still whole in the workspace; otherwise
+    the replications concerned are simulated again, whole and side by side,
+    at most CHUNK_ELEMENTS trajectory values at a time (or one replication).
     """
     rngs = _replication_rngs(seed, T, omegas)
     m, c = len(rngs), len(rngs) * k
-    if fixed_real is None:
-        C = eigenvalues(spec.law, k)
-        rho = draw_rho(prior_shapes(spec.prior, k), rngs)
-        sigma2 = (C * (1.0 - rho**2)).ravel()
-        rho = rho.ravel()
-    else:
-        C, rho, sigma2 = fixed_real.C, np.tile(fixed_real.rho, m), np.tile(fixed_real.sigma2, m)
+    C, rho, sigma2 = _coefficients(spec, k, rngs, fixed_real)
     sd = np.sqrt(sigma2)
 
     x = work.take("x", (rows + 1, c))
     finite_rows = work.take("finite", (rows, c), bool)
     for i, rng in enumerate(rngs):
         x[0, i * k : (i + 1) * k] = rng.standard_normal(k)
-    x[0] *= np.tile(np.sqrt(C), m)
+    x[0] *= np.sqrt(C)
     finite = np.isfinite(x[0])
     sums = ColumnSums(2 * c, work)
     done = 0
@@ -421,19 +455,26 @@ def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
         x[1 : n + 1] *= sd
         ar1_steps(x[: n + 1], rho)
         finite &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
-        sums.add(lag_products(x[: n + 1], out=work.take("products", (n, 2 * c))))
+        products = lag_products(x[: n + 1], out=work.take("products", (n, 2 * c)))
+        sums.add(products)
         x[0] = x[n]
         done += n
     total, exact = sums.result()
-    alpha, beta = total[:c].reshape(m, k), total[c:].reshape(m, k)
-    exact = (exact[:c] & exact[c:]).reshape(m, k).all(axis=1)
     finite = finite.reshape(m, k).all(axis=1)
-    redo = np.flatnonzero(finite & ~exact).tolist()
-    for i, rng in zip(redo, _replication_rngs(seed, T, [omegas[i] for i in redo])):
-        real = fixed_real if fixed_real is not None else realize(spec, rng)
-        alpha[i], beta[i] = lag_sums(simulate(real, T, rng).coeffs)
+    redo = ~exact.reshape(2, m, k) & finite[:, None]
+    by_rep = total.reshape(2, m, k)
+    if rows >= T:  # one chunk: products holds every row
+        _fsum_into(by_rep, redo, np.arange(m), products)
+    else:
+        reps = np.flatnonzero(redo.any(axis=(0, 2)))
+        per = max(1, CHUNK_ELEMENTS // ((T + 1) * k))
+        for lo in range(0, len(reps), per):
+            batch = reps[lo : lo + per]
+            traj = _whole_trajectories(spec, T, k, [omegas[i] for i in batch], seed, fixed_real)
+            _fsum_into(by_rep, redo, batch, lag_products(traj))
+            del traj  # before the next batch is drawn
 
-    alpha, beta = alpha.ravel(), beta.ravel()
+    alpha, beta = total[:c], total[c:]
     shapes = np.tile(prior_shapes(spec.prior, k), m)
     a, b = shapes[0::2], shapes[1::2]
     est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, a, b)
@@ -474,7 +515,12 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     reports: list[EfmseReport] = []
     aborted_total = 0
     blocks = _partition(config.N, workers)
-    pool = ProcessPoolExecutor(max_workers=len(blocks)) if len(blocks) > 1 else None
+    pool = None
+    if len(blocks) > 1:
+        # imported here, so that importing the package loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=len(blocks))
     try:
         for T in config.T_grid:
             k_T = truncation_order(T, rule)

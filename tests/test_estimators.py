@@ -132,11 +132,20 @@ class TestExactSums:
             [-0.0],
             [0.0, -0.0],
             [5e-324, 5e-324, -1e-310],
+            [1.0, 2.0**-53, 2.0**-200, -(2.0**-200)],  # an exact tie, left to fsum
         ],
     )
     def test_adversarial_columns(self, col):
         got = exact_sums(np.array(col)[:, None])
         assert got.view(np.int64)[0] == np.float64(math.fsum(col)).view(np.int64)
+
+    def test_exact_tie_is_not_certified(self):
+        # the tree's sum is right, but the certificate cannot show that the
+        # float sum of the TwoSum errors is exact, so fsum decides the tie
+        sums = ColumnSums(1)
+        sums.add(np.array([[1.0], [2.0**-53], [2.0**-200], [-(2.0**-200)]]))
+        total, exact = sums.result()
+        assert total[0] == 1.0 and not exact[0]
 
     def test_certificate_clears_simulated_columns(self):
         # the fast path, not the fsum fallback, serves ordinary data

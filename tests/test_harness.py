@@ -1,8 +1,10 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,7 +170,8 @@ class TestRunExperiment:
             def shutdown(self):
                 pass
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Recorder)
+        # run_experiment imports the pool class only when it needs a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=2), workers=4)
         assert asked == [2]
 
@@ -241,43 +244,112 @@ BLOCK_FIELDS = [
 ]
 
 
+def _one_at_a_time(task):
+    """What the public calls give each replication of a block task, one
+    replication at a time: the rows of _run_block's estimates, truths and
+    last states."""
+    spec, T, k_T, lo, hi, seed, shared = task
+    rows = []
+    for omega in range(lo, hi):
+        rng = np.random.default_rng([seed, 1, T, omega])
+        real = shared if shared is not None else realize(spec, rng)
+        traj = simulate(real, T, rng)
+        est = estimate_all(traj, real, k_T, spec.prior)
+        rows.append((est.rho_hat, est.rho_tilde_minus, real.rho, traj.coeffs[-1]))
+    return [np.array(part) for part in zip(*rows)]
+
+
+def _assert_bits_equal(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _uncertified(r, *rest):
+    # a sum left uncertified is spoilt, so one never taken again shows
+    r[...] = np.nan
+    return np.zeros(r.shape, bool)
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_matches_one_replication_at_a_time(self, fields):
         # the public calls, one replication each, are the reference
-        spec, T, k_T, lo, hi, seed, shared = task = _block_task(fields, T=300, N=7)
+        task = _block_task(fields, T=300, N=7)
         est_c, est_b, truth, last, aborted = harness._run_block(task)
         assert aborted == []
-        for i, omega in enumerate(range(lo, hi)):
-            rng = np.random.default_rng([seed, 1, T, omega])
-            real = shared if shared is not None else realize(spec, rng)
-            traj = simulate(real, T, rng)
-            est = estimate_all(traj, real, k_T, spec.prior)
-            assert np.array_equal(est.rho_hat, est_c[i])
-            assert np.array_equal(est.rho_tilde_minus, est_b[i])
-            assert np.array_equal(real.rho, truth[i])
-            assert np.array_equal(traj.coeffs[-1], last[i])
+        _assert_bits_equal((est_c, est_b, truth, last), _one_at_a_time(task))
 
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_fallbacks_match_default_path(self, monkeypatch, fields):
+        # no column sum certified: each is taken by math.fsum, from the
+        # workspace when the rows run as one chunk, else from the
+        # replications simulated again in batches of at most
+        # CHUNK_ELEMENTS trajectory values, or one replication
         task = _block_task(fields, T=300, N=7)
+        k = task[2]
         want = harness._run_block(task)
-        reruns = []
-        whole = harness.simulate
+        batches = []
+        whole = harness._whole_trajectories
 
-        def simulate(real, T, rng):
-            reruns.append(T)
-            return whole(real, T, rng)
+        def recorded(spec, T, k, omegas, *rest):
+            batches.append(list(omegas))
+            return whole(spec, T, k, omegas, *rest)
 
-        # every row a chunk, and no column sum certified: each replication
-        # is re-run whole and each of its sums taken by math.fsum
-        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", 1)
-        monkeypatch.setattr(estimators, "_certified", lambda r, *rest: np.zeros(r.shape, bool))
-        monkeypatch.setattr(harness, "simulate", simulate)
-        got = harness._run_block(task)
-        assert reruns == [300] * 7
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        monkeypatch.setattr(estimators, "_certified", _uncertified)
+        monkeypatch.setattr(harness, "_whole_trajectories", recorded)
+        for chunk in (estimators.CHUNK_ELEMENTS, 4000, 1):
+            monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+            batches.clear()
+            got = harness._run_block(task)
+            assert got[4] == want[4] == []
+            _assert_bits_equal(got[:4], want[:4])
+            per = max(1, chunk // (301 * k))
+            multi_chunk = chunk // (2 * 7 * k) < 300
+            assert [len(b) for b in batches] == (
+                [min(per, 7 - lo) for lo in range(0, 7, per)] if multi_chunk else []
+            )
+            assert sum(batches, []) == (list(range(1, 8)) if multi_chunk else [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fields=st.sampled_from(BLOCK_FIELDS),
+        T=st.integers(1, 300),
+        N=st.integers(1, 6),
+        chunk=st.sampled_from([estimators.CHUNK_ELEMENTS, 2**10, 1]),
+        seed=st.integers(0, 2**32 - 1),
+        share=st.floats(0.0, 1.0),
+    )
+    def test_uncertified_columns_fuzzed(self, fields, T, N, chunk, seed, share):
+        # any subset of columns may fail the certificate, in groups of one
+        # row chunk or many: the block still gives the public path's bits
+        task = _block_task(fields, T, N)
+        want = _one_at_a_time(task)
+        certified = estimators._certified
+        fails = np.random.default_rng(seed)
+
+        def flaky(r, *rest):
+            ok = certified(r, *rest) & (fails.random(r.shape) >= share)
+            r[~ok] = np.nan
+            return ok
+
+        with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk), \
+                mock.patch.object(estimators, "_certified", flaky):
+            got = harness._run_block(task)
+        assert got[4] == []
+        _assert_bits_equal(got[:4], want)
+
+    @pytest.mark.parametrize("omegas", [[4], [2, 7, 3]])
+    @pytest.mark.parametrize("fields", BLOCK_FIELDS)
+    def test_whole_trajectories_match_simulate(self, fields, omegas):
+        spec, T, k, lo, hi, seed, shared = _block_task(fields, T=50, N=7)
+        x = harness._whole_trajectories(spec, T, k, omegas, seed, shared)
+        assert x.shape == (T + 1, len(omegas) * k)
+        for i, omega in enumerate(omegas):
+            rng = np.random.default_rng([seed, 1, T, omega])
+            real = shared if shared is not None else realize(spec, rng)
+            want = simulate(real, T, rng).coeffs
+            assert np.array_equal(x[:, i * k : (i + 1) * k].view(np.int64), want.view(np.int64))
 
     def test_first_failure_in_replication_order_decides(self, monkeypatch):
         task = _block_task({"example": 1}, T=40, N=6)
@@ -320,6 +392,31 @@ class TestBlockKernel:
         finally:
             tracemalloc.stop()
         assert rows < T and peak < rows * 8 * k
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+    def test_rerun_memory_bounded(self, monkeypatch):
+        # with no column certified, a group of many row chunks simulates its
+        # replications again one at a time here ((T+1)·k > CHUNK_ELEMENTS/2)
+        # and sums only the columns concerned: it holds less than a
+        # replication's trajectory, its lag products and the TwoSum-tree
+        # scratch of summing them whole
+        spec, T, k, lo, hi, seed, _ = _block_task(
+            {"example": 1, "kT_rule": "fixed:64"}, T=3000, N=2
+        )
+        rows, work = harness._workspace(2 * k)
+        monkeypatch.setattr(estimators, "_certified", _uncertified)
+        first = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+        tracemalloc.start()
+        try:
+            second = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        step = estimators.CHUNK_ELEMENTS // (2 * k)
+        tree = math.prod(estimators.ColumnSums.tree_shape(step, 2 * k))
+        one_replication = 8 * ((T + 1) * k + T * 2 * k + tree)
+        assert rows < T and peak < one_replication
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 

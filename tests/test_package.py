@@ -67,6 +67,15 @@ def test_cli_import_does_not_load_numpy_random():
     assert _run_python(code).strip() == "False"
 
 
+def test_import_does_not_load_multiprocessing():
+    # run_experiment imports the process pool only when it starts one
+    code = """
+import sys, arh1bench
+print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process", "multiprocessing"))))
+"""
+    assert _run_python(code).strip() == "[]"
+
+
 def test_run_path_does_not_import_scipy():
     # At T=20 some column sums fail the exactness certificate, so the run
     # also takes the math.fsum fallback; only the diagnostics load scipy.
