@@ -11,10 +11,10 @@ estimator is a root of the penalized quadratic
 
 whose discriminant (alpha - beta)**2 - 4*beta*sigma2*(2 - (a + b)) is
 nonnegative whenever a + b >= 2.  The smaller ("minus") root is the
-estimator with the asymptotic guarantees; the larger root is exposed for
-exploration.  Roots are evaluated with the product-form quadratic formula
-so that the a + b = 2 reduction to min(alpha/beta, 1) is exact and no
-cancellation occurs when alpha is small relative to beta.
+estimator with the asymptotic guarantees.  Roots are evaluated with the
+product-form quadratic formula so that the a + b = 2 reduction to
+min(alpha/beta, 1) is exact and no cancellation occurs when alpha is small
+relative to beta.
 
 The sums are exact: ``exact_sums`` reduces rows with a pairwise
 error-free TwoSum tree (Ogita, Rump and Oishi, "Accurate sum and dot
@@ -25,10 +25,6 @@ Oishi, "Accurate floating-point summation part II", SIAM J. Sci. Comput.
 certificate does not clear is summed by ``math.fsum`` itself.  The
 estimators run elementwise over arrays of columns, so one replication and a
 block of replications share every operation.
-
-``cubic_score_solve`` independently recovers the same stationary points as
-roots of the cubic r * (quadratic above) / sigma2 by bracketed root
-finding, providing a closed-form-free cross-check.
 """
 from __future__ import annotations
 
@@ -67,7 +63,7 @@ class DegenerateTrajectoryError(RuntimeError):
 
 
 class ComplexRootError(ValueError):
-    """The quadratic has no real roots; solve the cubic score equation instead."""
+    """The penalized quadratic has no real roots, which needs a + b < 2."""
 
 
 @dataclass(frozen=True)
@@ -277,121 +273,8 @@ def _quadratic_roots(alpha, beta, sigma2, a, b):
 def _complex_root_error(disc, a, b) -> ComplexRootError:
     return ComplexRootError(
         f"discriminant {disc} < 0 (a + b = {a + b} < 2): the quadratic "
-        f"has no real roots; use cubic_score_solve for this regime"
+        f"has no real roots; the prior shapes need a + b >= 2"
     )
-
-
-def bayes_estimate(
-    stats: SufficientStats, sigma2: float, a: float, b: float, root: str = "minus"
-) -> float:
-    """Beta-prior estimate of the autocorrelation coefficient.
-
-    Parameters
-    ----------
-    stats : SufficientStats
-        Componentwise sums; beta must be positive.
-    sigma2 : float
-        Known innovation variance of the component.
-    a, b : float
-        Beta prior shapes; a > 0 and b >= 1.  (b = 1 is admitted so the
-        a = b = 1 flat-prior reduction to the classical estimator is
-        expressible.)
-    root : {"minus", "plus"}
-        The minus root is the estimator with the asymptotic guarantees.
-    """
-    if stats.beta == 0.0:
-        raise DegenerateTrajectoryError(
-            "component carries no energy (beta = 0); cannot form the Bayes estimate"
-        )
-    if sigma2 <= 0.0:
-        raise ValueError(f"innovation variance must be positive, got {sigma2}")
-    if a <= 0.0:
-        raise ValueError(f"prior shape a must be positive, got {a}")
-    if b < 1.0:
-        raise ValueError(f"prior shape b must be >= 1, got {b}")
-    if root not in ("minus", "plus"):
-        raise ValueError(f"root must be 'minus' or 'plus', got {root!r}")
-    minus, plus, disc = _quadratic_roots(stats.alpha, stats.beta, sigma2, a, b)
-    if disc < 0.0:
-        raise _complex_root_error(float(disc), a, b)
-    return float(minus if root == "minus" else plus)
-
-
-def _real_quadratic_roots(c2: float, c1: float, c0: float):
-    # real roots of c2 x^2 + c1 x + c0, used only to split the search
-    # interval at the cubic's critical points
-    if c2 == 0.0:
-        return [] if c1 == 0.0 else [-c0 / c1]
-    d = c1 * c1 - 4.0 * c2 * c0
-    if d < 0.0:
-        return []
-    q = -0.5 * (c1 + math.copysign(math.sqrt(d), c1))
-    roots = [q / c2]
-    if q != 0.0:
-        roots.append(c0 / q)
-    return roots
-
-
-def cubic_score_solve(
-    stats: SufficientStats,
-    sigma2: float,
-    a: float,
-    b: float,
-    bounds: tuple[float, float] = (0.0, 1.0),
-) -> tuple[float, ...]:
-    """All real stationary points of the penalized criterion within bounds.
-
-    Solves the cubic
-
-        (beta/sigma2) r**3 - ((alpha+beta)/sigma2) r**2
-            + (alpha/sigma2 + 2 - (a + b)) r = 0
-
-    by bracketed root finding: the interval is split at the cubic's
-    critical points, each sign change is resolved with Brent's method, and
-    near-zero values at the breakpoints catch boundary and tangent roots.
-    Never consults the closed-form quadratic, so it serves as an
-    independent oracle for ``bayes_estimate``.  The default bounds cover
-    the autocorrelation range [0, 1]; widen them to inspect exterior roots.
-    """
-    from scipy.optimize import brentq  # the run path never loads scipy
-
-    if stats.beta <= 0.0:
-        raise DegenerateTrajectoryError("cubic score equation needs beta > 0")
-    if sigma2 <= 0.0:
-        raise ValueError(f"innovation variance must be positive, got {sigma2}")
-    lo, hi = float(bounds[0]), float(bounds[1])
-    if not lo < hi:
-        raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
-    c3 = stats.beta / sigma2
-    c2 = -(stats.alpha + stats.beta) / sigma2
-    c1 = stats.alpha / sigma2 + 2.0 - (a + b)
-
-    def poly(r):
-        return ((c3 * r + c2) * r + c1) * r
-
-    def tol_at(r):
-        return 1e-12 * (abs(c3 * r**3) + abs(c2 * r * r) + abs(c1 * r)) + 1e-280
-
-    points = [lo, hi]
-    for crit in _real_quadratic_roots(3.0 * c3, 2.0 * c2, c1):
-        if lo < crit < hi:
-            points.append(crit)
-    points.sort()
-
-    roots = [r for r in points if abs(poly(r)) <= tol_at(r)]
-    for u, v in zip(points, points[1:]):
-        fu, fv = poly(u), poly(v)
-        if fu == 0.0 or fv == 0.0:
-            continue  # endpoint roots already collected
-        if (fu < 0.0) != (fv < 0.0):
-            roots.append(brentq(poly, u, v, xtol=1e-15, rtol=4e-15))
-
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or abs(r - merged[-1]) > 1e-10 * max(1.0, abs(r)):
-            merged.append(float(r))
-    return tuple(merged)
 
 
 @dataclass(frozen=True)

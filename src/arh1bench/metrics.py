@@ -180,21 +180,20 @@ def _ar1_rho_hat_samples(
 ) -> np.ndarray:
     """Moment estimates from N independent stationary scalar AR(1) paths.
 
-    Standalone path engine (vectorized over paths in fixed chunks); kept
-    free of the trajectory simulator on purpose so the two can vouch for
-    each other.
+    Standalone path engine (a time loop vectorized over paths in fixed
+    chunks); kept free of the trajectory simulator on purpose so the two
+    can vouch for each other.
     """
-    from scipy.signal import lfilter  # only the diagnostics need scipy
-
     out = np.empty(N)
     scale0 = sigma / math.sqrt(1.0 - rho * rho)
     done = 0
     while done < N:
         m = min(AR1_PATH_CHUNK, N - done)
-        x0 = scale0 * rng.standard_normal(m)
-        eps = sigma * rng.standard_normal((T, m))
-        xs, _ = lfilter([1.0], [1.0, -rho], eps, axis=0, zi=(rho * x0)[None, :])
-        paths = np.vstack([x0[None, :], xs])
+        paths = np.empty((T + 1, m))
+        paths[0] = scale0 * rng.standard_normal(m)
+        np.multiply(sigma, rng.standard_normal((T, m)), out=paths[1:])
+        for t in range(1, T + 1):
+            paths[t] += rho * paths[t - 1]
         alpha = np.einsum("ij,ij->j", paths[:-1], paths[1:])
         beta = np.einsum("ij,ij->j", paths[:-1], paths[:-1])
         out[done : done + m] = alpha / beta
@@ -220,15 +219,18 @@ def bartlett_check(
     return t_mse, 1.0 - rho * rho
 
 
+def _normal_cdf(z) -> np.ndarray:
+    """Standard normal distribution function, as 0.5 * erfc(-z / sqrt(2))."""
+    return np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in np.ravel(z).tolist()])
+
+
 def ks_distance_to_normal(z) -> float:
     """Kolmogorov-Smirnov distance of a sample to the standard normal law."""
-    from scipy.special import ndtr  # only the diagnostics need scipy
-
     zs = np.sort(np.asarray(z, dtype=float))
     n = zs.size
     if n < 1:
         raise ValueError("KS distance needs a nonempty sample")
-    cdf = ndtr(zs)
+    cdf = _normal_cdf(zs)
     steps = np.arange(n + 1) / n
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 

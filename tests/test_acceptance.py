@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from arh1bench import cli
-from arh1bench.estimators import SufficientStats, bayes_estimate, cubic_score_solve, estimate_all
+from arh1bench.estimators import SufficientStats, estimate_all
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
     EfmseInput,
@@ -47,6 +47,7 @@ from arh1bench.spectral_model import (
     prior_params,
     realize,
 )
+from conftest import bayes_estimate, cubic_score_solve
 
 SEED = 0
 T_FIX = 2000

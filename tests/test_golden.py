@@ -10,6 +10,9 @@ import pytest
 
 from arh1bench.harness import config_from_dict, emit_reports, run_diagnostics, run_experiment
 
+# The fields every run in GOLDEN_RUNS shares.
+GOLDEN_RUN_FIELDS = {"T_grid": [30, 60], "N": 20, "seed": 0, "formats": ["csv"]}
+
 GOLDEN_RUNS = {
     "ex1-redraw": (
         {"example": 1, "rho_mode": "redraw"},
@@ -74,9 +77,7 @@ def _sha256(path) -> str:
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_efmse_csv_bytes(name, workers, tmp_path):
     fields, want = GOLDEN_RUNS[name]
-    config = config_from_dict(
-        {**fields, "T_grid": [30, 60], "N": 20, "seed": 0, "formats": ["csv"]}
-    )
+    config = config_from_dict({**fields, **GOLDEN_RUN_FIELDS})
     emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
     assert _sha256(tmp_path / "efmse.csv") == want
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from arh1bench.metrics import (
+    AR1_PATH_CHUNK,
     EfmseInput,
     EfmseReport,
     KtRule,
@@ -21,6 +22,8 @@ from arh1bench.metrics import (
     theory_param_limit,
     theory_pred_limit,
     truncation_order,
+    _ar1_rho_hat_samples,
+    _normal_cdf,
 )
 from arh1bench.simulator import Trajectory, simulate
 from arh1bench.spectral_model import (
@@ -235,6 +238,27 @@ class TestBartlett:
         with pytest.raises(ValueError):
             bartlett_check(0.5, 1.0, 0, 10, rng)
 
+    @pytest.mark.parametrize("rho", [0.6, 0.999, -0.3])
+    def test_paths_match_lfilter(self, rho):
+        # the numpy time loop gives lfilter's bits, over more than one chunk
+        from scipy.signal import lfilter
+
+        T, N, sigma = 200, AR1_PATH_CHUNK + 37, 1.3
+        got = _ar1_rho_hat_samples(rho, sigma, T, N, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = []
+        for lo in range(0, N, AR1_PATH_CHUNK):
+            m = min(AR1_PATH_CHUNK, N - lo)
+            x0 = sigma / math.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
+            eps = sigma * rng.standard_normal((T, m))
+            xs, _ = lfilter([1.0], [1.0, -rho], eps, axis=0, zi=(rho * x0)[None, :])
+            paths = np.vstack([x0[None, :], xs])
+            want.append(
+                np.einsum("ij,ij->j", paths[:-1], paths[1:])
+                / np.einsum("ij,ij->j", paths[:-1], paths[:-1])
+            )
+        assert got.view(np.int64).tolist() == np.concatenate(want).view(np.int64).tolist()
+
 
 class TestNormality:
     def test_score_moments(self):
@@ -267,6 +291,12 @@ class TestNormality:
         ours = ks_distance_to_normal(sample)
         theirs = float(sps.kstest(sample, "norm").statistic)
         assert ours == pytest.approx(theirs, abs=1e-12)
+
+    def test_normal_cdf_matches_ndtr(self):
+        from scipy.special import ndtr
+
+        z = np.linspace(-8.0, 8.0, 100_001)
+        assert np.max(np.abs(_normal_cdf(z) - ndtr(z))) <= 2.0**-52
 
 
 class TestErgodic:

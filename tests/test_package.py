@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import types
 from pathlib import Path
 
 import arh1bench
+from test_golden import GOLDEN_DIAGNOSTICS, GOLDEN_RUN_FIELDS, GOLDEN_RUNS, ROW_CHUNK_RUN
 
 # The top-level surface: the experiment and diagnostic API plus the calls
 # one replication makes.  Everything else is imported from its submodule.
@@ -54,9 +56,8 @@ def test_public_top_level_names():
 def _run_python(code: str) -> str:
     src = str(Path(arh1bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
     return out.stdout
 
 
@@ -76,19 +77,46 @@ print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process
     assert _run_python(code).strip() == "[]"
 
 
-def test_run_path_does_not_import_scipy():
-    # At T=20 some column sums fail the exactness certificate, so the run
-    # also takes the math.fsum fallback; only the diagnostics load scipy.
-    code = """
-import math, sys
-calls = []
-fsum = math.fsum
-math.fsum = lambda xs: calls.append(1) or fsum(xs)
-import arh1bench.cli
-from arh1bench.harness import ExperimentConfig, run_experiment
-run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=50))
-print(len(calls), sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+def test_run_path_does_not_import_scipy(tmp_path):
+    # Every CLI path runs with scipy unimportable and writes its golden
+    # bytes.  The golden runs include column sums the certificate cannot
+    # clear, so the kernel's math.fsum fallback runs too.
+    runs = {
+        name: ({**fields, **GOLDEN_RUN_FIELDS}, want)
+        for name, (fields, want) in GOLDEN_RUNS.items()
+    }
+    runs["row-chunked"] = ROW_CHUNK_RUN
+    cases = []
+    for name, (fields, want) in runs.items():
+        config, out = tmp_path / f"{name}.json", tmp_path / name
+        config.write_text(json.dumps(fields))
+        argv = ["run", "--config", str(config), "--workers", "1", "--out", str(out)]
+        cases.append((argv, str(out / "efmse.csv"), want))
+    for kind, (params, want) in GOLDEN_DIAGNOSTICS.items():
+        out = tmp_path / kind
+        flags = [f for name, value in params.items() for f in (f"--{name}", str(value))]
+        argv = ["diag", kind, "--seed", "0", "--out", str(out), *flags]
+        cases.append((argv, str(out / f"diag_{kind}.json"), want))
+    code = f"""
+import hashlib, json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{{name}} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
+from arh1bench import cli, harness
+
+fallbacks = []
+fsum_into = harness._fsum_into
+harness._fsum_into = lambda *args: fallbacks.append(1) or fsum_into(*args)
+results = []
+for argv, path in {[case[:2] for case in cases]!r}:
+    status = cli.main(argv)
+    results.append([status, hashlib.sha256(open(path, "rb").read()).hexdigest()])
+print(json.dumps([results, len(fallbacks)]))
 """
-    fallbacks, modules = _run_python(code).split(" ", 1)
-    assert int(fallbacks) > 0
-    assert modules.strip() == "[]"
+    results, fallbacks = json.loads(_run_python(code).splitlines()[-1])
+    assert results == [[0, want] for _, _, want in cases]
+    assert fallbacks > 0
