@@ -49,6 +49,22 @@ ROW_CHUNK_RUN = (
     "0d00b4b424db27047fe934ce50159d35b08a3ce0ee3792461a5f8140ba2d14ad",
 )
 
+# Example 3 keeps k_T = 1, 3, 4 and 7 components at these T, so a run mixes
+# replications of different widths, and T=3000 crosses row chunks.
+MIXED_K_FIELDS = {
+    "example": 3,
+    "kT_rule": "power:4.1",
+    "T_grid": [15, 100, 400, 3000],
+    "N": 20,
+    "seed": 0,
+    "formats": ["csv"],
+}
+
+MIXED_K_RUNS = {
+    "fixed": "bffdb1d050fc9c593c2c21df2fd95d549ab08c17f66bd6e9bd97b757f66e55c9",
+    "redraw": "a927af2fe864f2fa6afbede9372012b21549c38483c97332376051df0e2fd038",
+}
+
 GOLDEN_DIAGNOSTICS = {
     "bartlett": (
         {"T": 200, "N": 300},
@@ -88,6 +104,14 @@ def test_row_chunked_efmse_csv_bytes(workers, tmp_path):
     config = config_from_dict(fields)
     emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
     assert _sha256(tmp_path / "efmse.csv") == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rho_mode", sorted(MIXED_K_RUNS))
+def test_mixed_k_efmse_csv_bytes(rho_mode, workers, tmp_path):
+    config = config_from_dict({**MIXED_K_FIELDS, "rho_mode": rho_mode})
+    emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
+    assert _sha256(tmp_path / "efmse.csv") == MIXED_K_RUNS[rho_mode]
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_DIAGNOSTICS))
