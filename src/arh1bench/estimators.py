@@ -151,32 +151,37 @@ class ColumnSums:
 
     Each block is reduced by a pairwise TwoSum tree; the tree tops are
     carried into a running total by TwoSum, and the errors of every TwoSum
-    are summed (with their magnitudes) for the final correction.  The tree
+    are summed (with their magnitudes) for the final correction.  The
+    columns may span several axes (``shape``), and a block may cover a
+    leading part of each, whose sums alone it advances; ``terms`` counts
+    the terms of the longest column, a bound for every other.  The tree
     runs in the three "tree" buffers of ``work`` (its own workspace if none
     is given) and never writes into the block it is fed.
     """
 
-    def __init__(self, columns: int, work: Workspace | None = None):
-        self.top = np.zeros(columns)
-        self.err = np.zeros(columns)
-        self.mag = np.zeros(columns)
+    def __init__(self, shape, work: Workspace | None = None):
+        self.top = np.zeros(shape)
+        self.err = np.zeros(shape)
+        self.mag = np.zeros(shape)
         self.terms = 0
         self.work = Workspace() if work is None else work
 
     @staticmethod
-    def tree_shape(rows: int, columns: int) -> tuple[int, int, int]:
+    def tree_shape(rows: int, *columns: int) -> tuple[int, ...]:
         """The "tree" scratch ``add`` takes for a block of that shape."""
-        return 3, rows // 2, columns
+        return 3, rows // 2, *columns
 
     def add(self, p) -> None:
+        cols = tuple(slice(0, n) for n in p.shape[1:])
+        top, err, mag = self.top[cols], self.err[cols], self.mag[cols]
         tree = self.work.take("tree", self.tree_shape(*p.shape))
         level = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while len(p):
                 if len(p) % 2:
-                    self.top, e = _two_sum(self.top, p[-1])
-                    self.err += e
-                    self.mag += np.abs(e)
+                    top[...], e = _two_sum(top, p[-1])
+                    err += e
+                    mag += np.abs(e)
                     self.terms += 1
                     p = p[:-1]
                     continue
@@ -187,8 +192,8 @@ class ColumnSums:
                 s, t = tree[level % 2, :half], tree[2, :half]
                 e = tree[1, :half] if level == 0 else p[half:]
                 _two_sum(p[:half], p[half:], s, t, e)
-                self.err += e.sum(axis=0)
-                self.mag += np.abs(e, out=e).sum(axis=0)
+                err += e.sum(axis=0)
+                mag += np.abs(e, out=e).sum(axis=0)
                 self.terms += half
                 p, level = s, level + 1
 

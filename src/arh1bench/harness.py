@@ -10,16 +10,17 @@ derives those generators a group at a time (``_replication_rngs``), with
 the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
-Workers receive contiguous replication blocks and results are merged in
-replication order, so every emitted byte depends only on (config, seed),
-never on the worker count or scheduling.
+Each worker receives one contiguous replication block for the whole T
+grid, and results are merged per T in replication order, so every emitted
+byte depends only on (config, seed), never on the worker count or
+scheduling.  Failures are raised in (T, replication) order.
 
-Within a block, replications are simulated and estimated together in
-groups (``_run_group``): one time loop over the columns of every
-replication in the group, exact column sums and elementwise estimators,
-the same helpers that ``simulate``, ``sufficient_stats`` and
-``estimate_all`` run for a single replication, so both routes give the
-same bits.
+Within a block, the (T, omega) streams run longest T first, packed into
+groups (``_run_group``) that may mix T: one time loop over the columns of
+every stream in the group, a stream's columns dropping out at its T, exact
+column sums and elementwise estimators, the same helpers that
+``simulate``, ``sufficient_stats`` and ``estimate_all`` run for a single
+replication, so both routes give the same bits.
 """
 from __future__ import annotations
 
@@ -261,38 +262,56 @@ def _partition(n: int, parts: int) -> list[tuple[int, int]]:
 
 
 def _run_block(task):
-    """Run one contiguous block of replications; returns stacked records.
+    """Run one contiguous block of replications at every T of the grid.
 
-    Every realization, shared or drawn, has exactly k_T components.  The
-    block's groups share one workspace.  Must stay a module-level function
-    so worker processes can unpickle it.
+    The block's (T, omega) streams run longest T first, packed into groups
+    of at most GROUP_COLUMNS columns that share one workspace.  Returns, for
+    each T in grid order, its stacked records, or the first failure in
+    replication order other than a degenerate trajectory.  Must stay a
+    module-level function so worker processes can unpickle it.
     """
-    spec, T, k_T, lo, hi, seed, fixed_real = task
-    per = max(1, GROUP_COLUMNS // k_T)
-    rows, work = _workspace(min(per, hi - lo) * k_T)
-    groups = [
-        _run_group(spec, T, k_T, range(g, min(g + per, hi)), seed, fixed_real, rows, work)
-        for g in range(lo, hi, per)
-    ]
-    est_c, est_b, truth, last, ok = (np.concatenate(parts) for parts in zip(*groups))
-    aborted = [lo + i for i in np.flatnonzero(~ok).tolist()]
-    return est_c[ok], est_b[ok], truth[ok], last[ok], aborted
+    spec, levels, lo, hi, seed, fixed_real = task
+    groups, runs, width = [], [], 0
+    for T, k in sorted(levels, reverse=True):
+        omega = lo
+        while omega < hi:
+            if runs and width + k > GROUP_COLUMNS:
+                groups.append(runs)
+                runs, width = [], 0
+            n = min(max(1, (GROUP_COLUMNS - width) // k), hi - omega)
+            runs.append((T, k, range(omega, omega + n)))
+            width, omega = width + n * k, omega + n
+    groups.append(runs)
+    work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in groups))
+    parts = {}
+    for runs in groups:
+        for T, part in _run_group(spec, runs, seed, fixed_real, work).items():
+            parts.setdefault(T, []).append(part)
+    del work  # free it before stacking the records, not under them
+    results = []
+    for T, _ in levels:
+        *records, ok, errors = zip(*parts.pop(T))
+        error = next((e for e in errors if e is not None), None)
+        ok = np.concatenate(ok)
+        aborted = [lo + i for i in np.flatnonzero(~ok).tolist()]
+        records = (*(np.concatenate(r)[ok] for r in records), aborted)
+        results.append(records if error is None else error)
+    return results
 
 
-def _workspace(c: int) -> tuple[int, Workspace]:
-    """The row-chunk length of groups of at most c columns and a workspace
-    that holds their chunks.
+def _workspace(c: int) -> Workspace:
+    """A workspace for the row chunks of groups of at most c columns.
 
-    Every group of a block walks the rows in chunks sized for the widest,
-    so all fit in one workspace.  Its size does not depend on T, so the
-    blocks of a run ask for the same memory and get the same pages back.
+    A chunk of any width holds at most max(CHUNK_ELEMENTS // 2, c)
+    trajectory values (see ``_run_group``), so the size depends neither on T
+    nor on how many columns are still running.
     """
-    rows = max(1, CHUNK_ELEMENTS // (2 * c))
-    return rows, Workspace(
-        x=((rows + 1, c), float),
-        products=((rows, 2 * c), float),
-        finite=((rows, c), bool),
-        tree=(ColumnSums.tree_shape(rows, 2 * c), float),
+    e = max(CHUNK_ELEMENTS // 2, c)
+    return Workspace(
+        x=((e + c,), float),
+        products=((2 * e,), float),
+        finite=((e,), bool),
+        tree=((3 * e,), float),
     )
 
 
@@ -383,13 +402,13 @@ def _replication_rngs(seed: int, T: int, omegas) -> list:
 def _coefficients(spec, k, rngs, fixed_real):
     """C, rho and sigma2 of the columns of the replications with streams
     ``rngs``, k per replication: drawn from each stream in turn (redraw
-    mode), or the shared realization repeated."""
+    mode), or the shared realization's first k repeated."""
     m = len(rngs)
     if fixed_real is None:
         C = eigenvalues(spec.law, k)
         rho = draw_rho(prior_shapes(spec.prior, k), rngs)
         return np.tile(C, m), rho.ravel(), (C * (1.0 - rho**2)).ravel()
-    return tuple(np.tile(v, m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
+    return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
 def _whole_trajectories(spec, T, k, omegas, seed, fixed_real):
@@ -412,88 +431,113 @@ def _fsum_into(sums, redo, batch, products):
 
     ``sums`` and ``redo`` are (2, m, k): alpha then beta, by replication and
     component; ``products`` holds the lag products of the batch's
-    replications, side by side as ``lag_products`` lays them out.
+    replications, alpha then beta, side by side as ``lag_products`` lays
+    them out.
     """
     products = products.reshape(len(products), 2, len(batch), -1)
     for half, i, j in zip(*np.nonzero(redo[:, batch])):
         sums[half, batch[i], j] = math.fsum(products[:, half, i, j].tolist())
 
 
-def _run_group(spec, T, k, omegas, seed, fixed_real, rows, work):
-    """Simulate and estimate replications ``omegas`` together.
+def _run_group(spec, runs, seed, fixed_real, work):
+    """Simulate and estimate the streams of ``runs`` together.
 
-    Each replication seeds its own stream, realizes its coefficients (unless
-    they are shared) and draws its normals chunk by chunk, in the order
-    ``simulate`` draws them, ``rows`` at a time.  Every array the size of a
-    row chunk is a view into ``work``.  A column whose chunked sum is not
-    certified exact is summed by ``math.fsum`` over its products: when the
-    rows ran as one chunk those are still whole in the workspace; otherwise
-    the replications concerned are simulated again, whole and side by side,
-    at most CHUNK_ELEMENTS trajectory values at a time (or one replication).
+    A run (T, k, omegas) is replications omegas at sample size T, k columns
+    each; the runs come longest T first, one per T.  Each replication seeds
+    its own stream, realizes its coefficients (unless they are shared) and
+    draws its normals chunk by chunk, in the order ``simulate`` draws them.
+    The rows run in segments, each ending at a run's T, where that run's
+    columns, the last ones, drop out; the columns still running are laid
+    out again at the front of the workspace, in chunks of as many rows as
+    fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
+    view into ``work``.
+
+    A column whose chunked sum is not certified exact is summed by
+    ``math.fsum`` over its products: when its run ended with the first
+    chunk those are still whole in the workspace; otherwise the
+    replications concerned are simulated again, whole and side by side, at
+    most CHUNK_ELEMENTS trajectory values at a time (or one replication).
+
+    Returns, by T, the estimates, true coefficients and last states of the
+    run's replications, a mask of those kept, and the first failure in
+    replication order other than a degenerate trajectory (or None).
     """
-    rngs = _replication_rngs(seed, T, omegas)
-    m, c = len(rngs), len(rngs) * k
-    C, rho, sigma2 = _coefficients(spec, k, rngs, fixed_real)
-    sd = np.sqrt(sigma2)
-
-    x = work.take("x", (rows + 1, c))
-    finite_rows = work.take("finite", (rows, c), bool)
-    for i, rng in enumerate(rngs):
-        x[0, i * k : (i + 1) * k] = rng.standard_normal(k)
-    x[0] *= np.sqrt(C)
-    finite = np.isfinite(x[0])
-    sums = ColumnSums(2 * c, work)
-    done = 0
-    while done < T:
-        n = min(rows, T - done)
-        # the normals go through the products buffer, free until the
-        # products of this chunk fill it
-        z = work.take("products", (m, n, k))
-        for row, rng in zip(z, rngs):
-            rng.standard_normal(out=row)
-        x[1 : n + 1].reshape(n, m, k)[...] = z.transpose(1, 0, 2)
-        x[1 : n + 1] *= sd
-        ar1_steps(x[: n + 1], rho)
-        finite &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
-        products = lag_products(x[: n + 1], out=work.take("products", (n, 2 * c)))
-        sums.add(products)
-        x[0] = x[n]
-        done += n
-    total, exact = sums.result()
-    finite = finite.reshape(m, k).all(axis=1)
-    redo = ~exact.reshape(2, m, k) & finite[:, None]
-    by_rep = total.reshape(2, m, k)
-    if rows >= T:  # one chunk: products holds every row
-        _fsum_into(by_rep, redo, np.arange(m), products)
-    else:
-        reps = np.flatnonzero(redo.any(axis=(0, 2)))
-        per = max(1, CHUNK_ELEMENTS // ((T + 1) * k))
-        for lo in range(0, len(reps), per):
-            batch = reps[lo : lo + per]
-            traj = _whole_trajectories(spec, T, k, [omegas[i] for i in batch], seed, fixed_real)
-            _fsum_into(by_rep, redo, batch, lag_products(traj))
-            del traj  # before the next batch is drawn
-
-    alpha, beta = total[:c], total[c:]
-    shapes = np.tile(prior_shapes(spec.prior, k), m)
-    a, b = shapes[0::2], shapes[1::2]
-    est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, a, b)
-    ok = np.ones(m, dtype=bool)
-    # the first failure in replication order decides, as in a one-by-one run
-    for i in np.flatnonzero(~finite | fault.reshape(m, k).any(axis=1)).tolist():
-        if not finite[i]:
-            raise ValueError("trajectory contains non-finite coefficients")
-        cols = slice(i * k, (i + 1) * k)
-        error = first_fault(
-            fault[cols], T, alpha[cols], beta[cols], sigma2[cols], a[cols], b[cols]
-        )
-        if not isinstance(error, DegenerateTrajectoryError):
-            raise error
-        ok[i] = False
-    return (
-        est_c.reshape(m, k), est_b.reshape(m, k), rho.reshape(m, k),
-        x[0].reshape(m, k).copy(), ok,
+    rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
+    C, rho, sigma2 = (
+        np.concatenate(v)
+        for v in zip(*(_coefficients(spec, k, r, fixed_real) for (_, k, _), r in zip(runs, rngs)))
     )
+    sd = np.sqrt(sigma2)
+    edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
+    finite = np.empty(edges[-1], bool)
+    sums = ColumnSums((2, edges[-1]), work)
+    done = chunks = 0
+    out = {}
+    for end in range(len(runs), 0, -1):
+        T, k, omegas = runs[end - 1]
+        ca = edges[end]
+        rows = max(1, CHUNK_ELEMENTS // (2 * ca))
+        x = work.take("x", (rows + 1, ca))
+        finite_rows = work.take("finite", (rows, ca), bool)
+        while done < T:
+            n = min(rows, T - done)
+            # the normals go through the products buffer, free until the
+            # products of this chunk fill it; the first chunk takes row 0
+            lead = int(done == 0)
+            z = work.take("products", ((n + lead) * ca,))
+            for (_, kr, o), r, a, b in zip(runs, rngs, edges, edges[1 : end + 1]):
+                zr = z[(n + lead) * a : (n + lead) * b].reshape(len(o), n + lead, kr)
+                for row, rng in zip(zr, r):
+                    rng.standard_normal(out=row)
+                x[1 - lead : n + 1, a:b].reshape(n + lead, len(o), kr)[...] = zr.transpose(1, 0, 2)
+            if lead:
+                x[0] *= np.sqrt(C)
+                np.isfinite(x[0], out=finite)
+            x[1 : n + 1] *= sd[:ca]
+            ar1_steps(x[: n + 1], rho[:ca])
+            finite[:ca] &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
+            products = lag_products(x[: n + 1], out=work.take("products", (n, 2 * ca)))
+            sums.add(products.reshape(n, 2, ca))
+            x[0] = x[n]
+            done, chunks = done + n, chunks + 1
+
+        # the run ends here: settle and estimate it before its columns go
+        m, cols = len(omegas), slice(edges[end - 1], ca)
+        total, exact = sums.result()
+        by_rep = total[:, cols].reshape(2, m, k)
+        ok = finite[cols].reshape(m, k).all(axis=1)
+        redo = ~exact[:, cols].reshape(2, m, k) & ok[:, None]
+        if chunks == 1:  # one chunk: products holds every row
+            _fsum_into(by_rep, redo, np.arange(m), products.reshape(n, 2, ca)[..., cols])
+        else:
+            reps = np.flatnonzero(redo.any(axis=(0, 2)))
+            per = max(1, CHUNK_ELEMENTS // ((T + 1) * k))
+            for i in range(0, len(reps), per):
+                batch = reps[i : i + per]
+                traj = _whole_trajectories(spec, T, k, [omegas[j] for j in batch], seed, fixed_real)
+                _fsum_into(by_rep, redo, batch, lag_products(traj))
+                del traj  # before the next batch is drawn
+        alpha, beta = by_rep.reshape(2, -1)
+        shapes = np.tile(prior_shapes(spec.prior, k), m)
+        a, b, s2 = shapes[0::2], shapes[1::2], sigma2[cols]
+        est_c, est_b, fault = estimate_columns(alpha, beta, s2, a, b)
+        # the first failure in replication order decides, as in a one-by-one run
+        for i in np.flatnonzero(~ok | fault.reshape(m, k).any(axis=1)).tolist():
+            rep = slice(i * k, (i + 1) * k)
+            error = (
+                first_fault(fault[rep], T, alpha[rep], beta[rep], s2[rep], a[rep], b[rep])
+                if ok[i] else ValueError("trajectory contains non-finite coefficients")
+            )
+            if not isinstance(error, DegenerateTrajectoryError):
+                break
+            ok[i] = False
+        else:
+            error = None
+        out[T] = (
+            est_c.reshape(m, k), est_b.reshape(m, k), rho[cols].reshape(m, k),
+            x[0, cols].reshape(m, k).copy(), ok, error,
+        )
+    return out
 
 
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[EfmseReport]:
@@ -512,72 +556,67 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     elif spec.rho_mode == "explicit":
         fixed_real = realize(spec)
 
-    reports: list[EfmseReport] = []
-    aborted_total = 0
-    blocks = _partition(config.N, workers)
-    pool = None
-    if len(blocks) > 1:
+    levels = tuple((T, truncation_order(T, rule)) for T in config.T_grid)
+    tasks = [
+        (spec, levels, lo, hi, config.seed, fixed_real)
+        for lo, hi in _partition(config.N, workers)
+    ]
+    if len(tasks) == 1:
+        results = [_run_block(tasks[0])]
+    else:
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=len(blocks))
-    try:
-        for T in config.T_grid:
-            k_T = truncation_order(T, rule)
-            if fixed_real is None:
-                spec_T = dataclasses.replace(spec, k_max=k_T)
-                real_T = None
-            else:
-                spec_T = spec
-                real_T = truncate_realization(fixed_real, k_T)
-            tasks = [(spec_T, T, k_T, lo, hi, config.seed, real_T) for lo, hi in blocks]
-            if pool is None:
-                results = [_run_block(t) for t in tasks]
-            else:
-                results = list(pool.map(_run_block, tasks))
-
-            aborted = [w for r in results for w in r[4]]
-            aborted_total += len(aborted)
-            if aborted:
-                logger.warning(
-                    "T=%d: aborted %d degenerate replications: %s",
-                    T, len(aborted), aborted,
-                )
-            est_c = np.concatenate([r[0] for r in results])
-            est_b = np.concatenate([r[1] for r in results])
-            truth = np.concatenate([r[2] for r in results])
-            last = np.concatenate([r[3] for r in results])
-            if est_c.shape[0] == 0:
-                raise AbortedReplicationsError(aborted_total, len(config.T_grid) * config.N)
-
-            if fixed_real is None:
-                param_limit = prior_param_limit(spec.prior, k_T)
-                pred_limit = prior_pred_limit(spec.law, spec.prior, k_T)
-            else:
-                param_limit = theory_param_limit(real_T, k_T)
-                pred_limit = theory_pred_limit(real_T, k_T)
-
-            for name, est in (("classical", est_c), ("bayes", est_b)):
-                inp = EfmseInput(estimates=est, truth=truth, last_coeffs=last)
-                ep = efmse_param(inp)
-                reports.append(
-                    EfmseReport(
-                        example=config.label,
-                        T=T,
-                        N=config.N,
-                        kT=k_T,
-                        estimator=name,
-                        efmse_param=ep,
-                        efmse_pred=efmse_pred(inp),
-                        t_efmse_param=T * ep,
-                        theory_param_limit=param_limit,
-                        theory_pred_limit=pred_limit,
-                        ref_one_over_T=1.0 / T,
-                    )
-                )
-    finally:
-        if pool is not None:
+        pool = ProcessPoolExecutor(max_workers=len(tasks))
+        try:
+            results = list(pool.map(_run_block, tasks))
+        finally:
             pool.shutdown()
+
+    reports: list[EfmseReport] = []
+    aborted_total = 0
+    for i, (T, k_T) in enumerate(levels):
+        parts = [r[i] for r in results]
+        for part in parts:
+            if isinstance(part, Exception):
+                raise part
+        aborted = [w for p in parts for w in p[4]]
+        aborted_total += len(aborted)
+        if aborted:
+            logger.warning(
+                "T=%d: aborted %d degenerate replications: %s",
+                T, len(aborted), aborted,
+            )
+        est_c, est_b, truth, last = (np.concatenate(v) for v in list(zip(*parts))[:4])
+        if est_c.shape[0] == 0:
+            raise AbortedReplicationsError(aborted_total, len(config.T_grid) * config.N)
+
+        if fixed_real is None:
+            param_limit = prior_param_limit(spec.prior, k_T)
+            pred_limit = prior_pred_limit(spec.law, spec.prior, k_T)
+        else:
+            real_T = truncate_realization(fixed_real, k_T)
+            param_limit = theory_param_limit(real_T, k_T)
+            pred_limit = theory_pred_limit(real_T, k_T)
+
+        for name, est in (("classical", est_c), ("bayes", est_b)):
+            inp = EfmseInput(estimates=est, truth=truth, last_coeffs=last)
+            ep = efmse_param(inp)
+            reports.append(
+                EfmseReport(
+                    example=config.label,
+                    T=T,
+                    N=config.N,
+                    kT=k_T,
+                    estimator=name,
+                    efmse_param=ep,
+                    efmse_pred=efmse_pred(inp),
+                    t_efmse_param=T * ep,
+                    theory_param_limit=param_limit,
+                    theory_pred_limit=pred_limit,
+                    ref_one_over_T=1.0 / T,
+                )
+            )
 
     total = len(config.T_grid) * config.N
     if aborted_total > ABORT_THRESHOLD * total:

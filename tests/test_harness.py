@@ -159,13 +159,15 @@ class TestRunExperiment:
         assert inline == pooled
 
     def test_pool_sized_to_blocks(self, monkeypatch):
-        asked = []
+        asked, mapped = [], []
 
         class Recorder:
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
-            map = staticmethod(map)
+            def map(self, fn, tasks):
+                mapped.append(len(tasks))
+                return map(fn, tasks)
 
             def shutdown(self):
                 pass
@@ -174,6 +176,32 @@ class TestRunExperiment:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=2), workers=4)
         assert asked == [2]
+        # one task per block carries every T of the grid
+        run_experiment(ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5), workers=2)
+        assert asked == [2, 2] and mapped == [2, 2]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rho_mode": "redraw"},
+            {"rho_mode": "fixed"},
+            {"rho_mode": "explicit", "rho_values": [0.9, 0.8, 0.7, 0.6, 0.5]},
+        ],
+        ids=["redraw", "fixed", "explicit"],
+    )
+    def test_grid_split_invariance(self, fields, workers):
+        # a T's replications give the same floats whether the T runs alone or
+        # shares its blocks and groups with the rest of the grid
+        base = {"example": 3, "kT_rule": "power:4.1", "N": 7, "seed": 3, **fields}
+        grid = run_experiment(config_from_dict({**base, "T_grid": [15, 100, 900]}), workers)
+        alone = [
+            r
+            for T in (15, 100, 900)
+            for r in run_experiment(config_from_dict({**base, "T_grid": [T]}), workers)
+        ]
+        assert [r.kT for r in grid] == [1, 1, 3, 3, 5, 5]
+        assert [_float_bits(r) for r in grid] == [_float_bits(r) for r in alone]
 
     def test_rerun_is_deterministic(self):
         cfg = ExperimentConfig(example=2, T_grid=(120,), N=6, seed=1)
@@ -228,14 +256,18 @@ class TestRunExperiment:
         assert "3 of 1000" in str(err)
 
 
-def _block_task(fields, T, N):
+def _float_bits(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+def _block_task(fields, T_grid, N):
     """The task run_experiment hands one worker for all N replications."""
-    config = config_from_dict({**fields, "T_grid": [T], "N": N, "seed": 0})
-    spec, k_T = config.spec, truncation_order(T, config.kT_rule)
-    if spec.rho_mode == "redraw":
-        return (dataclasses.replace(spec, k_max=k_T), T, k_T, 1, N + 1, 0, None)
-    shared = realize(spec, np.random.default_rng([0, 2]))
-    return (spec, T, k_T, 1, N + 1, 0, truncate_realization(shared, k_T))
+    config = config_from_dict({**fields, "T_grid": list(T_grid), "N": N, "seed": 0})
+    levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
+    shared = None
+    if config.spec.rho_mode == "fixed":
+        shared = realize(config.spec, np.random.default_rng([0, 2]))
+    return (config.spec, levels, 1, N + 1, 0, shared)
 
 
 BLOCK_FIELDS = [
@@ -246,23 +278,37 @@ BLOCK_FIELDS = [
 
 def _one_at_a_time(task):
     """What the public calls give each replication of a block task, one
-    replication at a time: the rows of _run_block's estimates, truths and
-    last states."""
-    spec, T, k_T, lo, hi, seed, shared = task
-    rows = []
-    for omega in range(lo, hi):
-        rng = np.random.default_rng([seed, 1, T, omega])
-        real = shared if shared is not None else realize(spec, rng)
-        traj = simulate(real, T, rng)
-        est = estimate_all(traj, real, k_T, spec.prior)
-        rows.append((est.rho_hat, est.rho_tilde_minus, real.rho, traj.coeffs[-1]))
-    return [np.array(part) for part in zip(*rows)]
+    replication at a time: per T, the rows of _run_block's estimates,
+    truths and last states."""
+    spec, levels, lo, hi, seed, shared = task
+    per_T = []
+    for T, k_T in levels:
+        rows = []
+        for omega in range(lo, hi):
+            rng = np.random.default_rng([seed, 1, T, omega])
+            if shared is None:
+                real = realize(dataclasses.replace(spec, k_max=k_T), rng)
+            else:
+                real = truncate_realization(shared, k_T)
+            traj = simulate(real, T, rng)
+            est = estimate_all(traj, real, k_T, spec.prior)
+            rows.append((est.rho_hat, est.rho_tilde_minus, real.rho, traj.coeffs[-1]))
+        per_T.append([np.array(part) for part in zip(*rows)])
+    return per_T
 
 
 def _assert_bits_equal(got, want):
-    for g, w in zip(got, want):
+    for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def _assert_block_equal(got, want):
+    # got is what _run_block returns, want what _one_at_a_time does
+    assert len(got) == len(want)
+    for records, rows in zip(got, want):
+        assert records[4] == []
+        _assert_bits_equal(records[:4], rows)
 
 
 def _uncertified(r, *rest):
@@ -271,14 +317,53 @@ def _uncertified(r, *rest):
     return np.zeros(r.shape, bool)
 
 
+def _alpha(task, T, omega, j):
+    """alpha of component j (1-based) of replication omega at T, by the
+    public calls: a value that marks that column wherever the kernel puts it."""
+    spec, levels, _, _, seed, shared = task
+    k_T = dict(levels)[T]
+    rng = np.random.default_rng([seed, 1, T, omega])
+    if shared is None:
+        real = realize(dataclasses.replace(spec, k_max=k_T), rng)
+    else:
+        real = truncate_realization(shared, k_T)
+    return estimators.lag_sums(simulate(real, T, rng).coeffs[:, j - 1 : j])[0][0]
+
+
+def _inject_faults(monkeypatch, faults):
+    """Make estimate_columns report fault code faults[v] for a column whose
+    alpha is v."""
+    estimate_columns = harness.estimate_columns
+
+    def faulty(alpha, *rest):
+        hat, minus, fault = estimate_columns(alpha, *rest)
+        for value, code in faults.items():
+            fault[alpha == value] = code
+        return hat, minus, fault
+
+    monkeypatch.setattr(harness, "estimate_columns", faulty)
+
+
+class _InlinePool:
+    """A process pool stand-in that runs each task in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    map = staticmethod(map)
+
+    def shutdown(self):
+        pass
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_matches_one_replication_at_a_time(self, fields):
-        # the public calls, one replication each, are the reference
-        task = _block_task(fields, T=300, N=7)
-        est_c, est_b, truth, last, aborted = harness._run_block(task)
-        assert aborted == []
-        _assert_bits_equal((est_c, est_b, truth, last), _one_at_a_time(task))
+        # the public calls, one replication each, are the reference, for one
+        # T and for a grid whose streams share groups
+        for grid in ((300,), (15, 100, 300)):
+            task = _block_task(fields, grid, N=7)
+            _assert_block_equal(harness._run_block(task), _one_at_a_time(task))
 
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_fallbacks_match_default_path(self, monkeypatch, fields):
@@ -286,9 +371,9 @@ class TestBlockKernel:
         # workspace when the rows run as one chunk, else from the
         # replications simulated again in batches of at most
         # CHUNK_ELEMENTS trajectory values, or one replication
-        task = _block_task(fields, T=300, N=7)
-        k = task[2]
-        want = harness._run_block(task)
+        task = _block_task(fields, (300,), N=7)
+        k = task[1][0][1]
+        [want] = harness._run_block(task)
         batches = []
         whole = harness._whole_trajectories
 
@@ -301,7 +386,7 @@ class TestBlockKernel:
         for chunk in (estimators.CHUNK_ELEMENTS, 4000, 1):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
             batches.clear()
-            got = harness._run_block(task)
+            [got] = harness._run_block(task)
             assert got[4] == want[4] == []
             _assert_bits_equal(got[:4], want[:4])
             per = max(1, chunk // (301 * k))
@@ -314,16 +399,17 @@ class TestBlockKernel:
     @settings(max_examples=200, deadline=None)
     @given(
         fields=st.sampled_from(BLOCK_FIELDS),
-        T=st.integers(1, 300),
+        grid=st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True).map(sorted),
         N=st.integers(1, 6),
         chunk=st.sampled_from([estimators.CHUNK_ELEMENTS, 2**10, 1]),
         seed=st.integers(0, 2**32 - 1),
         share=st.floats(0.0, 1.0),
     )
-    def test_uncertified_columns_fuzzed(self, fields, T, N, chunk, seed, share):
+    def test_uncertified_columns_fuzzed(self, fields, grid, N, chunk, seed, share):
         # any subset of columns may fail the certificate, in groups of one
-        # row chunk or many: the block still gives the public path's bits
-        task = _block_task(fields, T, N)
+        # row chunk or many, whose runs end at one T or several: the block
+        # still gives the public path's bits
+        task = _block_task(fields, grid, N)
         want = _one_at_a_time(task)
         certified = estimators._certified
         fails = np.random.default_rng(seed)
@@ -336,13 +422,12 @@ class TestBlockKernel:
         with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk), \
                 mock.patch.object(estimators, "_certified", flaky):
             got = harness._run_block(task)
-        assert got[4] == []
-        _assert_bits_equal(got[:4], want)
+        _assert_block_equal(got, want)
 
     @pytest.mark.parametrize("omegas", [[4], [2, 7, 3]])
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_whole_trajectories_match_simulate(self, fields, omegas):
-        spec, T, k, lo, hi, seed, shared = _block_task(fields, T=50, N=7)
+        spec, [(T, k)], lo, hi, seed, shared = _block_task(fields, (50,), N=7)
         x = harness._whole_trajectories(spec, T, k, omegas, seed, shared)
         assert x.shape == (T + 1, len(omegas) * k)
         for i, omega in enumerate(omegas):
@@ -352,48 +437,88 @@ class TestBlockKernel:
             assert np.array_equal(x[:, i * k : (i + 1) * k].view(np.int64), want.view(np.int64))
 
     def test_first_failure_in_replication_order_decides(self, monkeypatch):
-        task = _block_task({"example": 1}, T=40, N=6)
-        estimate_columns = harness.estimate_columns
-        faults = {}
-
-        def faulty(*args):
-            hat, minus, fault = estimate_columns(*args)
-            for col, code in faults.items():
-                fault[col] = code
-            return hat, minus, fault
-
-        monkeypatch.setattr(harness, "estimate_columns", faulty)
-        # replication 2 (columns 5..9) has a zero-energy first component: it
-        # is dropped and reported, and its later fault is never reached
-        faults = {5: DEGENERATE, 8: COMPLEX_ROOTS}
-        est_c, est_b, truth, last, aborted = harness._run_block(task)
+        task = _block_task({"example": 1}, (40,), N=6)
+        alpha = {(omega, j): _alpha(task, 40, omega, j) for omega in (1, 2, 5) for j in (1, 4)}
+        # replication 2 has a zero-energy first component: it is dropped and
+        # reported, and its later fault is never reached
+        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[2, 4]: COMPLEX_ROOTS})
+        [(est_c, est_b, truth, last, aborted)] = harness._run_block(task)
         assert aborted == [2] and est_c.shape == (5, 5)
-        faults = {5: DEGENERATE, 24: COMPLEX_ROOTS}
-        with pytest.raises(ComplexRootError):
-            harness._run_block(task)
-        faults = {7: COMPLEX_ROOTS, 3: ESCAPED}
-        with pytest.raises(RuntimeError, match="component 4: shrinkage"):
-            harness._run_block(task)
+        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[5, 1]: COMPLEX_ROOTS})
+        [error] = harness._run_block(task)
+        assert isinstance(error, ComplexRootError)
+        _inject_faults(monkeypatch, {alpha[2, 4]: COMPLEX_ROOTS, alpha[1, 4]: ESCAPED})
+        [error] = harness._run_block(task)
+        assert isinstance(error, RuntimeError) and "component 4: shrinkage" in str(error)
 
+    def test_first_failure_across_the_grid_decides(self, monkeypatch, caplog):
+        # two blocks (inline, so the injected faults reach them) of groups of
+        # two replications: a failure at a larger T in the earlier block, or
+        # in a later group, loses to one at a smaller T in the later block,
+        # and the warnings logged before it are those of a run that takes
+        # the grid one T at a time
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 10)
+        fields, grid = {"example": 1, "rho_mode": "redraw"}, (20, 40, 60)
+        task = _block_task(fields, grid, N=6)
+        _inject_faults(monkeypatch, {
+            _alpha(task, 60, 2, 1): COMPLEX_ROOTS,
+            _alpha(task, 60, 3, 1): DEGENERATE,
+            _alpha(task, 40, 1, 3): DEGENERATE,
+            _alpha(task, 40, 4, 2): ESCAPED,
+            _alpha(task, 40, 5, 1): COMPLEX_ROOTS,
+            _alpha(task, 20, 4, 5): DEGENERATE,
+        })
 
-    def test_second_group_reuses_workspace(self):
-        # every array the size of a row chunk lives in the workspace, so a
-        # second group allocates less than its smallest part, the mask of
-        # one chunk's finite values
-        spec, T, k, lo, hi, seed, _ = _block_task(
-            {"example": 1, "kT_rule": "fixed:16"}, T=3000, N=8
-        )
-        rows, work = harness._workspace(8 * k)
-        first = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
-        tracemalloc.start()
+        def run(T_grid):
+            config = config_from_dict({**fields, "T_grid": list(T_grid), "N": 6, "seed": 0})
+            caplog.clear()
+            try:
+                run_experiment(config, workers=2)
+            except RuntimeError as exc:
+                return exc, [(r.levelname, r.getMessage()) for r in caplog.records]
+            raise AssertionError(f"{T_grid} ran through")
+
+        want_records = []
+        for T in grid:
+            error, records = run((T,))
+            want_records += records
+            if not isinstance(error, AbortedReplicationsError):
+                break
+        got, records = run(grid)
+        assert records == want_records == [
+            ("WARNING", "T=20: aborted 1 degenerate replications: [4]")
+        ]
+        assert type(got) is type(error) is RuntimeError
+        assert str(got) == str(error) and "component 2: shrinkage" in str(got)
+
+    def test_second_group_reuses_workspace(self, monkeypatch):
+        # every array the size of a row chunk lives in the block's one
+        # workspace, so once the first group is done, the later ones, whose
+        # runs end at other T and lay out narrower chunks of more rows,
+        # allocate less than one chunk's mask of finite values
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 96)
+        task = _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8)
+        run_group = harness._run_group
+        widths = []
+
+        def traced(spec, runs, *rest):
+            widths.append([(T, len(omegas) * k) for T, k, omegas in runs])
+            try:
+                return run_group(spec, runs, *rest)
+            finally:
+                tracemalloc.start()  # from the end of the first group on
+
+        monkeypatch.setattr(harness, "_run_group", traced)
         try:
-            second = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+            got = harness._run_block(task)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows < T and peak < rows * 8 * k
-        for a, b in zip(first, second):
-            assert np.array_equal(a, b)
+        assert widths == [[(4500, 64), (3000, 32)], [(3000, 32), (1500, 64)]]
+        rows = estimators.CHUNK_ELEMENTS // (2 * 96)
+        assert rows < 1500 and peak < rows * 96
+        _assert_block_equal(got, _one_at_a_time(task))
 
     def test_rerun_memory_bounded(self, monkeypatch):
         # with no column certified, a group of many row chunks simulates its
@@ -401,24 +526,26 @@ class TestBlockKernel:
         # and sums only the columns concerned: it holds less than a
         # replication's trajectory, its lag products and the TwoSum-tree
         # scratch of summing them whole
-        spec, T, k, lo, hi, seed, _ = _block_task(
-            {"example": 1, "kT_rule": "fixed:64"}, T=3000, N=2
+        spec, [(T, k)], lo, hi, seed, _ = _block_task(
+            {"example": 1, "kT_rule": "fixed:64"}, (3000,), N=2
         )
-        rows, work = harness._workspace(2 * k)
+        runs = [(T, k, range(lo, hi))]
+        work = harness._workspace(2 * k)
         monkeypatch.setattr(estimators, "_certified", _uncertified)
-        first = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+        first = harness._run_group(spec, runs, seed, None, work)
         tracemalloc.start()
         try:
-            second = harness._run_group(spec, T, k, range(lo, hi), seed, None, rows, work)
+            second = harness._run_group(spec, runs, seed, None, work)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         step = estimators.CHUNK_ELEMENTS // (2 * k)
         tree = math.prod(estimators.ColumnSums.tree_shape(step, 2 * k))
         one_replication = 8 * ((T + 1) * k + T * 2 * k + tree)
-        assert rows < T and peak < one_replication
-        for a, b in zip(first, second):
+        assert step < T and peak < one_replication
+        for a, b in zip(first[T][:5], second[T][:5], strict=True):
             assert np.array_equal(a, b)
+
 
 def _assert_same_streams(seed, T, omegas):
     rngs = harness._replication_rngs(seed, T, omegas)
