@@ -275,7 +275,12 @@ def _run_block(task):
     for T, k in sorted(levels, reverse=True):
         omega = lo
         while omega < hi:
-            if runs and width + k > GROUP_COLUMNS:
+            # a group takes on a shorter T only while it is less than half
+            # full: a wider group shortens every row chunk, so each stream
+            # draws its normals in more calls, for little saved per row
+            if runs and (
+                width + k > GROUP_COLUMNS or runs[-1][0] != T and 2 * width >= GROUP_COLUMNS
+            ):
                 groups.append(runs)
                 runs, width = [], 0
             n = min(max(1, (GROUP_COLUMNS - width) // k), hi - omega)

@@ -466,7 +466,7 @@ class TestBlockKernel:
             _alpha(task, 60, 3, 1): DEGENERATE,
             _alpha(task, 40, 1, 3): DEGENERATE,
             _alpha(task, 40, 4, 2): ESCAPED,
-            _alpha(task, 40, 5, 1): COMPLEX_ROOTS,
+            _alpha(task, 40, 6, 1): COMPLEX_ROOTS,
             _alpha(task, 20, 4, 5): DEGENERATE,
         })
 
@@ -497,7 +497,7 @@ class TestBlockKernel:
         # workspace, so once the first group is done, the later ones, whose
         # runs end at other T and lay out narrower chunks of more rows,
         # allocate less than one chunk's mask of finite values
-        monkeypatch.setattr(harness, "GROUP_COLUMNS", 96)
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 48)
         task = _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8)
         run_group = harness._run_group
         widths = []
@@ -515,9 +515,11 @@ class TestBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert widths == [[(4500, 64), (3000, 32)], [(3000, 32), (1500, 64)]]
-        rows = estimators.CHUNK_ELEMENTS // (2 * 96)
-        assert rows < 1500 and peak < rows * 96
+        assert widths == [
+            [(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]
+        ]
+        rows = estimators.CHUNK_ELEMENTS // (2 * 48)
+        assert rows < 3000 and peak < rows * 48
         _assert_block_equal(got, _one_at_a_time(task))
 
     def test_rerun_memory_bounded(self, monkeypatch):
