@@ -482,6 +482,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
         T, k, omegas = runs[end - 1]
         ca = edges[end]
         rows = max(1, CHUNK_ELEMENTS // (2 * ca))
+        # row 0 carries the states on: the front of the same buffer, which
+        # must not regrow, so _workspace plans x for every width
         x = work.take("x", (rows + 1, ca))
         finite_rows = work.take("finite", (rows, ca), bool)
         while done < T:
