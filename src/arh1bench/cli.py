@@ -184,6 +184,10 @@ def main(argv=None) -> int:
     except (CliError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's error names the array it could not allocate; a bare one nothing
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -110,40 +110,10 @@ def _certified(r, t, mag, terms):
     return 2.0 * bound < gap
 
 
-def _aligned(nbytes: int) -> int:
-    # parts of a workspace start on 64-byte boundaries
-    return -(-nbytes // 64) * 64
-
-
-class Workspace:
-    """Scratch arrays reused from call to call, as views of flat buffers.
-
-    ``parts`` plans each part's largest shape and dtype; the planned parts
-    share one allocation, so when a workspace of the same plan follows, the
-    memory allocator hands back the same pages instead of fresh ones to
-    fault in.  A part asked for beyond its plan, or not planned, gets a
-    buffer of its own, regrown as needed.  A view stays valid until the
-    next ``take`` of its name, so a workspace serves one caller at a time.
-    """
-
-    def __init__(self, **parts: tuple[tuple[int, ...], type]):
-        plan = [
-            (name, math.prod(shape) * np.dtype(dtype).itemsize, dtype)
-            for name, (shape, dtype) in parts.items()
-        ]
-        arena = np.empty(sum(_aligned(n) for _, n, _ in plan), np.uint8)
-        self._flat = {}
-        offset = 0
-        for name, n, dtype in plan:
-            self._flat[name] = arena[offset : offset + n].view(dtype)
-            offset += _aligned(n)
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        size = math.prod(shape)
-        flat = self._flat.get(name)
-        if flat is None or flat.size < size or flat.dtype != dtype:
-            flat = self._flat[name] = np.empty(size, dtype)
-        return flat[:size].reshape(shape)
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The front of a flat scratch buffer as an array of that shape; a buffer
+    too small for it raises ValueError rather than being silently regrown."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 class ColumnSums:
@@ -155,16 +125,18 @@ class ColumnSums:
     columns may span several axes (``shape``), and a block may cover a
     leading part of each, whose sums alone it advances; ``terms`` counts
     the terms of the longest column, a bound for every other.  The tree
-    runs in the three "tree" buffers of ``work`` (its own workspace if none
-    is given) and never writes into the block it is fed.
+    runs in ``tree``, a flat float scratch that must hold ``tree_shape`` of
+    every block (a scratch of its own, regrown as needed, if none is
+    given), and never writes into the block it is fed.
     """
 
-    def __init__(self, shape, work: Workspace | None = None):
+    def __init__(self, shape, tree: np.ndarray | None = None):
         self.top = np.zeros(shape)
         self.err = np.zeros(shape)
         self.mag = np.zeros(shape)
         self.terms = 0
-        self.work = Workspace() if work is None else work
+        self.tree = np.empty(0) if tree is None else tree
+        self._regrow = tree is None
 
     @staticmethod
     def tree_shape(rows: int, *columns: int) -> tuple[int, ...]:
@@ -174,7 +146,10 @@ class ColumnSums:
     def add(self, p) -> None:
         cols = tuple(slice(0, n) for n in p.shape[1:])
         top, err, mag = self.top[cols], self.err[cols], self.mag[cols]
-        tree = self.work.take("tree", self.tree_shape(*p.shape))
+        shape = self.tree_shape(*p.shape)
+        if self._regrow and self.tree.size < math.prod(shape):
+            self.tree = np.empty(math.prod(shape))
+        tree = _view(self.tree, shape)
         level = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while len(p):

@@ -20,7 +20,8 @@ groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, exact
 column sums and elementwise estimators, the same helpers that
 ``simulate``, ``sufficient_stats`` and ``estimate_all`` run for a single
-replication, so both routes give the same bits.
+replication, so both routes give the same bits; a replication simulated
+again for an exact sum runs those public calls themselves.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .estimators import (
     CHUNK_ELEMENTS,
     ColumnSums,
     DegenerateTrajectoryError,
-    Workspace,
+    _view,
     estimate_columns,
     first_fault,
     lag_products,
@@ -60,7 +61,7 @@ from .metrics import (
     theory_pred_limit,
     truncation_order,
 )
-from .simulator import ar1_steps, positivity_diagnostic, simulate, stationary_path
+from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
@@ -265,7 +266,7 @@ def _run_block(task):
     """Run one contiguous block of replications at every T of the grid.
 
     The block's (T, omega) streams run longest T first, packed into groups
-    of at most GROUP_COLUMNS columns that share one workspace.  Returns, for
+    of at most GROUP_COLUMNS columns that share one scratch.  Returns, for
     each T in grid order, its stacked records, or the first failure in
     replication order other than a degenerate trajectory.  Must stay a
     module-level function so worker processes can unpickle it.
@@ -304,20 +305,17 @@ def _run_block(task):
     return results
 
 
-def _workspace(c: int) -> Workspace:
-    """A workspace for the row chunks of groups of at most c columns.
+def _workspace(c: int):
+    """Flat scratch (x, products, tree, finite) for the row chunks of groups
+    of at most c columns, its float parts slices of one allocation.
 
-    A chunk of any width holds at most max(CHUNK_ELEMENTS // 2, c)
-    trajectory values (see ``_run_group``), so the size depends neither on T
-    nor on how many columns are still running.
+    A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
+    trajectory values (see ``_run_group``), so no size depends on T or on
+    how many columns are still running; x holds c more for the carry row.
     """
     e = max(CHUNK_ELEMENTS // 2, c)
-    return Workspace(
-        x=((e + c,), float),
-        products=((2 * e,), float),
-        finite=((e,), bool),
-        tree=((3 * e,), float),
-    )
+    buf = np.empty(6 * e + c)
+    return buf[: e + c], buf[e + c : 3 * e + c], buf[3 * e + c :], np.empty(e, bool)
 
 
 def _words(n: int) -> list[int]:
@@ -416,20 +414,6 @@ def _coefficients(spec, k, rngs, fixed_real):
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
-def _whole_trajectories(spec, T, k, omegas, seed, fixed_real):
-    """The trajectories of replications ``omegas`` side by side, each drawn
-    and run whole: columns i*k..(i+1)*k hold what ``simulate`` gives
-    replication omegas[i]."""
-    rngs = _replication_rngs(seed, T, omegas)
-    C, rho, sigma2 = _coefficients(spec, k, rngs, fixed_real)
-    z = np.empty((len(rngs), T + 1, k))
-    for block, rng in zip(z, rngs):
-        rng.standard_normal(out=block)
-    x = z.transpose(1, 0, 2).reshape(T + 1, -1)
-    stationary_path(x, C, sigma2, rho)
-    return x
-
-
 def _fsum_into(sums, redo, batch, products):
     """Set each sum that ``redo`` marks for replications ``batch`` to the
     math.fsum of its products.
@@ -453,15 +437,15 @@ def _run_group(spec, runs, seed, fixed_real, work):
     draws its normals chunk by chunk, in the order ``simulate`` draws them.
     The rows run in segments, each ending at a run's T, where that run's
     columns, the last ones, drop out; the columns still running are laid
-    out again at the front of the workspace, in chunks of as many rows as
+    out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
-    view into ``work``.
+    view into ``work``, the parts ``_workspace`` plans.
 
     A column whose chunked sum is not certified exact is summed by
     ``math.fsum`` over its products: when its run ended with the first
-    chunk those are still whole in the workspace; otherwise the
-    replications concerned are simulated again, whole and side by side, at
-    most CHUNK_ELEMENTS trajectory values at a time (or one replication).
+    chunk those are still whole in the scratch; otherwise each replication
+    concerned is simulated again, whole, by the public calls
+    (``realize`` or ``truncate_realization``, then ``simulate``).
 
     Returns, by T, the estimates, true coefficients and last states of the
     run's replications, a mask of those kept, and the first failure in
@@ -474,8 +458,9 @@ def _run_group(spec, runs, seed, fixed_real, work):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
+    x_part, products_part, tree, finite_part = work
     finite = np.empty(edges[-1], bool)
-    sums = ColumnSums((2, edges[-1]), work)
+    sums = ColumnSums((2, edges[-1]), tree)
     done = chunks = 0
     out = {}
     for end in range(len(runs), 0, -1):
@@ -483,15 +468,15 @@ def _run_group(spec, runs, seed, fixed_real, work):
         ca = edges[end]
         rows = max(1, CHUNK_ELEMENTS // (2 * ca))
         # row 0 carries the states on: the front of the same buffer, which
-        # must not regrow, so _workspace plans x for every width
-        x = work.take("x", (rows + 1, ca))
-        finite_rows = work.take("finite", (rows, ca), bool)
+        # _view never regrows (it raises), so _workspace plans x for every width
+        x = _view(x_part, (rows + 1, ca))
+        finite_rows = _view(finite_part, (rows, ca))
         while done < T:
             n = min(rows, T - done)
             # the normals go through the products buffer, free until the
             # products of this chunk fill it; the first chunk takes row 0
             lead = int(done == 0)
-            z = work.take("products", ((n + lead) * ca,))
+            z = _view(products_part, ((n + lead) * ca,))
             for (_, kr, o), r, a, b in zip(runs, rngs, edges, edges[1 : end + 1]):
                 zr = z[(n + lead) * a : (n + lead) * b].reshape(len(o), n + lead, kr)
                 for row, rng in zip(zr, r):
@@ -503,7 +488,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
             finite[:ca] &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
-            products = lag_products(x[: n + 1], out=work.take("products", (n, 2 * ca)))
+            products = lag_products(x[: n + 1], out=_view(products_part, (n, 2 * ca)))
             sums.add(products.reshape(n, 2, ca))
             x[0] = x[n]
             done, chunks = done + n, chunks + 1
@@ -517,13 +502,13 @@ def _run_group(spec, runs, seed, fixed_real, work):
         if chunks == 1:  # one chunk: products holds every row
             _fsum_into(by_rep, redo, np.arange(m), products.reshape(n, 2, ca)[..., cols])
         else:
-            reps = np.flatnonzero(redo.any(axis=(0, 2)))
-            per = max(1, CHUNK_ELEMENTS // ((T + 1) * k))
-            for i in range(0, len(reps), per):
-                batch = reps[i : i + per]
-                traj = _whole_trajectories(spec, T, k, [omegas[j] for j in batch], seed, fixed_real)
-                _fsum_into(by_rep, redo, batch, lag_products(traj))
-                del traj  # before the next batch is drawn
+            for i in np.flatnonzero(redo.any(axis=(0, 2))).tolist():
+                rng = np.random.default_rng([seed, 1, T, omegas[i]])
+                real = (
+                    realize(dataclasses.replace(spec, k_max=k), rng)
+                    if fixed_real is None else truncate_realization(fixed_real, k)
+                )
+                _fsum_into(by_rep, redo, [i], lag_products(simulate(real, T, rng).coeffs))
         alpha, beta = by_rep.reshape(2, -1)
         shapes = np.tile(prior_shapes(spec.prior, k), m)
         a, b, s2 = shapes[0::2], shapes[1::2], sigma2[cols]

@@ -17,9 +17,9 @@ bound its memory) consumes the identical stream.  This ordering is part of
 the reproducibility contract and must not change between releases.
 
 The recursion itself is ``ar1_steps``, one numpy time loop over all
-columns, and ``stationary_path`` turns a whole block of normals into a
-trajectory with it; the harness runs the same loop over the columns of
-many replications at once, so both produce the same bits.
+columns; ``simulate`` runs it on one replication's block of normals, and
+the harness runs it over the columns of many replications at once, with
+the same scaling, so both produce the same bits.
 """
 from __future__ import annotations
 
@@ -83,19 +83,6 @@ def ar1_steps(x: np.ndarray, rho) -> None:
         prev = row
 
 
-def stationary_path(z: np.ndarray, C, sigma2, rho, record_innovations: bool = False):
-    """Turn z, a (T+1) x c block of standard normals, into the trajectory of
-    columns with stationary variances C, innovation variances sigma2 and
-    coefficients rho, in place: row 0 scaled by sqrt(C) is the start, rows
-    1..T scaled by sqrt(sigma2) the innovations.  Returns a copy of the
-    innovations when ``record_innovations`` is set, else None."""
-    z[0] *= np.sqrt(C)
-    z[1:] *= np.sqrt(sigma2)
-    eps = z[1:].copy() if record_innovations else None
-    ar1_steps(z, rho)
-    return eps
-
-
 def simulate(
     real: ModelRealization,
     T: int,
@@ -120,7 +107,10 @@ def simulate(
     if T < 0:
         raise ValueError(f"transition count T must be >= 0, got {T}")
     coeffs = rng.standard_normal((T + 1, real.k))
-    eps = stationary_path(coeffs, real.C, real.sigma2, real.rho, record_innovations)
+    coeffs[0] *= np.sqrt(real.C)
+    coeffs[1:] *= np.sqrt(real.sigma2)
+    eps = coeffs[1:].copy() if record_innovations else None
+    ar1_steps(coeffs, real.rho)
     return Trajectory(coeffs=coeffs, innovations=eps)
 
 

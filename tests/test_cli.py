@@ -175,6 +175,19 @@ class TestRunErrors:
         assert code == 2
         assert "5 of 100" in capsys.readouterr().err
 
+    def test_out_of_memory_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        def boom(config, workers=None):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_experiment", boom)
+        code = _run([
+            "run", "--example", "1", "--T", "20", "--N", "2",
+            "--out", str(tmp_path), "--workers", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys):
         estimate_columns = harness.estimate_columns
 
@@ -335,6 +348,21 @@ class TestDiagCommand:
 
     def test_unknown_kind(self):
         assert _run(["diag", "spectrum"]) == 1
+
+    @pytest.mark.parametrize("kind", ["bartlett", "positivity", "ergodic"])
+    def test_out_of_memory_is_one_line_error(self, tmp_path, monkeypatch, capsys, kind):
+        # a T, N or n too large to allocate for, as numpy reports it; the
+        # stand-in runner allocates nothing
+        message = "Unable to allocate 7.45 GiB for an array with shape (1000000001,)"
+        stream, defaults, _ = DIAGNOSTICS[kind]
+
+        def runner(key, **inputs):
+            raise MemoryError(message)
+
+        monkeypatch.setitem(DIAGNOSTICS, kind, (stream, defaults, runner))
+        assert _run(["diag", kind, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
     def test_wrong_parameter_for_kind(self, tmp_path):
         assert _run([

@@ -368,33 +368,34 @@ class TestBlockKernel:
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_fallbacks_match_default_path(self, monkeypatch, fields):
         # no column sum certified: each is taken by math.fsum, from the
-        # workspace when the rows run as one chunk, else from the
-        # replications simulated again in batches of at most
-        # CHUNK_ELEMENTS trajectory values, or one replication
+        # scratch when the rows run as one chunk, else from each replication
+        # simulated again, once, by the public calls
         task = _block_task(fields, (300,), N=7)
-        k = task[1][0][1]
+        spec, [(T, k)], lo, hi, seed, shared = task
         [want] = harness._run_block(task)
-        batches = []
-        whole = harness._whole_trajectories
+        # each replication's stream as simulate takes it, after any redraw
+        omega_at = {}
+        for omega in range(lo, hi):
+            rng = np.random.default_rng([seed, 1, T, omega])
+            if shared is None:
+                realize(dataclasses.replace(spec, k_max=k), rng)
+            omega_at[str(rng.bit_generator.state)] = omega
+        resimulated = []
 
-        def recorded(spec, T, k, omegas, *rest):
-            batches.append(list(omegas))
-            return whole(spec, T, k, omegas, *rest)
+        def recorded(real, T, rng, *rest):
+            resimulated.append(omega_at[str(rng.bit_generator.state)])
+            return simulate(real, T, rng, *rest)
 
         monkeypatch.setattr(estimators, "_certified", _uncertified)
-        monkeypatch.setattr(harness, "_whole_trajectories", recorded)
+        monkeypatch.setattr(harness, "simulate", recorded)
         for chunk in (estimators.CHUNK_ELEMENTS, 4000, 1):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
-            batches.clear()
+            resimulated.clear()
             [got] = harness._run_block(task)
             assert got[4] == want[4] == []
             _assert_bits_equal(got[:4], want[:4])
-            per = max(1, chunk // (301 * k))
             multi_chunk = chunk // (2 * 7 * k) < 300
-            assert [len(b) for b in batches] == (
-                [min(per, 7 - lo) for lo in range(0, 7, per)] if multi_chunk else []
-            )
-            assert sum(batches, []) == (list(range(1, 8)) if multi_chunk else [])
+            assert resimulated == (list(range(1, 8)) if multi_chunk else [])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -423,18 +424,6 @@ class TestBlockKernel:
                 mock.patch.object(estimators, "_certified", flaky):
             got = harness._run_block(task)
         _assert_block_equal(got, want)
-
-    @pytest.mark.parametrize("omegas", [[4], [2, 7, 3]])
-    @pytest.mark.parametrize("fields", BLOCK_FIELDS)
-    def test_whole_trajectories_match_simulate(self, fields, omegas):
-        spec, [(T, k)], lo, hi, seed, shared = _block_task(fields, (50,), N=7)
-        x = harness._whole_trajectories(spec, T, k, omegas, seed, shared)
-        assert x.shape == (T + 1, len(omegas) * k)
-        for i, omega in enumerate(omegas):
-            rng = np.random.default_rng([seed, 1, T, omega])
-            real = shared if shared is not None else realize(spec, rng)
-            want = simulate(real, T, rng).coeffs
-            assert np.array_equal(x[:, i * k : (i + 1) * k].view(np.int64), want.view(np.int64))
 
     def test_first_failure_in_replication_order_decides(self, monkeypatch):
         task = _block_task({"example": 1}, (40,), N=6)
@@ -522,12 +511,26 @@ class TestBlockKernel:
         assert rows < 3000 and peak < rows * 48
         _assert_block_equal(got, _one_at_a_time(task))
 
+    def test_x_planned_without_carry_row_raises(self, monkeypatch):
+        # x must hold a row chunk and the row that carries the states into
+        # the next: planned one row short, the kernel raises rather than
+        # regrowing x and returning records from a lost carried row
+        workspace = harness._workspace
+
+        def short_x(c):
+            x, *rest = workspace(c)
+            return (x[: max(harness.CHUNK_ELEMENTS // 2, c)], *rest)
+
+        monkeypatch.setattr(harness, "_workspace", short_x)
+        task = _block_task(BLOCK_FIELDS[1], (15, 100, 300), N=7)
+        with pytest.raises(ValueError, match="reshape"):
+            harness._run_block(task)
+
     def test_rerun_memory_bounded(self, monkeypatch):
         # with no column certified, a group of many row chunks simulates its
-        # replications again one at a time here ((T+1)·k > CHUNK_ELEMENTS/2)
-        # and sums only the columns concerned: it holds less than a
-        # replication's trajectory, its lag products and the TwoSum-tree
-        # scratch of summing them whole
+        # replications again one at a time and sums only the columns
+        # concerned: it holds less than a replication's trajectory, its lag
+        # products and the TwoSum-tree scratch of summing them whole
         spec, [(T, k)], lo, hi, seed, _ = _block_task(
             {"example": 1, "kT_rule": "fixed:64"}, (3000,), N=2
         )
