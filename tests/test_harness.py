@@ -439,6 +439,27 @@ class TestBlockKernel:
         _inject_faults(monkeypatch, {alpha[2, 4]: COMPLEX_ROOTS, alpha[1, 4]: ESCAPED})
         [error] = harness._run_block(task)
         assert isinstance(error, RuntimeError) and "component 4: shrinkage" in str(error)
+        # replication 3's states are not finite: between a degenerate
+        # replication and a later fault, in one row chunk or many, it fails
+        # the block with the non-finite error
+        monkeypatch.undo()  # drop the faults injected above
+        coefficients = harness._coefficients
+        spoilt = str(np.random.default_rng([0, 1, 40, 3]).bit_generator.state)
+        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[5, 1]: COMPLEX_ROOTS})
+        for bad in (np.inf, np.nan):
+            def spoiling(spec, k, rngs, fixed_real, bad=bad):
+                hit = np.array([str(r.bit_generator.state) == spoilt for r in rngs])
+                C, rho, sigma2 = coefficients(spec, k, rngs, fixed_real)
+                sigma2.reshape(len(rngs), k)[hit] = bad
+                return C, rho, sigma2
+
+            monkeypatch.setattr(harness, "_coefficients", spoiling)
+            for chunk in (estimators.CHUNK_ELEMENTS, 64):
+                monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+                with np.errstate(invalid="ignore"):
+                    [error] = harness._run_block(task)
+                assert type(error) is ValueError
+                assert str(error) == "trajectory contains non-finite coefficients"
 
     def test_first_failure_across_the_grid_decides(self, monkeypatch, caplog):
         # two blocks (inline, so the injected faults reach them) of groups of
