@@ -125,18 +125,16 @@ class ColumnSums:
     columns may span several axes (``shape``), and a block may cover a
     leading part of each, whose sums alone it advances; ``terms`` counts
     the terms of the longest column, a bound for every other.  The tree
-    runs in ``tree``, a flat float scratch that must hold ``tree_shape`` of
-    every block (a scratch of its own, regrown as needed, if none is
-    given), and never writes into the block it is fed.
+    runs in ``tree``, the caller's flat float scratch, which must hold
+    ``tree_shape`` of every block; it never writes into the block it is fed.
     """
 
-    def __init__(self, shape, tree: np.ndarray | None = None):
+    def __init__(self, shape, tree: np.ndarray):
         self.top = np.zeros(shape)
         self.err = np.zeros(shape)
         self.mag = np.zeros(shape)
         self.terms = 0
-        self.tree = np.empty(0) if tree is None else tree
-        self._regrow = tree is None
+        self.tree = tree
 
     @staticmethod
     def tree_shape(rows: int, *columns: int) -> tuple[int, ...]:
@@ -146,10 +144,7 @@ class ColumnSums:
     def add(self, p) -> None:
         cols = tuple(slice(0, n) for n in p.shape[1:])
         top, err, mag = self.top[cols], self.err[cols], self.mag[cols]
-        shape = self.tree_shape(*p.shape)
-        if self._regrow and self.tree.size < math.prod(shape):
-            self.tree = np.empty(math.prod(shape))
-        tree = _view(self.tree, shape)
+        tree = _view(self.tree, self.tree_shape(*p.shape))
         level = 0
         with np.errstate(over="ignore", invalid="ignore"):
             while len(p):
@@ -182,9 +177,10 @@ class ColumnSums:
 def exact_sums(p) -> np.ndarray:
     """Column sums of an (n, c) array, each equal to math.fsum of its column."""
     p = np.asarray(p, dtype=float)
-    sums = ColumnSums(p.shape[1])
-    step = max(1, CHUNK_ELEMENTS // max(1, p.shape[1]))
-    for lo in range(0, len(p), step):
+    n, c = p.shape
+    step = max(1, min(n, CHUNK_ELEMENTS // max(1, c)))
+    sums = ColumnSums(c, np.empty(math.prod(ColumnSums.tree_shape(step, c))))
+    for lo in range(0, n, step):
         sums.add(p[lo : lo + step])
     r, ok = sums.result()
     for i in np.flatnonzero(~ok):

@@ -21,7 +21,7 @@ every stream in the group, a stream's columns dropping out at its T, exact
 column sums and elementwise estimators, the same helpers that
 ``simulate``, ``sufficient_stats`` and ``estimate_all`` run for a single
 replication, so both routes give the same bits; a replication simulated
-again for an exact sum runs those public calls themselves.
+again for an exact sum runs ``simulate`` itself.
 """
 from __future__ import annotations
 
@@ -71,7 +71,6 @@ from .spectral_model import (
     eigenvalues,
     prior_shapes,
     realize,
-    truncate_realization,
 )
 
 logger = logging.getLogger("arh1bench")
@@ -306,8 +305,8 @@ def _run_block(task):
 
 
 def _workspace(c: int):
-    """Flat scratch (x, products, tree, finite) for the row chunks of groups
-    of at most c columns, its float parts slices of one allocation.
+    """Flat scratch (x, products, tree) for the row chunks of groups of at
+    most c columns, three slices of one allocation.
 
     A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
     trajectory values (see ``_run_group``), so no size depends on T or on
@@ -315,7 +314,7 @@ def _workspace(c: int):
     """
     e = max(CHUNK_ELEMENTS // 2, c)
     buf = np.empty(6 * e + c)
-    return buf[: e + c], buf[e + c : 3 * e + c], buf[3 * e + c :], np.empty(e, bool)
+    return buf[: e + c], buf[e + c : 3 * e + c], buf[3 * e + c :]
 
 
 def _words(n: int) -> list[int]:
@@ -441,11 +440,13 @@ def _run_group(spec, runs, seed, fixed_real, work):
     fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
     view into ``work``, the parts ``_workspace`` plans.
 
-    A column whose chunked sum is not certified exact is summed by
-    ``math.fsum`` over its products: when its run ended with the first
-    chunk those are still whole in the scratch; otherwise each replication
-    concerned is simulated again, whole, by the public calls
-    (``realize`` or ``truncate_realization``, then ``simulate``).
+    A replication is usable when its alpha and beta sums are finite: every
+    state enters a lag product of its column, so a non-finite state leaves
+    a non-finite sum.  A usable column whose chunked sum is not certified
+    exact is summed by ``math.fsum`` over its products: when its run ended
+    with the first chunk those are still whole in the scratch; otherwise
+    each replication concerned is simulated again, whole, by ``simulate``
+    from its stream and its own coefficient draw.
 
     Returns, by T, the estimates, true coefficients and last states of the
     run's replications, a mask of those kept, and the first failure in
@@ -458,8 +459,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, products_part, tree, finite_part = work
-    finite = np.empty(edges[-1], bool)
+    x_part, products_part, tree = work
     sums = ColumnSums((2, edges[-1]), tree)
     done = chunks = 0
     out = {}
@@ -470,7 +470,6 @@ def _run_group(spec, runs, seed, fixed_real, work):
         # row 0 carries the states on: the front of the same buffer, which
         # _view never regrows (it raises), so _workspace plans x for every width
         x = _view(x_part, (rows + 1, ca))
-        finite_rows = _view(finite_part, (rows, ca))
         while done < T:
             n = min(rows, T - done)
             # the normals go through the products buffer, free until the
@@ -484,10 +483,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
                 x[1 - lead : n + 1, a:b].reshape(n + lead, len(o), kr)[...] = zr.transpose(1, 0, 2)
             if lead:
                 x[0] *= np.sqrt(C)
-                np.isfinite(x[0], out=finite)
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
-            finite[:ca] &= np.isfinite(x[1 : n + 1], out=finite_rows[:n]).all(axis=0)
             products = lag_products(x[: n + 1], out=_view(products_part, (n, 2 * ca)))
             sums.add(products.reshape(n, 2, ca))
             x[0] = x[n]
@@ -497,17 +494,14 @@ def _run_group(spec, runs, seed, fixed_real, work):
         m, cols = len(omegas), slice(edges[end - 1], ca)
         total, exact = sums.result()
         by_rep = total[:, cols].reshape(2, m, k)
-        ok = finite[cols].reshape(m, k).all(axis=1)
+        ok = np.isfinite(by_rep).all(axis=(0, 2))
         redo = ~exact[:, cols].reshape(2, m, k) & ok[:, None]
         if chunks == 1:  # one chunk: products holds every row
             _fsum_into(by_rep, redo, np.arange(m), products.reshape(n, 2, ca)[..., cols])
         else:
             for i in np.flatnonzero(redo.any(axis=(0, 2))).tolist():
                 rng = np.random.default_rng([seed, 1, T, omegas[i]])
-                real = (
-                    realize(dataclasses.replace(spec, k_max=k), rng)
-                    if fixed_real is None else truncate_realization(fixed_real, k)
-                )
+                real = ModelRealization(*_coefficients(spec, k, [rng], fixed_real))
                 _fsum_into(by_rep, redo, [i], lag_products(simulate(real, T, rng).coeffs))
         alpha, beta = by_rep.reshape(2, -1)
         shapes = np.tile(prior_shapes(spec.prior, k), m)
@@ -587,9 +581,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
             param_limit = prior_param_limit(spec.prior, k_T)
             pred_limit = prior_pred_limit(spec.law, spec.prior, k_T)
         else:
-            real_T = truncate_realization(fixed_real, k_T)
-            param_limit = theory_param_limit(real_T, k_T)
-            pred_limit = theory_pred_limit(real_T, k_T)
+            param_limit = theory_param_limit(fixed_real, k_T)
+            pred_limit = theory_pred_limit(fixed_real, k_T)
 
         for name, est in (("classical", est_c), ("bayes", est_b)):
             inp = EfmseInput(estimates=est, truth=truth, last_coeffs=last)

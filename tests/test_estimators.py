@@ -103,6 +103,11 @@ def _column(rng, pool, n, cancel):
     return col
 
 
+def _tree(rows, columns):
+    """A tree scratch for ColumnSums blocks of up to that many rows."""
+    return np.empty(math.prod(ColumnSums.tree_shape(rows, columns)))
+
+
 class TestExactSums:
     @given(
         pool=st.lists(_MAGNITUDES, min_size=1, max_size=20),
@@ -140,7 +145,7 @@ class TestExactSums:
     def test_exact_tie_is_not_certified(self):
         # the tree's sum is right, but the certificate cannot show that the
         # float sum of the TwoSum errors is exact, so fsum decides the tie
-        sums = ColumnSums(1)
+        sums = ColumnSums(1, _tree(4, 1))
         sums.add(np.array([[1.0], [2.0**-53], [2.0**-200], [-(2.0**-200)]]))
         total, exact = sums.result()
         assert total[0] == 1.0 and not exact[0]
@@ -151,7 +156,7 @@ class TestExactSums:
         traj = simulate(realize(spec, np.random.default_rng(9)), 2_000,
                         np.random.default_rng(10))
         products = lag_products(traj.coeffs)
-        sums = ColumnSums(products.shape[1])
+        sums = ColumnSums(products.shape[1], _tree(*products.shape))
         sums.add(products)
         total, exact = sums.result()
         assert exact.all()
@@ -169,14 +174,14 @@ class TestExactSums:
     @settings(max_examples=200, deadline=None)
     def test_reused_scratch_equals_fsum(self, rows, columns, wide, pool, seed):
         # one ColumnSums fed blocks of changing row counts, odd ones and
-        # larger ones after smaller (its tree scratch regrows), certifies
-        # only fsum's sums and never writes into a block
+        # larger ones after smaller, certifies only fsum's sums and never
+        # writes into a block
         rng = np.random.default_rng(seed)
         n = sum(rows)
         cols = [_column(rng, pool, n, False) if wide else rng.standard_normal(n)
                 for _ in range(columns)]
         data = np.array(cols).reshape(columns, n).T.copy()
-        sums = ColumnSums(columns)
+        sums = ColumnSums(columns, _tree(max(rows), columns))
         for lo, hi in zip(np.cumsum([0, *rows[:-1]]), np.cumsum(rows)):
             block = data[lo:hi]
             before = block.copy()
@@ -187,11 +192,11 @@ class TestExactSums:
         assert np.array_equal(total[exact].view(np.int64), want[exact].view(np.int64))
 
     def test_reused_scratch_allocates_no_block(self):
-        # after the first block sizes the tree scratch, three more blocks of
-        # 2 MB each allocate under an eighth of a block
+        # after the first block, three more blocks of 2 MB each allocate
+        # under an eighth of a block
         rng = np.random.default_rng(2)
         blocks = [rng.standard_normal((64, 4090)) ** 2 for _ in range(4)]
-        sums = ColumnSums(4090)
+        sums = ColumnSums(4090, _tree(64, 4090))
         sums.add(blocks[0])
         tracemalloc.start()
         try:

@@ -312,8 +312,9 @@ def _assert_block_equal(got, want):
 
 
 def _uncertified(r, *rest):
-    # a sum left uncertified is spoilt, so one never taken again shows
-    r[...] = np.nan
+    # a sum left uncertified is spoilt, so one never taken again shows; the
+    # wrong value is finite, so the replication still reads as usable
+    r += 1.0
     return np.zeros(r.shape, bool)
 
 
@@ -417,7 +418,7 @@ class TestBlockKernel:
 
         def flaky(r, *rest):
             ok = certified(r, *rest) & (fails.random(r.shape) >= share)
-            r[~ok] = np.nan
+            r[~ok] += 1.0
             return ok
 
         with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk), \
@@ -506,7 +507,7 @@ class TestBlockKernel:
         # every array the size of a row chunk lives in the block's one
         # workspace, so once the first group is done, the later ones, whose
         # runs end at other T and lay out narrower chunks of more rows,
-        # allocate less than one chunk's mask of finite values
+        # allocate less than a byte per value of one chunk
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 48)
         task = _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8)
         run_group = harness._run_group
