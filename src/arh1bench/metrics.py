@@ -27,6 +27,9 @@ from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq
 # part of the draw-order contract for seeded diagnostics.
 AR1_PATH_CHUNK = 512
 
+# Rows of a batch of paths stepped per chunk; it bounds memory only.
+AR1_ROW_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class EfmseInput:
@@ -182,22 +185,30 @@ def _ar1_rho_hat_samples(
 
     Standalone path engine (a time loop vectorized over paths in fixed
     chunks); kept free of the trajectory simulator on purpose so the two
-    can vouch for each other.
+    can vouch for each other.  The rows run in chunks of AR1_ROW_CHUNK, so
+    memory does not grow with T; row 0 of each buffer carries the state
+    and the sums of alpha and beta terms in from the chunk before.
     """
     out = np.empty(N)
     scale0 = sigma / math.sqrt(1.0 - rho * rho)
-    done = 0
-    while done < N:
-        m = min(AR1_PATH_CHUNK, N - done)
-        paths = np.empty((T + 1, m))
-        paths[0] = scale0 * rng.standard_normal(m)
-        np.multiply(sigma, rng.standard_normal((T, m)), out=paths[1:])
-        for t in range(1, T + 1):
-            paths[t] += rho * paths[t - 1]
-        alpha = np.einsum("ij,ij->j", paths[:-1], paths[1:])
-        beta = np.einsum("ij,ij->j", paths[:-1], paths[:-1])
-        out[done : done + m] = alpha / beta
-        done += m
+    for lo in range(0, N, AR1_PATH_CHUNK):
+        m = min(AR1_PATH_CHUNK, N - lo)
+        x = np.empty((AR1_ROW_CHUNK + 1, m))
+        terms = np.zeros((AR1_ROW_CHUNK + 1, 2, m))
+        x[0] = scale0 * rng.standard_normal(m)
+        for t in range(0, T, AR1_ROW_CHUNK):
+            n = min(AR1_ROW_CHUNK, T - t)
+            np.multiply(sigma, rng.standard_normal((n, m)), out=x[1 : n + 1])
+            prev = x[0]
+            for row in x[1 : n + 1]:
+                row += rho * prev
+                prev = row
+            np.multiply(x[:n], x[1 : n + 1], out=terms[1 : n + 1, 0])
+            np.multiply(x[:n], x[:n], out=terms[1 : n + 1, 1])
+            # a sum over the outer axis adds row after row, in order
+            terms[0] = terms[: n + 1].sum(axis=0)
+            x[0] = x[n]
+        out[lo : lo + m] = terms[0, 0] / terms[0, 1]
     return out
 
 

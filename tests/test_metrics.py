@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,37 @@ class TestBartlett:
                 / np.einsum("ij,ij->j", paths[:-1], paths[:-1])
             )
         assert got.view(np.int64).tolist() == np.concatenate(want).view(np.int64).tolist()
+
+    def test_sums_add_row_after_row(self):
+        # alpha and beta take their terms in row order across row chunks,
+        # in a chunk of many paths and in one of a single path
+        T, N, rho, sigma = 150, AR1_PATH_CHUNK + 1, 0.6, 1.3
+        got = _ar1_rho_hat_samples(rho, sigma, T, N, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        want = []
+        for lo in range(0, N, AR1_PATH_CHUNK):
+            m = min(AR1_PATH_CHUNK, N - lo)
+            x0 = sigma / math.sqrt(1.0 - rho * rho) * rng.standard_normal(m)
+            eps = sigma * rng.standard_normal((T, m))
+            for j in range(m):
+                prev, alpha, beta = float(x0[j]), 0.0, 0.0
+                for e in eps[:, j].tolist():
+                    x = e + rho * prev
+                    alpha += prev * x
+                    beta += prev * prev
+                    prev = x
+                want.append(alpha / beta)
+        assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+    def test_memory_does_not_grow_with_T(self):
+        # a (T, N) block of normals alone would take 6.4 MB
+        tracemalloc.start()
+        try:
+            _ar1_rho_hat_samples(0.6, 1.0, 200_000, 4, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestNormality:
