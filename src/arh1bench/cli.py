@@ -177,15 +177,9 @@ def main(argv=None) -> int:
     except AbortedReplicationsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # an estimate outside the shrinkage proximity bound
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CliError, ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        # numpy's error names the array it could not allocate; a bare one nothing
+    except (RuntimeError, ValueError, OverflowError, OSError, MemoryError) as exc:
+        # CliError and JSON decode errors are ValueErrors; numpy's
+        # MemoryError names the array it could not allocate, a bare one nothing
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 

@@ -114,28 +114,16 @@ def simulate(
     return Trajectory(coeffs=coeffs, innovations=eps)
 
 
-@dataclass(frozen=True)
-class PositivityReport:
+def positivity_diagnostic(traj: Trajectory) -> np.ndarray:
     """Per-component minima of the running innovation-state correlations.
 
     Component j satisfies the positivity condition when every partial sum
-    sum_{i<=T'} eps_j(i) * X_{i-1,j}, T' = 2..T, is nonnegative.
+    sum_{i<=T'} eps_j(i) * X_{i-1,j}, T' = 2..T, is nonnegative, that is
+    when its minimum is.
     """
-
-    min_partial_sums: np.ndarray
-    holds: np.ndarray
-
-    @property
-    def all_hold(self) -> bool:
-        return bool(np.all(self.holds))
-
-
-def positivity_diagnostic(traj: Trajectory) -> PositivityReport:
-    """Check the empirical positivity condition on a recorded trajectory."""
     if traj.innovations is None:
         raise ValueError("positivity diagnostic requires recorded innovations")
     if traj.T < 2:
         raise ValueError(f"positivity diagnostic requires T >= 2, got T={traj.T}")
     partial = np.cumsum(traj.innovations * traj.coeffs[:-1], axis=0)
-    mins = partial[1:].min(axis=0)  # partial sums from T' = 2 on
-    return PositivityReport(min_partial_sums=mins, holds=mins >= 0.0)
+    return partial[1:].min(axis=0)  # partial sums from T' = 2 on

@@ -95,17 +95,13 @@ class TestSimulate:
 class TestPositivity:
     def test_zero_innovations_hold(self):
         traj = Trajectory(coeffs=np.ones((4, 2)), innovations=np.zeros((3, 2)))
-        report = positivity_diagnostic(traj)
-        assert np.array_equal(report.min_partial_sums, np.zeros(2))
-        assert report.all_hold
+        assert np.array_equal(positivity_diagnostic(traj), np.zeros(2))
 
     def test_positive_terms_hold(self):
         rho = 0.5
         coeffs = np.array([[1.0], [rho + 1.0], [rho * (rho + 1.0) + 1.0]])
         traj = Trajectory(coeffs=coeffs, innovations=np.ones((2, 1)))
-        report = positivity_diagnostic(traj)
-        assert report.all_hold
-        assert report.min_partial_sums[0] == pytest.approx(1.0 + (rho + 1.0))
+        assert positivity_diagnostic(traj)[0] == pytest.approx(1.0 + (rho + 1.0))
 
     def test_requires_innovations_and_length(self):
         with pytest.raises(ValueError):
@@ -121,14 +117,14 @@ class TestPositivity:
         for seed in range(50):
             traj = simulate(real, 100, np.random.default_rng(seed),
                             record_innovations=True)
-            held += positivity_diagnostic(traj).all_hold
+            held += bool((positivity_diagnostic(traj) >= 0.0).all())
         # informational: the empirical satisfied fraction is reportable and
         # deterministic, no threshold contract
         assert 0 <= held <= 50
         rerun = sum(
-            positivity_diagnostic(
+            bool((positivity_diagnostic(
                 simulate(real, 100, np.random.default_rng(seed), record_innovations=True)
-            ).all_hold
+            ) >= 0.0).all())
             for seed in range(50)
         )
         assert rerun == held
