@@ -6,8 +6,8 @@ Two subcommands:
   JSON config) and writes the report tables.
 * ``diag`` executes one statistical self-check and writes its JSON record.
 
-Exit codes: 0 success, 1 validation/usage error or a replication whose
-estimate fails its check, 2 aborted-replication threshold exceeded.
+Exit codes: 0 success, 1 validation/usage error, 2 when the replications
+dropped (degenerate, escaped or non-finite) exceed the threshold.
 """
 from __future__ import annotations
 

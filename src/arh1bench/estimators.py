@@ -36,10 +36,6 @@ import numpy as np
 from .simulator import Trajectory
 from .spectral_model import ModelRealization, PriorSpec, prior_shapes
 
-# Discriminants more negative than this multiple of (alpha - beta + 1)**2
-# cannot be rounding artifacts and signal a genuinely complex root pair.
-DISCRIMINANT_GUARD = 1e-10
-
 # Slack for the internal shrinkage-bound verification in estimate_all;
 # covers independent rounding of the two estimators, nothing more.
 PROXIMITY_SLACK = 1e-9
@@ -55,7 +51,9 @@ _TINY = 5e-324
 
 # estimate_all's checks for one component, in the order they run; a fault
 # code is the first check the component fails, 0 when it passes them all.
-DEGENERATE, BAD_VARIANCE, COMPLEX_ROOTS, ESCAPED = 1, 2, 3, 4
+# NON_FINITE marks a replication whose sums are not finite.
+DEGENERATE, ESCAPED, NON_FINITE = 1, 2, 3
+FAULT_NAMES = {DEGENERATE: "degenerate", ESCAPED: "escaped", NON_FINITE: "non-finite"}
 
 
 class DegenerateTrajectoryError(RuntimeError):
@@ -63,7 +61,7 @@ class DegenerateTrajectoryError(RuntimeError):
 
 
 class ComplexRootError(ValueError):
-    """The penalized quadratic has no real roots, which needs a + b < 2."""
+    """No real roots, which needs a + b < 2; never raised, as PriorSpec rejects it."""
 
 
 @dataclass(frozen=True)
@@ -220,21 +218,18 @@ def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
 
 
 def _quadratic_roots(alpha, beta, sigma2, a, b):
-    """Both roots (minus, plus) of the penalized quadratic, elementwise, and
-    its discriminant, which stays negative only where the roots are complex.
+    """Both roots (minus, plus) of the penalized quadratic, elementwise.
 
     Uses the product form for whichever root would suffer cancellation:
     with s = alpha + beta and q = s + sign(s)*sqrt(disc), the roots are
-    q/(2*beta) and 2*c0/q where c0 = alpha + sigma2*(2 - (a + b)).
+    q/(2*beta) and 2*c0/q where c0 = alpha + sigma2*(2 - (a + b)).  With
+    a + b >= 2 and sigma2 > 0, disc is a square plus a term >= 0, never negative.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shift = 2.0 - (a + b)
         diff = alpha - beta
         disc = diff * diff - 4.0 * beta * sigma2 * shift
-        # a slightly negative discriminant at a + b = 2 is a rounding artifact
-        artifact = (disc < 0.0) & (disc >= -(DISCRIMINANT_GUARD * (diff + 1.0) ** 2))
-        disc = np.where(artifact, 0.0, disc)
-        root = np.sqrt(np.maximum(disc, 0.0))
+        root = np.sqrt(disc)
         s = alpha + beta
         c0 = alpha + sigma2 * shift
         pos, neg = s > 0.0, s < 0.0
@@ -243,14 +238,7 @@ def _quadratic_roots(alpha, beta, sigma2, a, b):
         prod = 2.0 * c0 / q
         minus = np.where(pos, prod, np.where(neg, quot, -quot))
         plus = np.where(pos, quot, np.where(neg, prod, quot))
-    return minus, plus, disc
-
-
-def _complex_root_error(disc, a, b) -> ComplexRootError:
-    return ComplexRootError(
-        f"discriminant {disc} < 0 (a + b = {a + b} < 2): the quadratic "
-        f"has no real roots; the prior shapes need a + b >= 2"
-    )
+    return minus, plus
 
 
 @dataclass(frozen=True)
@@ -270,25 +258,22 @@ def estimate_columns(alpha, beta, sigma2, a, b):
 
     Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
     code of the first of estimate_all's checks a column fails (DEGENERATE,
-    BAD_VARIANCE, COMPLEX_ROOTS, ESCAPED), 0 where it passes, and the
-    estimates of a faulty column are meaningless.  The shrinkage check is
+    ESCAPED), 0 where it passes, and the estimates of a faulty column are
+    meaningless.  The inputs must have sigma2 > 0 and a + b >= 2, and the
+    shrinkage check is
 
         0 <= rho_hat - rho_tilde_minus <= sqrt(sigma2*(a+b-2)/beta)
 
-    whenever rho_hat <= 1 and a + b >= 2.
+    whenever rho_hat <= 1.
     """
-    minus, _, disc = _quadratic_roots(alpha, beta, sigma2, a, b)
+    minus, _ = _quadratic_roots(alpha, beta, sigma2, a, b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hat = alpha / beta
         bound = np.sqrt(sigma2 * (a + b - 2.0) / beta)
         delta = hat - minus
         slack = PROXIMITY_SLACK * (1.0 + bound)
-        escaped = (hat <= 1.0) & (a + b >= 2.0) & ((delta < -slack) | (delta > bound + slack))
-    fault = np.select(
-        [beta == 0.0, sigma2 <= 0.0, disc < 0.0, escaped],
-        [DEGENERATE, BAD_VARIANCE, COMPLEX_ROOTS, ESCAPED],
-        0,
-    )
+        escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
+    fault = np.select([beta == 0.0, escaped], [DEGENERATE, ESCAPED], 0)
     return hat, minus, fault
 
 
@@ -299,20 +284,15 @@ def first_fault(fault, T: int, alpha, beta, sigma2, a, b) -> Exception | None:
     if not bad.size:
         return None
     i = bad[0]
-    code, j = fault[i], i + 1
-    alpha, beta, sigma2, a, b = (float(v[i]) for v in (alpha, beta, sigma2, a, b))
-    if code == DEGENERATE:
+    if fault[i] == DEGENERATE:
         return DegenerateTrajectoryError(
-            f"component {j} carries no energy (beta = 0) over T={T}"
+            f"component {i + 1} carries no energy (beta = 0) over T={T}"
         )
-    if code == BAD_VARIANCE:
-        return ValueError(f"innovation variance must be positive, got {sigma2}")
-    minus, _, disc = _quadratic_roots(alpha, beta, sigma2, a, b)
-    if code == COMPLEX_ROOTS:
-        return _complex_root_error(float(disc), a, b)
+    alpha, beta, sigma2, a, b = (float(v[i]) for v in (alpha, beta, sigma2, a, b))
+    minus, _ = _quadratic_roots(alpha, beta, sigma2, a, b)
     bound = math.sqrt(sigma2 * (a + b - 2.0) / beta)
     delta = alpha / beta - float(minus)
-    return RuntimeError(f"component {j}: shrinkage {delta} escapes [0, {bound}]")
+    return RuntimeError(f"component {i + 1}: shrinkage {delta} escapes [0, {bound}]")
 
 
 def estimate_all(
@@ -327,8 +307,8 @@ def estimate_all(
     realization (they enter the estimator as known constants).  Each
     component is verified against the shrinkage bound (see
     ``estimate_columns``); a violation indicates numerical trouble and
-    raises rather than contaminating downstream error summaries, as do a
-    component with beta = 0 (DegenerateTrajectoryError) and complex roots.
+    raises rather than contaminating downstream error summaries, as does a
+    component with beta = 0 (DegenerateTrajectoryError).
     """
     if traj.T < 1:
         raise ValueError("estimation needs at least one transition")
@@ -336,8 +316,10 @@ def estimate_all(
         raise ValueError(f"k_T={k_T} out of range 1..{traj.k}")
     if k_T > real.k:
         raise ValueError(f"realization has {real.k} components, need {k_T}")
-    alpha, beta = lag_sums(traj.coeffs[:, :k_T])
     sigma2 = real.sigma2[:k_T]
+    if not np.all(sigma2 > 0.0):
+        raise ValueError(f"innovation variances must be positive, got {sigma2}")
+    alpha, beta = lag_sums(traj.coeffs[:, :k_T])
     shapes = prior_shapes(priors, k_T)
     a, b = shapes[0::2], shapes[1::2]
     rho_hat, rho_minus, fault = estimate_columns(alpha, beta, sigma2, a, b)

@@ -13,7 +13,8 @@ coefficient draw for ``rho_mode == "fixed"`` comes from
 Each worker receives one contiguous replication block for the whole T
 grid, and results are merged per T in replication order, so every emitted
 byte depends only on (config, seed), never on the worker count or
-scheduling.  Failures are raised in (T, replication) order.
+scheduling.  Bad replications are dropped, then counted and logged per T
+and reason; past ABORT_THRESHOLD the run fails.
 
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
@@ -39,11 +40,11 @@ import numpy as np
 
 from .estimators import (
     CHUNK_ELEMENTS,
+    FAULT_NAMES,
+    NON_FINITE,
     ColumnSums,
-    DegenerateTrajectoryError,
     _view,
     estimate_columns,
-    first_fault,
     lag_products,
 )
 from .metrics import (
@@ -77,8 +78,8 @@ logger = logging.getLogger("arh1bench")
 
 DEFAULT_T_GRID = (250, 500, 750, 1000, 1250, 1500, 1750, 2000)
 
-# Fraction of degenerate (aborted) replications above which a run is
-# considered misconfigured and fails outright.
+# Fraction of dropped (aborted) replications, whatever their reason, above
+# which a run is considered misconfigured and fails outright.
 ABORT_THRESHOLD = 1e-3
 
 # A replication group has at most this many columns (replications times
@@ -105,7 +106,7 @@ EXAMPLE_EXPONENTS = {1: 1.5, 2: 1.1, 3: 2.0}
 EXAMPLE_KT_RULES = {1: KtRule.fixed(5), 2: KtRule.fixed(5), 3: KtRule.power(4.1)}
 
 class AbortedReplicationsError(RuntimeError):
-    """Raised when degenerate replications exceed the documented threshold."""
+    """Raised when the replications dropped, for any reason, exceed the threshold."""
 
     def __init__(self, aborted: int, total: int):
         self.aborted = aborted
@@ -266,8 +267,8 @@ def _run_block(task):
 
     The block's (T, omega) streams run longest T first, packed into groups
     of at most GROUP_COLUMNS columns that share one scratch.  Returns, for
-    each T in grid order, its stacked records, or the first failure in
-    replication order other than a degenerate trajectory.  Must stay a
+    each T in grid order, the stacked records of the replications kept and
+    every replication's reason code (see ``_run_group``).  Must stay a
     module-level function so worker processes can unpickle it.
     """
     spec, levels, lo, hi, seed, fixed_real = task
@@ -295,12 +296,9 @@ def _run_block(task):
     del work  # free it before stacking the records, not under them
     results = []
     for T, _ in levels:
-        *records, ok, errors = zip(*parts.pop(T))
-        error = next((e for e in errors if e is not None), None)
-        ok = np.concatenate(ok)
-        aborted = [lo + i for i in np.flatnonzero(~ok).tolist()]
-        records = (*(np.concatenate(r)[ok] for r in records), aborted)
-        results.append(records if error is None else error)
+        *records, reason = (np.concatenate(v) for v in zip(*parts.pop(T)))
+        kept = reason == 0
+        results.append((*(r[kept] for r in records), reason))
     return results
 
 
@@ -449,8 +447,9 @@ def _run_group(spec, runs, seed, fixed_real, work):
     from its stream and its own coefficient draw.
 
     Returns, by T, the estimates, true coefficients and last states of the
-    run's replications, a mask of those kept, and the first failure in
-    replication order other than a degenerate trajectory (or None).
+    run's replications and a reason code for each: NON_FINITE where its sums
+    are not finite, else the fault code of its first faulty component, 0
+    where it is kept.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -507,21 +506,11 @@ def _run_group(spec, runs, seed, fixed_real, work):
         shapes = np.tile(prior_shapes(spec.prior, k), m)
         a, b, s2 = shapes[0::2], shapes[1::2], sigma2[cols]
         est_c, est_b, fault = estimate_columns(alpha, beta, s2, a, b)
-        # the first failure in replication order decides, as in a one-by-one run
-        for i in np.flatnonzero(~ok | fault.reshape(m, k).any(axis=1)).tolist():
-            rep = slice(i * k, (i + 1) * k)
-            error = (
-                first_fault(fault[rep], T, alpha[rep], beta[rep], s2[rep], a[rep], b[rep])
-                if ok[i] else ValueError("trajectory contains non-finite coefficients")
-            )
-            if not isinstance(error, DegenerateTrajectoryError):
-                break
-            ok[i] = False
-        else:
-            error = None
+        fault = fault.reshape(m, k)
+        first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
         out[T] = (
             est_c.reshape(m, k), est_b.reshape(m, k), rho[cols].reshape(m, k),
-            x[0, cols].reshape(m, k).copy(), ok, error,
+            x[0, cols].reshape(m, k).copy(), np.where(ok, first, NON_FINITE),
         )
     return out
 
@@ -560,22 +549,17 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
             pool.shutdown()
 
     reports: list[EfmseReport] = []
-    aborted_total = 0
+    aborted_total, total = 0, len(config.T_grid) * config.N
     for i, (T, k_T) in enumerate(levels):
-        parts = [r[i] for r in results]
-        for part in parts:
-            if isinstance(part, Exception):
-                raise part
-        aborted = [w for p in parts for w in p[4]]
-        aborted_total += len(aborted)
-        if aborted:
-            logger.warning(
-                "T=%d: aborted %d degenerate replications: %s",
-                T, len(aborted), aborted,
-            )
-        est_c, est_b, truth, last = (np.concatenate(v) for v in list(zip(*parts))[:4])
+        # the blocks run on from replication 1: reason[j] is replication j + 1's
+        est_c, est_b, truth, last, reason = map(np.concatenate, zip(*(r[i] for r in results)))
+        for code, name in FAULT_NAMES.items():
+            bad = (np.flatnonzero(reason == code) + 1).tolist()
+            aborted_total += len(bad)
+            if bad:
+                logger.warning(f"T=%d: aborted %d {name} replications: %s", T, len(bad), bad)
         if est_c.shape[0] == 0:
-            raise AbortedReplicationsError(aborted_total, len(config.T_grid) * config.N)
+            raise AbortedReplicationsError(aborted_total, total)
 
         if fixed_real is None:
             param_limit = prior_param_limit(spec.prior, k_T)
@@ -603,7 +587,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
                 )
             )
 
-    total = len(config.T_grid) * config.N
     if aborted_total > ABORT_THRESHOLD * total:
         raise AbortedReplicationsError(aborted_total, total)
     return reports

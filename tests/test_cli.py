@@ -188,7 +188,9 @@ class TestRunErrors:
         assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
-    def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys):
+    def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys, caplog):
+        # an escaped replication is dropped and counted; one of three is
+        # past the abort threshold
         estimate_columns = harness.estimate_columns
 
         def escaped(*args):
@@ -201,9 +203,9 @@ class TestRunErrors:
             "run", "--example", "1", "--T", "20", "--N", "3",
             "--out", str(tmp_path), "--workers", "1",
         ])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: component 3: shrinkage") and len(err.splitlines()) == 1
+        assert code == 2
+        assert capsys.readouterr().err == "error: 1 of 3 replications aborted (threshold 0.1%)\n"
+        assert caplog.messages == ["T=20: aborted 1 escaped replications: [2]"]
         assert list(tmp_path.iterdir()) == []
 
 

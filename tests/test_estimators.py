@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from arh1bench import estimators
 from arh1bench.estimators import (
     ColumnSums,
-    ComplexRootError,
     DegenerateTrajectoryError,
     SufficientStats,
     estimate_all,
@@ -24,6 +23,7 @@ from arh1bench.harness import example_model
 from arh1bench.metrics import truncation_order
 from arh1bench.simulator import Trajectory, simulate
 from arh1bench.spectral_model import (
+    MAX_PRIOR_EXPONENT,
     EigenvalueLaw,
     ModelRealization,
     PriorSpec,
@@ -33,6 +33,17 @@ from arh1bench.spectral_model import (
     truncate_realization,
 )
 from conftest import bayes_estimate, cubic_score_solve, naive_sums, reference_ar1
+
+# Beta shapes (a, b) with a + b >= 2: a spread of them, pairs with
+# a + b == 2 exactly, where the discriminant is the square (alpha - beta)**2,
+# and the default prior's (2**k, 1.01) up to its largest k.
+_SHAPES = st.one_of(
+    st.tuples(st.floats(0.2, 8.0), st.floats(0.0, 5.0)).map(
+        lambda p: (p[0], max(1.0, 2.0 - p[0]) + p[1])
+    ),
+    st.floats(0.2, 1.99).map(lambda a: (a, 2.0 - a)).filter(lambda p: sum(p) == 2.0),
+    st.integers(1, MAX_PRIOR_EXPONENT).map(lambda k: prior_params(PriorSpec(), k)),
+)
 
 
 def _column_traj(values) -> Trajectory:
@@ -280,16 +291,7 @@ class TestBayes:
         assert minus * plus == pytest.approx(c0 / st_.beta, rel=1e-12)
         assert minus + plus == pytest.approx((st_.alpha + st_.beta) / st_.beta, rel=1e-12)
 
-    def test_complex_roots_rejected(self):
-        # a + b < 2 can push the discriminant genuinely negative
-        st_ = SufficientStats(alpha=1.0, beta=1.0, T=5)
-        with pytest.raises(ComplexRootError):
-            bayes_estimate(st_, 10.0, 0.5, 1.2)
-
     def test_validation(self):
-        st_ = SufficientStats(alpha=1.0, beta=2.0, T=5)
-        with pytest.raises(ValueError):
-            bayes_estimate(st_, -1.0, 2.0, 2.0)
         with pytest.raises(DegenerateTrajectoryError):
             bayes_estimate(SufficientStats(alpha=0.0, beta=0.0, T=5), 1.0, 2.0, 2.0)
 
@@ -297,18 +299,21 @@ class TestBayes:
         alpha=st.floats(min_value=-20.0, max_value=20.0),
         beta=st.floats(min_value=0.05, max_value=20.0),
         sigma2=st.floats(min_value=0.01, max_value=5.0),
-        a=st.floats(min_value=0.2, max_value=8.0),
-        extra=st.floats(min_value=0.0, max_value=5.0),
+        shapes=_SHAPES,
     )
+    @example(alpha=1.0, beta=1.0, sigma2=5.0, shapes=(0.9921875, 1.0078125))
+    @example(alpha=-20.0, beta=20.0, sigma2=5.0, shapes=(2.0**MAX_PRIOR_EXPONENT, 1.01))
     @settings(max_examples=200)
-    def test_root_ordering_and_spread(self, alpha, beta, sigma2, a, extra):
+    def test_root_ordering_and_spread(self, alpha, beta, sigma2, shapes):
         # with a+b >= 2 the discriminant dominates (alpha-beta)^2, so the
-        # real roots exist and are at least |alpha-beta|/beta apart
-        b = max(1.0, 2.0 - a) + extra
+        # real roots exist, rounding included (the kernel has no guard
+        # for a negative one), and are at least |alpha-beta|/beta apart
+        a, b = shapes
         assume(a + b >= 2.0)
         st_ = SufficientStats(alpha=alpha, beta=beta, T=5)
         minus = bayes_estimate(st_, sigma2, a, b)
         plus = bayes_estimate(st_, sigma2, a, b, root="plus")
+        assert math.isfinite(minus) and math.isfinite(plus)
         spread = abs(alpha - beta) / beta
         assert plus - minus >= spread * (1.0 - 1e-9) - 1e-12
 
@@ -448,4 +453,8 @@ class TestEstimateAll:
             estimate_all(traj, real, 2, PriorSpec())
         with pytest.raises(ValueError):
             estimate_all(Trajectory(coeffs=np.ones((1, 1))), real, 1, PriorSpec())
+        for sigma2 in (0.0, -1.0, math.nan):
+            bad = ModelRealization(C=[1.0], rho=[0.5], sigma2=[sigma2])
+            with pytest.raises(ValueError, match="innovation variances must be positive"):
+                estimate_all(traj, bad, 1, PriorSpec())
 

@@ -12,13 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arh1bench import estimators, harness
-from arh1bench.estimators import (
-    COMPLEX_ROOTS,
-    DEGENERATE,
-    ESCAPED,
-    ComplexRootError,
-    estimate_all,
-)
+from arh1bench.estimators import DEGENERATE, ESCAPED, NON_FINITE, estimate_all
 from arh1bench.harness import (
     AbortedReplicationsError,
     CSV_HEADER,
@@ -30,7 +24,15 @@ from arh1bench.harness import (
     run_diagnostics,
     run_experiment,
 )
-from arh1bench.metrics import KtRule, theory_param_limit, theory_pred_limit, truncation_order
+from arh1bench.metrics import (
+    EfmseInput,
+    KtRule,
+    efmse_param,
+    efmse_pred,
+    theory_param_limit,
+    theory_pred_limit,
+    truncation_order,
+)
 from arh1bench.simulator import simulate
 from arh1bench.spectral_model import (
     EigenvalueLaw,
@@ -307,7 +309,7 @@ def _assert_block_equal(got, want):
     # got is what _run_block returns, want what _one_at_a_time does
     assert len(got) == len(want)
     for records, rows in zip(got, want):
-        assert records[4] == []
+        assert not records[4].any()  # no replication dropped
         _assert_bits_equal(records[:4], rows)
 
 
@@ -393,7 +395,7 @@ class TestBlockKernel:
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
             resimulated.clear()
             [got] = harness._run_block(task)
-            assert got[4] == want[4] == []
+            assert not got[4].any() and not want[4].any()
             _assert_bits_equal(got[:4], want[:4])
             multi_chunk = chunk // (2 * 7 * k) < 300
             assert resimulated == (list(range(1, 8)) if multi_chunk else [])
@@ -426,27 +428,31 @@ class TestBlockKernel:
             got = harness._run_block(task)
         _assert_block_equal(got, want)
 
-    def test_first_failure_in_replication_order_decides(self, monkeypatch):
+    def test_reason_per_replication(self, monkeypatch):
+        # each replication gets the code of its first faulty component, or
+        # NON_FINITE where its sums are not, and only those with code 0 are
+        # kept, with the public path's bits
         task = _block_task({"example": 1}, (40,), N=6)
+        [want] = _one_at_a_time(task)
         alpha = {(omega, j): _alpha(task, 40, omega, j) for omega in (1, 2, 5) for j in (1, 4)}
-        # replication 2 has a zero-energy first component: it is dropped and
-        # reported, and its later fault is never reached
-        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[2, 4]: COMPLEX_ROOTS})
-        [(est_c, est_b, truth, last, aborted)] = harness._run_block(task)
-        assert aborted == [2] and est_c.shape == (5, 5)
-        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[5, 1]: COMPLEX_ROOTS})
-        [error] = harness._run_block(task)
-        assert isinstance(error, ComplexRootError)
-        _inject_faults(monkeypatch, {alpha[2, 4]: COMPLEX_ROOTS, alpha[1, 4]: ESCAPED})
-        [error] = harness._run_block(task)
-        assert isinstance(error, RuntimeError) and "component 4: shrinkage" in str(error)
-        # replication 3's states are not finite: between a degenerate
-        # replication and a later fault, in one row chunk or many, it fails
-        # the block with the non-finite error
-        monkeypatch.undo()  # drop the faults injected above
+        faults = {
+            # degenerate and escaped in one replication: the first component decides
+            alpha[2, 1]: DEGENERATE, alpha[2, 4]: ESCAPED,
+            alpha[1, 1]: ESCAPED, alpha[1, 4]: DEGENERATE,
+            alpha[5, 4]: ESCAPED,
+        }
+
+        def check(reasons):
+            [(*records, reason)] = harness._run_block(task)
+            assert reason.tolist() == reasons
+            _assert_bits_equal(records, [w[reason == 0] for w in want])
+
+        _inject_faults(monkeypatch, faults)
+        check([ESCAPED, DEGENERATE, 0, 0, ESCAPED, 0])
+        # replication 3's states are not finite, in one row chunk or many:
+        # it is dropped with the others, which keep their codes
         coefficients = harness._coefficients
         spoilt = str(np.random.default_rng([0, 1, 40, 3]).bit_generator.state)
-        _inject_faults(monkeypatch, {alpha[2, 1]: DEGENERATE, alpha[5, 1]: COMPLEX_ROOTS})
         for bad in (np.inf, np.nan):
             def spoiling(spec, k, rngs, fixed_real, bad=bad):
                 hit = np.array([str(r.bit_generator.state) == spoilt for r in rngs])
@@ -458,50 +464,62 @@ class TestBlockKernel:
             for chunk in (estimators.CHUNK_ELEMENTS, 64):
                 monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
                 with np.errstate(invalid="ignore"):
-                    [error] = harness._run_block(task)
-                assert type(error) is ValueError
-                assert str(error) == "trajectory contains non-finite coefficients"
+                    check([ESCAPED, DEGENERATE, NON_FINITE, 0, ESCAPED, 0])
 
-    def test_first_failure_across_the_grid_decides(self, monkeypatch, caplog):
+    def test_reasons_across_the_grid_logged(self, monkeypatch, caplog):
         # two blocks (inline, so the injected faults reach them) of groups of
-        # two replications: a failure at a larger T in the earlier block, or
-        # in a later group, loses to one at a smaller T in the later block,
-        # and the warnings logged before it are those of a run that takes
-        # the grid one T at a time
+        # two replications: every bad replication at every T is counted, and
+        # the warnings are those of runs that take the grid one T at a time,
+        # one line per (T, reason), in grid order
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 10)
         fields, grid = {"example": 1, "rho_mode": "redraw"}, (20, 40, 60)
         task = _block_task(fields, grid, N=6)
         _inject_faults(monkeypatch, {
-            _alpha(task, 60, 2, 1): COMPLEX_ROOTS,
+            _alpha(task, 60, 2, 1): ESCAPED,
             _alpha(task, 60, 3, 1): DEGENERATE,
             _alpha(task, 40, 1, 3): DEGENERATE,
             _alpha(task, 40, 4, 2): ESCAPED,
-            _alpha(task, 40, 6, 1): COMPLEX_ROOTS,
+            _alpha(task, 40, 6, 1): ESCAPED,
             _alpha(task, 20, 4, 5): DEGENERATE,
         })
 
         def run(T_grid):
             config = config_from_dict({**fields, "T_grid": list(T_grid), "N": 6, "seed": 0})
             caplog.clear()
-            try:
+            with pytest.raises(AbortedReplicationsError) as exc:
                 run_experiment(config, workers=2)
-            except RuntimeError as exc:
-                return exc, [(r.levelname, r.getMessage()) for r in caplog.records]
-            raise AssertionError(f"{T_grid} ran through")
+            return exc.value, [(r.levelname, r.getMessage()) for r in caplog.records]
 
-        want_records = []
-        for T in grid:
-            error, records = run((T,))
-            want_records += records
-            if not isinstance(error, AbortedReplicationsError):
-                break
+        singles = [run((T,)) for T in grid]
         got, records = run(grid)
-        assert records == want_records == [
-            ("WARNING", "T=20: aborted 1 degenerate replications: [4]")
+        assert records == [r for _, rs in singles for r in rs] == [
+            ("WARNING", "T=20: aborted 1 degenerate replications: [4]"),
+            ("WARNING", "T=40: aborted 1 degenerate replications: [1]"),
+            ("WARNING", "T=40: aborted 2 escaped replications: [4, 6]"),
+            ("WARNING", "T=60: aborted 1 degenerate replications: [3]"),
+            ("WARNING", "T=60: aborted 1 escaped replications: [2]"),
         ]
-        assert type(got) is type(error) is RuntimeError
-        assert str(got) == str(error) and "component 2: shrinkage" in str(got)
+        assert [e.aborted for e, _ in singles] == [1, 3, 2]
+        assert (got.aborted, got.total) == (6, 18)
+
+    def test_bad_replication_under_threshold_dropped(self, monkeypatch, caplog):
+        # one escape in 1001 replications stays within ABORT_THRESHOLD: the
+        # run completes and averages over the other 1000
+        task = _block_task({"example": 1}, (20,), N=1001)
+        _inject_faults(monkeypatch, {_alpha(task, 20, 7, 1): ESCAPED})
+        config = config_from_dict({"example": 1, "T_grid": [20], "N": 1001, "seed": 0})
+        reports = run_experiment(config, workers=1)
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("WARNING", "T=20: aborted 1 escaped replications: [7]")
+        ]
+        [(est_c, est_b, truth, last)] = _one_at_a_time(task)
+        kept = np.arange(1001) != 6
+        for report, est in zip(reports, (est_c, est_b), strict=True):
+            inp = EfmseInput(estimates=est[kept], truth=truth[kept], last_coeffs=last[kept])
+            assert inp.N == 1000
+            assert report.efmse_param == efmse_param(inp)
+            assert report.efmse_pred == efmse_pred(inp)
 
     def test_second_group_reuses_workspace(self, monkeypatch):
         # every array the size of a row chunk lives in the block's one
