@@ -320,8 +320,7 @@ def estimate_all(
     if not np.all(sigma2 > 0.0):
         raise ValueError(f"innovation variances must be positive, got {sigma2}")
     alpha, beta = lag_sums(traj.coeffs[:, :k_T])
-    shapes = prior_shapes(priors, k_T)
-    a, b = shapes[0::2], shapes[1::2]
+    a, b = prior_shapes(priors, k_T)
     rho_hat, rho_minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
     error = first_fault(fault, traj.T, alpha, beta, sigma2, a, b)
     if error is not None:

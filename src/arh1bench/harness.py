@@ -406,7 +406,7 @@ def _coefficients(spec, k, rngs, fixed_real):
     m = len(rngs)
     if fixed_real is None:
         C = eigenvalues(spec.law, k)
-        rho = draw_rho(prior_shapes(spec.prior, k), rngs)
+        rho = draw_rho(*prior_shapes(spec.prior, k), rngs)
         return np.tile(C, m), rho.ravel(), (C * (1.0 - rho**2)).ravel()
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
@@ -498,14 +498,13 @@ def _run_group(spec, runs, seed, fixed_real, work):
         if chunks == 1:  # one chunk: products holds every row
             _fsum_into(by_rep, redo, np.arange(m), products.reshape(n, 2, ca)[..., cols])
         else:
-            for i in np.flatnonzero(redo.any(axis=(0, 2))).tolist():
-                rng = np.random.default_rng([seed, 1, T, omegas[i]])
+            batch = np.flatnonzero(redo.any(axis=(0, 2))).tolist()
+            for i, rng in zip(batch, _replication_rngs(seed, T, [omegas[i] for i in batch])):
                 real = ModelRealization(*_coefficients(spec, k, [rng], fixed_real))
                 _fsum_into(by_rep, redo, [i], lag_products(simulate(real, T, rng).coeffs))
         alpha, beta = by_rep.reshape(2, -1)
-        shapes = np.tile(prior_shapes(spec.prior, k), m)
-        a, b, s2 = shapes[0::2], shapes[1::2], sigma2[cols]
-        est_c, est_b, fault = estimate_columns(alpha, beta, s2, a, b)
+        a, b = (np.tile(v, m) for v in prior_shapes(spec.prior, k))
+        est_c, est_b, fault = estimate_columns(alpha, beta, sigma2[cols], a, b)
         fault = fault.reshape(m, k)
         first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
         out[T] = (

@@ -123,26 +123,27 @@ def prior_mean_sq(prior: PriorSpec, k: int) -> float:
     return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
 
 
-def prior_shapes(prior: PriorSpec, k: int) -> np.ndarray:
-    """The Beta shapes of components 1..k interleaved: [a_1, b_1, ..., a_k, b_k]."""
-    return np.array([v for j in range(1, k + 1) for v in prior_params(prior, j)])
+def prior_shapes(prior: PriorSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Beta shapes of components 1..k as the pair of arrays (a, b)."""
+    a, b = zip(*(prior_params(prior, j) for j in range(1, k + 1)))
+    return np.array(a), np.array(b)
 
 
-def draw_rho(shapes: np.ndarray, rngs) -> np.ndarray:
-    """One Beta draw per component from each stream, clamped into the open
-    unit interval: row i of the result holds stream i's draws.
+def draw_rho(a, b, rngs) -> np.ndarray:
+    """One Beta(a_j, b_j) draw per component from each stream, clamped into
+    the open unit interval: row i of the result holds stream i's draws.
 
-    ``shapes`` are interleaved as ``prior_shapes`` returns them, so each
-    stream draws G_a then G_b component by component in one
-    ``standard_gamma`` call, and rho = G_a / (G_a + G_b).  The Gamma ratio
-    keeps the default rule's huge shapes (a_k = 2**k) well conditioned;
-    direct Beta samplers are not reliable in that range.
+    Each stream makes one scalar ``Generator.beta`` call per component,
+    about 1 us each.  Every b_j must exceed 1, as ``PriorSpec`` ensures:
+    then numpy's sampler is exactly G_a / (G_a + G_b), drawn G_a then G_b,
+    which keeps the default rule's huge shapes (a_k = 2**k) well
+    conditioned.
     """
-    g = np.empty((len(rngs), len(shapes)))
-    for row, rng in zip(g, rngs):
-        rng.standard_gamma(shapes, out=row)
-    ga, gb = g[:, 0::2], g[:, 1::2]
-    rho = ga / (ga + gb)
+    a, b = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
+    out = []
+    for rng in rngs:
+        out += map(rng.beta, a, b)
+    rho = np.array(out).reshape(len(rngs), len(a))
     return np.minimum(np.maximum(rho, RHO_CLAMP_EPS, out=rho), 1.0 - RHO_CLAMP_EPS, out=rho)
 
 
@@ -234,7 +235,7 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
     else:
         if rng is None:
             raise ValueError(f"rho_mode {spec.rho_mode!r} requires a random stream")
-        rho = draw_rho(prior_shapes(spec.prior, spec.k_max), [rng])[0]
+        rho = draw_rho(*prior_shapes(spec.prior, spec.k_max), [rng])[0]
     sigma2 = C * (1.0 - rho**2)
     return ModelRealization(C=C, rho=rho, sigma2=sigma2)
 

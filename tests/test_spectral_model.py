@@ -96,7 +96,7 @@ class TestPrior:
 
     def test_draw_rho_sample_moments(self):
         rng = np.random.default_rng(101)
-        draws = draw_rho(np.array(prior_params(PriorSpec(), 1)), [rng] * 100_000)[:, 0]
+        draws = draw_rho(*prior_shapes(PriorSpec(), 1), [rng] * 100_000)[:, 0]
         assert abs(draws.mean() - 2.0 / 3.01) < 0.005
         target_var = float(sps.beta.var(2.0, 1.01))
         assert abs(draws.var() - target_var) < 0.1 * target_var
@@ -106,36 +106,50 @@ class TestPrior:
         # so every draw must land in (0.9, 1)
         assert sps.beta.cdf(0.9, 2.0**10, 1.01) < 1e-40
         rng = np.random.default_rng(7)
-        draws = draw_rho(np.array(prior_params(PriorSpec(), 10)), [rng] * 10_000)
+        a, b = prior_params(PriorSpec(), 10)
+        draws = draw_rho([a], [b], [rng] * 10_000)
         assert np.all((0.9 < draws) & (draws < 1.0))
 
     def test_draw_rho_distribution_matches_beta_cdf(self):
         # the gamma-ratio sampler against scipy's Beta distribution function
         rng = np.random.default_rng(5)
-        draws = draw_rho(np.array(prior_params(PriorSpec(), 3)), [rng] * 4_000)[:, 0]
+        a, b = prior_params(PriorSpec(), 3)
+        draws = draw_rho([a], [b], [rng] * 4_000)[:, 0]
         _, pvalue = sps.kstest(draws, sps.beta(8.0, 1.01).cdf)
         assert pvalue > 1e-3
 
     def test_draw_rho_deterministic(self):
         shapes = prior_shapes(PriorSpec(), 3)
-        a = draw_rho(shapes, [np.random.default_rng(3), np.random.default_rng(4)])
-        b = draw_rho(shapes, [np.random.default_rng(3), np.random.default_rng(4)])
+        a = draw_rho(*shapes, [np.random.default_rng(3), np.random.default_rng(4)])
+        b = draw_rho(*shapes, [np.random.default_rng(3), np.random.default_rng(4)])
         assert np.array_equal(a, b)
-        assert np.array_equal(a[0], draw_rho(shapes, [np.random.default_rng(3)])[0])
+        assert np.array_equal(a[0], draw_rho(*shapes, [np.random.default_rng(3)])[0])
 
     def test_draw_rho_clamps_into_open_interval(self):
         # a tiny first shape drives G_a / (G_a + G_b) below the clamp, a
         # huge one rounds it to 1
         rng = np.random.default_rng(8)
-        draws = draw_rho(np.array([1e-6, 5.0, 1e30, 1.0]), [rng] * 200)
+        draws = draw_rho([1e-6, 1e30], [5.0, 1.0], [rng] * 200)
         assert np.all(draws[:, 0] == RHO_CLAMP_EPS)
         assert np.all(draws[:, 1] == 1.0 - RHO_CLAMP_EPS)
 
-    @pytest.mark.parametrize("k", [5, 16, 40])
-    def test_draw_rho_matches_scalar_gamma_loop(self, k):
+    @pytest.mark.parametrize(
+        "prior, k",
+        [
+            *(pytest.param(PriorSpec(), k, id=str(k)) for k in (5, 16, 40)),
+            # the shapes nearest numpy's Johnk branch (a <= 1 and b <= 1)
+            # that PriorSpec admits: a_k < 1 < b_k, b_k down to the double
+            # just above 1; a numpy that moves its branch rule fails here
+            pytest.param(
+                PriorSpec(a=(0.01, 0.5, 0.9, 1 - 2**-52), b=(1.99, 1.5, 1.1, 1 + 2**-52)),
+                4,
+                id="near-johnk",
+            ),
+        ],
+    )
+    def test_draw_rho_matches_scalar_gamma_loop(self, prior, k):
         # the per-component loop of scalar Gamma draws is the reference:
         # same bits, and the stream left at the same position
-        prior = PriorSpec()
         shapes = prior_shapes(prior, k)
         for seed in range(200):
             loop = np.random.default_rng([seed, k])
@@ -145,7 +159,7 @@ class TestPrior:
                 ga, gb = loop.gamma(a), loop.gamma(b)
                 want.append(min(max(ga / (ga + gb), RHO_CLAMP_EPS), 1.0 - RHO_CLAMP_EPS))
             batch = np.random.default_rng([seed, k])
-            got = draw_rho(shapes, [batch])[0]
+            got = draw_rho(*shapes, [batch])[0]
             assert got.tolist() == want
             assert batch.random() == loop.random()
 
