@@ -134,10 +134,10 @@ def draw_rho(a, b, rngs) -> np.ndarray:
     the open unit interval: row i of the result holds stream i's draws.
 
     Each stream makes one scalar ``Generator.beta`` call per component,
-    about 1 us each.  Every b_j must exceed 1, as ``PriorSpec`` ensures:
-    then numpy's sampler is exactly G_a / (G_a + G_b), drawn G_a then G_b,
-    which keeps the default rule's huge shapes (a_k = 2**k) well
-    conditioned.
+    about 1 us each on Python floats.  Every b_j must exceed 1, as
+    ``PriorSpec`` ensures: then numpy's sampler is exactly G_a / (G_a + G_b),
+    drawn G_a then G_b, which keeps the default rule's huge shapes
+    (a_k = 2**k) well conditioned.
     """
     a, b = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
     out = []
