@@ -10,11 +10,11 @@ estimator is a root of the penalized quadratic
     beta * r**2 - (alpha + beta) * r + alpha + sigma2 * (2 - (a + b)) = 0,
 
 whose discriminant (alpha - beta)**2 - 4*beta*sigma2*(2 - (a + b)) is
-nonnegative whenever a + b >= 2.  The smaller ("minus") root is the
-estimator with the asymptotic guarantees.  Roots are evaluated with the
-product-form quadratic formula so that the a + b = 2 reduction to
-min(alpha/beta, 1) is exact and no cancellation occurs when alpha is small
-relative to beta.
+nonnegative whenever a + b >= 2, as for the prior's shapes (2**k, 1.01),
+which have a + b >= 3.01.  The smaller ("minus") root is the estimator
+with the asymptotic guarantees.  Roots are evaluated with the product-form
+quadratic formula so that the a + b = 2 reduction to min(alpha/beta, 1) is
+exact and no cancellation occurs when alpha is small relative to beta.
 
 The sums are exact: ``exact_sums`` reduces rows with a pairwise
 error-free TwoSum tree (Ogita, Rump and Oishi, "Accurate sum and dot
@@ -61,7 +61,7 @@ class DegenerateTrajectoryError(RuntimeError):
 
 
 class ComplexRootError(ValueError):
-    """No real roots, which needs a + b < 2; never raised, as PriorSpec rejects it."""
+    """No real roots, which needs a + b < 2; never raised: the prior has a + b >= 3.01."""
 
 
 @dataclass(frozen=True)
@@ -259,8 +259,8 @@ def estimate_columns(alpha, beta, sigma2, a, b):
     Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
     code of the first of estimate_all's checks a column fails (DEGENERATE,
     ESCAPED), 0 where it passes, and the estimates of a faulty column are
-    meaningless.  The inputs must have sigma2 > 0 and a + b >= 2, and the
-    shrinkage check is
+    meaningless.  The inputs must have sigma2 > 0 and a + b >= 2, as the
+    prior's shapes do (a + b >= 3.01), and the shrinkage check is
 
         0 <= rho_hat - rho_tilde_minus <= sqrt(sigma2*(a+b-2)/beta)
 

@@ -25,12 +25,11 @@ import numpy as np
 # Open-interval clamp for Beta draws: keeps sigma2 > 0 and |rho| < 1.
 RHO_CLAMP_EPS = 1e-12
 
-# Largest k for the default shape a_k = 2**k: beyond it the product
+# Largest k for the shape a_k = 2**k: beyond it the product
 # a*(a+1) in prior_mean_sq overflows to inf and the prior limits turn nan.
 MAX_PRIOR_EXPONENT = 511
 
 DEFAULT_K_MAX = 64
-DEFAULT_PRIOR_B = 1.01
 
 RHO_MODES = ("redraw", "fixed", "explicit")
 
@@ -68,53 +67,27 @@ def eigenvalues(law: EigenvalueLaw, k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """Componentwise Beta(a_k, b_k) prior on the autocorrelation coefficients.
+    """The componentwise Beta(a_k, b_k) prior on the autocorrelation
+    coefficients, a_k = 2**k and b_k = 1.01, as ``prior_params`` gives it.
 
-    With no explicit sequences the default rule a_k = 2**k, b_k = 1.01
-    applies; it concentrates mass near one as k grows while keeping the
-    prior-variance series summable.  Explicit sequences must satisfy
-    a_k > 0, b_k > 1 and a_k + b_k >= 2 componentwise.
+    Its mass moves toward one as k grows while the prior-variance series
+    stays summable.  The package relies on b_k > 1, which makes
+    ``draw_rho``'s Beta draw the Gamma ratio G_a / (G_a + G_b), and on
+    a_k + b_k >= 3.01 > 2, which keeps the penalized quadratic's
+    discriminant nonnegative.
     """
-
-    a: tuple[float, ...] | None = None
-    b: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if (self.a is None) != (self.b is None):
-            raise ValueError("prior sequences a and b must be given together")
-        if self.a is not None:
-            a = tuple(float(v) for v in self.a)
-            b = tuple(float(v) for v in self.b)
-            if len(a) != len(b):
-                raise ValueError(
-                    f"prior sequences differ in length: {len(a)} vs {len(b)}"
-                )
-            if any(v <= 0.0 for v in a):
-                raise ValueError("prior shapes a_k must be strictly positive")
-            if any(v <= 1.0 for v in b):
-                raise ValueError("prior shapes b_k must exceed 1")
-            if any(x + y < 2.0 for x, y in zip(a, b)):
-                raise ValueError("prior shapes must satisfy a_k + b_k >= 2")
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
 
 
 def prior_params(prior: PriorSpec, k: int) -> tuple[float, float]:
-    """Return the Beta shape pair (a_k, b_k) for component k (1-based)."""
+    """Return the Beta shapes (a_k, b_k) = (2**k, 1.01) of component k (1-based)."""
     if k < 1:
         raise IndexError(f"component index must be >= 1, got {k}")
-    if prior.a is not None:
-        if k > len(prior.a):
-            raise IndexError(
-                f"component {k} out of range for explicit prior of length {len(prior.a)}"
-            )
-        return prior.a[k - 1], prior.b[k - 1]
     if k > MAX_PRIOR_EXPONENT:
         raise OverflowError(
-            f"default prior shape 2**{k} has overflowing moments "
+            f"prior shape 2**{k} has overflowing moments "
             f"(limit 2**{MAX_PRIOR_EXPONENT})"
         )
-    return math.ldexp(1.0, k), DEFAULT_PRIOR_B
+    return math.ldexp(1.0, k), 1.01
 
 
 def prior_mean_sq(prior: PriorSpec, k: int) -> float:
@@ -134,10 +107,10 @@ def draw_rho(a, b, rngs) -> np.ndarray:
     the open unit interval: row i of the result holds stream i's draws.
 
     Each stream makes one scalar ``Generator.beta`` call per component,
-    about 1 us each on Python floats.  Every b_j must exceed 1, as
-    ``PriorSpec`` ensures: then numpy's sampler is exactly G_a / (G_a + G_b),
-    drawn G_a then G_b, which keeps the default rule's huge shapes
-    (a_k = 2**k) well conditioned.
+    about 1 us each on Python floats.  Every b_j must exceed 1, as the
+    prior's b_k = 1.01 does: then numpy's sampler is exactly G_a / (G_a + G_b),
+    drawn G_a then G_b, which keeps the prior's huge shapes (a_k = 2**k)
+    well conditioned.
     """
     a, b = np.asarray(a, float).tolist(), np.asarray(b, float).tolist()
     out = []
@@ -166,9 +139,9 @@ class SpectralModelSpec:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError(f"component budget k_max must be >= 1, got {self.k_max}")
-        if self.prior.a is None and self.k_max > MAX_PRIOR_EXPONENT:
+        if self.k_max > MAX_PRIOR_EXPONENT:
             raise ValueError(
-                f"the default prior covers k_max <= {MAX_PRIOR_EXPONENT}, got {self.k_max}"
+                f"the prior covers k_max <= {MAX_PRIOR_EXPONENT}, got {self.k_max}"
             )
         if self.rho_mode not in RHO_MODES:
             raise ValueError(

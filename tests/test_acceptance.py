@@ -11,7 +11,7 @@ mirror the harness exactly: the shared model draw comes from
 ``default_rng([seed, 1, T, omega])``.
 
 Known shortfall: the Bayes branch of criterion 3 does not reach its
-asymptotic limit at T=2000 with the default prior (the prior pull on the
+asymptotic limit at T=2000 with the Beta(2**j, 1.01) prior (the pull on the
 low-index components shrinks the estimates far more than the O(1/T)
 sampling error the limit describes), so that test fails honestly rather
 than with a loosened tolerance.  The classical branch and every other

@@ -36,7 +36,7 @@ from conftest import bayes_estimate, cubic_score_solve, naive_sums, reference_ar
 
 # Beta shapes (a, b) with a + b >= 2: a spread of them, pairs with
 # a + b == 2 exactly, where the discriminant is the square (alpha - beta)**2,
-# and the default prior's (2**k, 1.01) up to its largest k.
+# and the prior's (2**k, 1.01) up to its largest k.
 _SHAPES = st.one_of(
     st.tuples(st.floats(0.2, 8.0), st.floats(0.0, 5.0)).map(
         lambda p: (p[0], max(1.0, 2.0 - p[0]) + p[1])
@@ -392,13 +392,13 @@ class TestCubicScore:
 
 class TestEstimateAll:
     def test_constant_column_unit_estimates(self):
-        traj = _column_traj([3.0, 3.0, 3.0, 3.0])
-        real = ModelRealization(C=[1.0], rho=[0.5], sigma2=[0.75])
+        alpha, beta = lag_sums(np.full((4, 1), 3.0))
         # dyadic shapes summing to exactly 2 (cap regime)
-        priors = PriorSpec(a=(0.9921875,), b=(1.0078125,))
-        est = estimate_all(traj, real, 1, priors)
-        assert est.rho_hat[0] == 1.0
-        assert est.rho_tilde_minus[0] == 1.0
+        a, b = np.array([0.9921875]), np.array([1.0078125])
+        rho_hat, rho_minus, fault = estimate_columns(alpha, beta, np.array([0.75]), a, b)
+        assert fault[0] == 0
+        assert rho_hat[0] == 1.0
+        assert rho_minus[0] == 1.0
 
     def test_deterministic(self):
         spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=5)

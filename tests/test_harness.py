@@ -56,7 +56,7 @@ BAD_CONFIG_FIELDS = [
     {"example": True},
     {"rho_mode": "explicit", "rho_values": [None]},
     {"kT_rule": "fixed:1021"},
-    {"kT_rule": "fixed:512"},  # the first default shape whose moments overflow
+    {"kT_rule": "fixed:512"},  # the first prior shape whose moments overflow
     {"formats": ""},
     {"formats": []},
     {"N": 2**32},  # replication numbers are single 32-bit stream words

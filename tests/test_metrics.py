@@ -165,7 +165,7 @@ class TestTheoryLimits:
         assert prior_param_limit(prior, 7) == pytest.approx(direct, rel=1e-15)
 
     def test_prior_limits_finite_at_largest_default_shape(self):
-        # 2**511 is the last default shape whose moments stay finite; the
+        # 2**511 is the last prior shape whose moments stay finite; the
         # terms past k ~ 60 no longer change either sum
         prior = PriorSpec()
         law = EigenvalueLaw.power_law(2.0)
