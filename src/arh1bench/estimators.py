@@ -246,7 +246,6 @@ class EstimateSet:
     """Classical and Bayes estimates for components 1..k_T of one trajectory,
     with the sufficient statistics (alpha, beta) of those components."""
 
-    k_T: int
     rho_hat: np.ndarray
     rho_tilde_minus: np.ndarray
     alpha: np.ndarray
@@ -308,7 +307,9 @@ def estimate_all(
     component is verified against the shrinkage bound (see
     ``estimate_columns``); a violation indicates numerical trouble and
     raises rather than contaminating downstream error summaries, as does a
-    component with beta = 0 (DegenerateTrajectoryError).
+    component with beta = 0 (DegenerateTrajectoryError).  ``priors`` is
+    unused: the prior is the one rule of ``prior_params``, and the argument
+    stays while perfbench passes it (ROADMAP item 4).
     """
     if traj.T < 1:
         raise ValueError("estimation needs at least one transition")
@@ -320,12 +321,10 @@ def estimate_all(
     if not np.all(sigma2 > 0.0):
         raise ValueError(f"innovation variances must be positive, got {sigma2}")
     alpha, beta = lag_sums(traj.coeffs[:, :k_T])
-    a, b = prior_shapes(priors, k_T)
+    a, b = prior_shapes(k_T)
     rho_hat, rho_minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
     error = first_fault(fault, traj.T, alpha, beta, sigma2, a, b)
     if error is not None:
         raise error
-    return EstimateSet(
-        k_T=k_T, rho_hat=rho_hat, rho_tilde_minus=rho_minus, alpha=alpha, beta=beta
-    )
+    return EstimateSet(rho_hat=rho_hat, rho_tilde_minus=rho_minus, alpha=alpha, beta=beta)
 

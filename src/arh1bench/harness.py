@@ -66,7 +66,6 @@ from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
     EigenvalueLaw,
     ModelRealization,
-    PriorSpec,
     SpectralModelSpec,
     draw_rho,
     eigenvalues,
@@ -96,10 +95,7 @@ _MASK32 = 0xFFFFFFFF
 # One-sided 0.5% Kolmogorov-Smirnov critical value is KS_CRITICAL / sqrt(N).
 KS_CRITICAL = 1.73
 
-CSV_HEADER = (
-    "example,T,N,kT,estimator,efmse_param,efmse_pred,t_efmse_param,"
-    "theory_param_limit,theory_pred_limit,ref_one_over_T"
-)
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(EfmseReport))
 
 # Built-in model presets: eigenvalue decay exponent and truncation rule.
 EXAMPLE_EXPONENTS = {1: 1.5, 2: 1.1, 3: 2.0}
@@ -146,7 +142,6 @@ def example_model(
     rule = EXAMPLE_KT_RULES[example] if kT_rule is None else kT_rule
     spec = SpectralModelSpec(
         law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
-        prior=PriorSpec(),
         k_max=truncation_order(T_max, rule),
         rho_mode=rho_mode,
         rho_values=rho_values,
@@ -406,7 +401,7 @@ def _coefficients(spec, k, rngs, fixed_real):
     m = len(rngs)
     if fixed_real is None:
         C = eigenvalues(spec.law, k)
-        rho = draw_rho(*prior_shapes(spec.prior, k), rngs)
+        rho = draw_rho(*prior_shapes(k), rngs)
         return np.tile(C, m), rho.ravel(), (C * (1.0 - rho**2)).ravel()
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
@@ -503,7 +498,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
                 real = ModelRealization(*_coefficients(spec, k, [rng], fixed_real))
                 _fsum_into(by_rep, redo, [i], lag_products(simulate(real, T, rng).coeffs))
         alpha, beta = by_rep.reshape(2, -1)
-        a, b = (np.tile(v, m) for v in prior_shapes(spec.prior, k))
+        a, b = (np.tile(v, m) for v in prior_shapes(k))
         est_c, est_b, fault = estimate_columns(alpha, beta, sigma2[cols], a, b)
         fault = fault.reshape(m, k)
         first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
@@ -671,6 +666,8 @@ def _ergodic(key, rho, C, n):
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
     if not 0.0 < C < math.inf:
         raise ValueError(f"C must be positive and finite, got {C}")
+    if n < 2:
+        raise ValueError(f"ergodic averages need n >= 2, got {n}")
     real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
     traj = simulate(real, n, np.random.default_rng(key))
     c_hat, d_hat = ergodic_estimates(traj, 1, n)
@@ -690,8 +687,8 @@ def _positivity(key, example, T, N):
     all_hold = 0
     for i in range(1, N + 1):
         rng = np.random.default_rng([*key, i])
-        traj = simulate(realize(spec, rng), T, rng, record_innovations=True)
-        holds = positivity_diagnostic(traj) >= 0.0
+        real = realize(spec, rng)
+        holds = positivity_diagnostic(simulate(real, T, rng), real.rho) >= 0.0
         per_component += holds
         all_hold += bool(holds.all())
     fractions = (per_component / N).tolist()

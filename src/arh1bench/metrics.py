@@ -61,10 +61,6 @@ class EfmseInput:
     def N(self) -> int:
         return self.estimates.shape[0]
 
-    @property
-    def k_T(self) -> int:
-        return self.estimates.shape[1]
-
 
 def efmse_param(inp: EfmseInput) -> float:
     """Mean over replications of the summed squared coefficient errors.
@@ -103,15 +99,18 @@ def prior_param_limit(prior: PriorSpec, k_T: int) -> float:
     """Prior expectation of the parameter limit: sum (1 - E rho_j**2).
 
     Used as the comparison target when coefficients are redrawn per
-    replication, where no single realization defines the limit.
+    replication, where no single realization defines the limit.  ``prior``
+    is unused, here and in ``prior_pred_limit``: the prior is the one rule
+    of ``prior_params``, and the argument stays while perfbench passes it
+    (ROADMAP item 4).
     """
-    return math.fsum(1.0 - prior_mean_sq(prior, j) for j in range(1, k_T + 1))
+    return math.fsum(1.0 - prior_mean_sq(j) for j in range(1, k_T + 1))
 
 
 def prior_pred_limit(law: EigenvalueLaw, prior: PriorSpec, k_T: int) -> float:
     """Prior expectation of the prediction limit: sum C_j (1 - E rho_j**2)."""
     return math.fsum(
-        eigenvalue(law, j) * (1.0 - prior_mean_sq(prior, j))
+        eigenvalue(law, j) * (1.0 - prior_mean_sq(j))
         for j in range(1, k_T + 1)
     )
 

@@ -31,15 +31,9 @@ from .spectral_model import ModelRealization
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Simulated coefficient matrix, rows = time 0..T, columns = components.
-
-    ``innovations`` (rows 1..T when recorded) satisfy the reconstruction
-    identity coeffs[n] = rho * coeffs[n-1] + innovations[n-1] exactly as
-    computed, which pins the simulation to its defining recursion.
-    """
+    """Simulated coefficient matrix, rows = time 0..T, columns = components."""
 
     coeffs: np.ndarray
-    innovations: np.ndarray | None = None
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
@@ -48,16 +42,6 @@ class Trajectory:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("trajectory contains non-finite coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-        if self.innovations is not None:
-            innov = np.asarray(self.innovations, dtype=float)
-            if innov.shape != (coeffs.shape[0] - 1, coeffs.shape[1]):
-                raise ValueError(
-                    f"innovations shape {innov.shape} does not match "
-                    f"trajectory shape {coeffs.shape}"
-                )
-            if not np.all(np.isfinite(innov)):
-                raise ValueError("trajectory contains non-finite innovations")
-            object.__setattr__(self, "innovations", innov)
 
     @property
     def T(self) -> int:
@@ -83,12 +67,7 @@ def ar1_steps(x: np.ndarray, rho) -> None:
         prev = row
 
 
-def simulate(
-    real: ModelRealization,
-    T: int,
-    rng: np.random.Generator,
-    record_innovations: bool = False,
-) -> Trajectory:
+def simulate(real: ModelRealization, T: int, rng: np.random.Generator) -> Trajectory:
     """Simulate T transitions of the coefficient process.
 
     Parameters
@@ -100,30 +79,29 @@ def simulate(
         Number of transitions; the result has T+1 rows.
     rng : numpy.random.Generator
         Source of Gaussian variates (numpy's ziggurat standard normal).
-    record_innovations : bool
-        Store the T x k innovation matrix on the trajectory; needed only by
-        the positivity diagnostic.
     """
     if T < 0:
         raise ValueError(f"transition count T must be >= 0, got {T}")
     coeffs = rng.standard_normal((T + 1, real.k))
     coeffs[0] *= np.sqrt(real.C)
     coeffs[1:] *= np.sqrt(real.sigma2)
-    eps = coeffs[1:].copy() if record_innovations else None
     ar1_steps(coeffs, real.rho)
-    return Trajectory(coeffs=coeffs, innovations=eps)
+    return Trajectory(coeffs=coeffs)
 
 
-def positivity_diagnostic(traj: Trajectory) -> np.ndarray:
+def positivity_diagnostic(traj: Trajectory, rho) -> np.ndarray:
     """Per-component minima of the running innovation-state correlations.
 
     Component j satisfies the positivity condition when every partial sum
     sum_{i<=T'} eps_j(i) * X_{i-1,j}, T' = 2..T, is nonnegative, that is
-    when its minimum is.
+    when its minimum is.  Each innovation is recovered from the states as
+    eps(i) = X_i - rho * X_{i-1}, ``rho`` being one coefficient per column
+    (or a scalar).  That product is the one ``ar1_steps`` forms, so the
+    recovered value differs from the drawn one only by the rounding of the
+    recursion's addition.
     """
-    if traj.innovations is None:
-        raise ValueError("positivity diagnostic requires recorded innovations")
     if traj.T < 2:
         raise ValueError(f"positivity diagnostic requires T >= 2, got T={traj.T}")
-    partial = np.cumsum(traj.innovations * traj.coeffs[:-1], axis=0)
+    x = traj.coeffs
+    partial = np.cumsum((x[1:] - rho * x[:-1]) * x[:-1], axis=0)
     return partial[1:].min(axis=0)  # partial sums from T' = 2 on

@@ -74,11 +74,12 @@ class PriorSpec:
     stays summable.  The package relies on b_k > 1, which makes
     ``draw_rho``'s Beta draw the Gamma ratio G_a / (G_a + G_b), and on
     a_k + b_k >= 3.01 > 2, which keeps the penalized quadratic's
-    discriminant nonnegative.
+    discriminant nonnegative.  No helper reads it; it stays while perfbench
+    names it (ROADMAP item 4).
     """
 
 
-def prior_params(prior: PriorSpec, k: int) -> tuple[float, float]:
+def prior_params(k: int) -> tuple[float, float]:
     """Return the Beta shapes (a_k, b_k) = (2**k, 1.01) of component k (1-based)."""
     if k < 1:
         raise IndexError(f"component index must be >= 1, got {k}")
@@ -90,15 +91,15 @@ def prior_params(prior: PriorSpec, k: int) -> tuple[float, float]:
     return math.ldexp(1.0, k), 1.01
 
 
-def prior_mean_sq(prior: PriorSpec, k: int) -> float:
+def prior_mean_sq(k: int) -> float:
     """Prior second moment E(rho_k**2) = a(a+1) / ((a+b)(a+b+1))."""
-    a, b = prior_params(prior, k)
+    a, b = prior_params(k)
     return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
 
 
-def prior_shapes(prior: PriorSpec, k: int) -> tuple[np.ndarray, np.ndarray]:
+def prior_shapes(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The Beta shapes of components 1..k as the pair of arrays (a, b)."""
-    a, b = zip(*(prior_params(prior, j) for j in range(1, k + 1)))
+    a, b = zip(*(prior_params(j) for j in range(1, k + 1)))
     return np.array(a), np.array(b)
 
 
@@ -127,7 +128,9 @@ class SpectralModelSpec:
     ``rho_mode`` selects how coefficients are produced: ``redraw`` draws a
     fresh prior sample per replication, ``fixed`` draws once and shares the
     draw across replications, ``explicit`` uses user-supplied values (which
-    must lie strictly inside (0, 1)).
+    must lie strictly inside (0, 1)).  ``prior`` is unused, the prior being
+    the one rule of ``prior_params``; the field stays while perfbench
+    passes it (ROADMAP item 4).
     """
 
     law: EigenvalueLaw
@@ -208,7 +211,7 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
     else:
         if rng is None:
             raise ValueError(f"rho_mode {spec.rho_mode!r} requires a random stream")
-        rho = draw_rho(*prior_shapes(spec.prior, spec.k_max), [rng])[0]
+        rho = draw_rho(*prior_shapes(spec.k_max), [rng])[0]
     sigma2 = C * (1.0 - rho**2)
     return ModelRealization(C=C, rho=rho, sigma2=sigma2)
 

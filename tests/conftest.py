@@ -32,6 +32,28 @@ def reference_ar1(rho: float, C: float, sigma2: float, T: int, rng) -> np.ndarra
     return x
 
 
+def reference_positivity(real, T: int, rng) -> np.ndarray:
+    """Plain-loop positivity verdicts, one per component, from the drawn
+    innovations: draws the (T+1) x k standard normal block ``simulate``
+    draws, steps each component's recursion while keeping its innovations
+    eps(n) = sqrt(sigma2) * z(n), and tells whether every partial sum
+    sum_{n<=T'} eps(n) * X(n-1), T' = 2..T, is nonnegative."""
+    z = rng.standard_normal((T + 1, real.k))
+    verdicts = []
+    for j in range(real.k):
+        rho, s = float(real.rho[j]), math.sqrt(float(real.sigma2[j]))
+        x = math.sqrt(float(real.C[j])) * float(z[0, j])
+        partial, holds = 0.0, True
+        for n in range(1, T + 1):
+            eps = s * float(z[n, j])
+            partial += eps * x
+            if n >= 2 and partial < 0.0:
+                holds = False
+            x = rho * x + eps
+        verdicts.append(holds)
+    return np.array(verdicts)
+
+
 def naive_sums(col) -> tuple[float, float]:
     """Double-loop sufficient statistics, no compensation, no vectorization."""
     alpha = 0.0

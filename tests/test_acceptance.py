@@ -42,7 +42,6 @@ from arh1bench.simulator import simulate
 from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
-    PriorSpec,
     SpectralModelSpec,
     prior_params,
     realize,
@@ -63,7 +62,6 @@ def _report(num: int, ok: bool, detail: str, capsys) -> None:
 @dataclasses.dataclass(frozen=True)
 class FixedDrawRun:
     real: ModelRealization
-    prior: PriorSpec
     est_classical: np.ndarray
     est_bayes: np.ndarray
     truth: np.ndarray
@@ -75,7 +73,6 @@ class FixedDrawRun:
 def fixed_draw_run() -> FixedDrawRun:
     spec = SpectralModelSpec(
         law=EigenvalueLaw.power_law(1.5),
-        prior=PriorSpec(),
         k_max=K_FIX,
         rho_mode="fixed",
     )
@@ -94,7 +91,7 @@ def fixed_draw_run() -> FixedDrawRun:
         betas[i] = est.beta
     truth = np.tile(real.rho, (N_FIX, 1))
     return FixedDrawRun(
-        real=real, prior=spec.prior, est_classical=est_c, est_bayes=est_b,
+        real=real, est_classical=est_c, est_bayes=est_b,
         truth=truth, last=last, betas=betas,
     )
 
@@ -224,7 +221,7 @@ def test_c08_closed_form_matches_cubic(capsys):
 
 
 def test_c09_proximity_bound(fixed_draw_run, capsys):
-    shapes = [prior_params(fixed_draw_run.prior, j) for j in range(1, K_FIX + 1)]
+    shapes = [prior_params(j) for j in range(1, K_FIX + 1)]
     ab_shift = np.array([a + b - 2.0 for a, b in shapes])
     bound = np.sqrt(fixed_draw_run.real.sigma2 * ab_shift / fixed_draw_run.betas)
     gap = fixed_draw_run.est_classical - fixed_draw_run.est_bayes

@@ -379,6 +379,7 @@ class TestDiagCommand:
             ["ergodic", "--C", "1e308", "--n", "10"],
             ["normality", "--T", "0"],
             ["bartlett", "--seed", "18446744073709551616"],
+            ["ergodic", "--n", "-5"],
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, argv):
@@ -387,6 +388,9 @@ class TestDiagCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+        if argv == ["ergodic", "--n", "-5"]:
+            # the message names the parameter given, not the simulator's T
+            assert "n >= 2, got -5" in err
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)

@@ -42,7 +42,7 @@ _SHAPES = st.one_of(
         lambda p: (p[0], max(1.0, 2.0 - p[0]) + p[1])
     ),
     st.floats(0.2, 1.99).map(lambda a: (a, 2.0 - a)).filter(lambda p: sum(p) == 2.0),
-    st.integers(1, MAX_PRIOR_EXPONENT).map(lambda k: prior_params(PriorSpec(), k)),
+    st.integers(1, MAX_PRIOR_EXPONENT).map(prior_params),
 )
 
 
@@ -326,7 +326,7 @@ class TestBayes:
         j, rho, T, n = 27, 1.0 - 1e-8, 200, 400
         C = j**-1.5
         sigma2 = C * (1.0 - rho * rho)
-        a, b = prior_params(PriorSpec(), j)
+        a, b = prior_params(j)
         real = ModelRealization(C=[C] * n, rho=[rho] * n, sigma2=[sigma2] * n)
         x = simulate(real, T, np.random.default_rng(0)).coeffs
         alpha, beta = lag_sums(x)
@@ -416,7 +416,7 @@ class TestEstimateAll:
         traj = simulate(real, 2_000, np.random.default_rng(22))
         est = estimate_all(traj, real, 5, spec.prior)
         for j in range(5):
-            a, b = prior_params(spec.prior, j + 1)
+            a, b = prior_params(j + 1)
             sigma2 = float(real.sigma2[j])
             bound = math.sqrt(sigma2 * (a + b - 2.0) / est.beta[j])
             delta = est.rho_hat[j] - est.rho_tilde_minus[j]

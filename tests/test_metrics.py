@@ -161,7 +161,7 @@ class TestTheoryLimits:
 
     def test_prior_limit_consistency_with_moments(self):
         prior = PriorSpec()
-        direct = math.fsum(1.0 - prior_mean_sq(prior, k) for k in range(1, 8))
+        direct = math.fsum(1.0 - prior_mean_sq(k) for k in range(1, 8))
         assert prior_param_limit(prior, 7) == pytest.approx(direct, rel=1e-15)
 
     def test_prior_limits_finite_at_largest_default_shape(self):

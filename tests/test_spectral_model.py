@@ -8,7 +8,6 @@ from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
     RHO_CLAMP_EPS,
-    PriorSpec,
     SpectralModelSpec,
     draw_rho,
     eigenvalue,
@@ -51,43 +50,40 @@ _DISTINCT_MOMENTS = range(1, 27)
 
 class TestPrior:
     def test_default_rule(self):
-        prior = PriorSpec()
-        assert prior_params(prior, 1) == (2.0, 1.01)
-        assert prior_params(prior, 3) == (8.0, 1.01)
-        assert prior_params(prior, 50) == (2.0**50, 1.01)
+        assert prior_params(1) == (2.0, 1.01)
+        assert prior_params(3) == (8.0, 1.01)
+        assert prior_params(50) == (2.0**50, 1.01)
 
     def test_default_rule_overflow(self):
-        assert prior_params(PriorSpec(), 511) == (2.0**511, 1.01)
+        assert prior_params(511) == (2.0**511, 1.01)
         with pytest.raises(OverflowError):
-            prior_params(PriorSpec(), 512)
+            prior_params(512)
         with pytest.raises(OverflowError):
-            prior_params(PriorSpec(), 1030)
+            prior_params(1030)
 
     def test_index_validation(self):
         with pytest.raises(IndexError):
-            prior_params(PriorSpec(), 0)
+            prior_params(0)
 
     def test_moments_against_scipy(self):
-        prior = PriorSpec()
         for k in _DISTINCT_MOMENTS:
-            a, b = prior_params(prior, k)
+            a, b = prior_params(k)
             mean, var = sps.beta.stats(a, b, moments="mv")
-            assert prior_mean_sq(prior, k) == pytest.approx(
+            assert prior_mean_sq(k) == pytest.approx(
                 float(var) + float(mean) ** 2, rel=1e-12
             )
 
     def test_summability_terms_decreasing(self):
         # the prior-variance series for the rule must stay summable:
         # positive, strictly decreasing terms with a finite partial sum
-        prior = PriorSpec()
-        terms = [float(sps.beta.var(*prior_params(prior, k))) for k in range(1, 61)]
+        terms = [float(sps.beta.var(*prior_params(k))) for k in range(1, 61)]
         assert all(t > 0.0 for t in terms)
         assert all(u > v for u, v in zip(terms, terms[1:]))
         assert math.fsum(terms) < 1.0
 
     def test_draw_rho_sample_moments(self):
         rng = np.random.default_rng(101)
-        draws = draw_rho(*prior_shapes(PriorSpec(), 1), [rng] * 100_000)[:, 0]
+        draws = draw_rho(*prior_shapes(1), [rng] * 100_000)[:, 0]
         assert abs(draws.mean() - 2.0 / 3.01) < 0.005
         target_var = float(sps.beta.var(2.0, 1.01))
         assert abs(draws.var() - target_var) < 0.1 * target_var
@@ -97,20 +93,20 @@ class TestPrior:
         # so every draw must land in (0.9, 1)
         assert sps.beta.cdf(0.9, 2.0**10, 1.01) < 1e-40
         rng = np.random.default_rng(7)
-        a, b = prior_params(PriorSpec(), 10)
+        a, b = prior_params(10)
         draws = draw_rho([a], [b], [rng] * 10_000)
         assert np.all((0.9 < draws) & (draws < 1.0))
 
     def test_draw_rho_distribution_matches_beta_cdf(self):
         # the gamma-ratio sampler against scipy's Beta distribution function
         rng = np.random.default_rng(5)
-        a, b = prior_params(PriorSpec(), 3)
+        a, b = prior_params(3)
         draws = draw_rho([a], [b], [rng] * 4_000)[:, 0]
         _, pvalue = sps.kstest(draws, sps.beta(8.0, 1.01).cdf)
         assert pvalue > 1e-3
 
     def test_draw_rho_deterministic(self):
-        shapes = prior_shapes(PriorSpec(), 3)
+        shapes = prior_shapes(3)
         a = draw_rho(*shapes, [np.random.default_rng(3), np.random.default_rng(4)])
         b = draw_rho(*shapes, [np.random.default_rng(3), np.random.default_rng(4)])
         assert np.array_equal(a, b)
@@ -127,7 +123,7 @@ class TestPrior:
     @pytest.mark.parametrize(
         "a, b",
         [
-            *(pytest.param(*prior_shapes(PriorSpec(), k), id=str(k)) for k in (5, 16, 40)),
+            *(pytest.param(*prior_shapes(k), id=str(k)) for k in (5, 16, 40)),
             # the shapes nearest numpy's Johnk branch (a <= 1 and b <= 1)
             # that keep b > 1: a < 1 < b, b down to the double just above
             # 1; a numpy that moves its branch rule fails here
@@ -153,10 +149,9 @@ class TestPrior:
 
     def test_moment_identity(self):
         # E(rho**2) = Var(rho) + E(rho)**2, and rho**2 < rho on (0, 1)
-        prior = PriorSpec()
         for k in _DISTINCT_MOMENTS:
-            a, b = prior_params(prior, k)
-            second = prior_mean_sq(prior, k)
+            a, b = prior_params(k)
+            second = prior_mean_sq(k)
             mean = a / (a + b)
             assert mean * mean < second < mean
             want = float(sps.beta.var(a, b)) + mean * mean
