@@ -16,13 +16,13 @@ with the asymptotic guarantees.  Roots are evaluated with the product-form
 quadratic formula so that the a + b = 2 reduction to min(alpha/beta, 1) is
 exact and no cancellation occurs when alpha is small relative to beta.
 
-The sums are exact: ``exact_sums`` reduces rows with a pairwise
-error-free TwoSum tree (Ogita, Rump and Oishi, "Accurate sum and dot
-product", SIAM J. Sci. Comput. 26(6), 2005) and certifies each column's
-result as the round-to-nearest value of the exact sum (cf. Rump, Ogita and
-Oishi, "Accurate floating-point summation part II", SIAM J. Sci. Comput.
-31(2), 2008), so it equals ``math.fsum`` bit for bit; a column the
-certificate does not clear is summed by ``math.fsum`` itself.  The
+Each sum is the left fold of its lag products in time order,
+((p_1 + p_2) + p_3) + ..., from 0.0: the same sequence of IEEE additions
+wherever it runs, so it does not depend on how rows are chunked or columns
+grouped.  Its error is at most (T - 1) * 2**-53 * sum |p_i| (Rump, "Error
+estimation of floating-point summation and dot product", BIT 52, 2012), far
+below the Monte Carlo error of any EFMSE built on it.  ``lag_sums`` folds
+a whole block at once, ``add_rows`` a block a row chunk at a time.  The
 estimators run elementwise over arrays of columns, so one replication and a
 block of replications share every operation.
 """
@@ -39,15 +39,6 @@ from .spectral_model import ModelRealization, PriorSpec, prior_shapes
 # Slack for the internal shrinkage-bound verification in estimate_all;
 # covers independent rounding of the two estimators, nothing more.
 PROXIMITY_SLACK = 1e-9
-
-# Largest array, in elements, that exact_sums reduces in one step; longer
-# inputs are reduced in row blocks of at most this size.
-CHUNK_ELEMENTS = 2**18
-
-# Unit roundoff of binary64, and the smallest subnormal, which absorbs the
-# underflow of the certificate's error bound.
-_UNIT = 2.0**-53
-_TINY = 5e-324
 
 # estimate_all's checks for one component, in the order they run; a fault
 # code is the first check the component fails, 0 when it passes them all.
@@ -77,115 +68,6 @@ class SufficientStats:
             raise ValueError(f"beta is a sum of squares and cannot be {self.beta}")
 
 
-def _two_sum(a, b, s=None, t=None, e=None):
-    """Knuth's TwoSum: s = fl(a + b) and e with s + e == a + b exactly.
-
-    s, t (a temporary) and e are written into the arrays given, or new
-    ones; e may be b itself, but neither s nor t may overlap a or b.
-    """
-    s = np.add(a, b, out=s)
-    t = np.subtract(s, a, out=t)  # b's share of s
-    e = np.subtract(b, t, out=e)  # what b lost
-    np.subtract(s, t, out=t)  # a's share
-    np.subtract(a, t, out=t)  # what a lost
-    e += t
-    return s, e
-
-
-def _certified(r, t, mag, terms):
-    """Columns whose exact sum provably rounds to r.
-
-    The exact sum is r + t + d, where d is the rounding error of the float
-    sum of the TwoSum errors, |d| <= gamma(terms) * mag.  The bound below
-    overestimates |t| + |d| with a factor of two to spare; it must stay
-    under half the smaller gap next to r (below a power of two the gap is
-    half the size).  The bound is at least the smallest subnormal, so a
-    zero or subnormal r is never certified and the sign of a zero sum is
-    always fsum's; a non-finite r fails the comparison.
-    """
-    bound = np.abs(t) + (2.0 * (terms + 2)) * mag * _UNIT + _TINY
-    gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
-    return 2.0 * bound < gap
-
-
-def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The front of a flat scratch buffer as an array of that shape; a buffer
-    too small for it raises ValueError rather than being silently regrown."""
-    return buf[: math.prod(shape)].reshape(shape)
-
-
-class ColumnSums:
-    """Exact column sums of an array fed in blocks of rows.
-
-    Each block is reduced by a pairwise TwoSum tree; the tree tops are
-    carried into a running total by TwoSum, and the errors of every TwoSum
-    are summed (with their magnitudes) for the final correction.  The
-    columns may span several axes (``shape``), and a block may cover a
-    leading part of each, whose sums alone it advances; ``terms`` counts
-    the terms of the longest column, a bound for every other.  The tree
-    runs in ``tree``, the caller's flat float scratch, which must hold
-    ``tree_shape`` of every block; it never writes into the block it is fed.
-    """
-
-    def __init__(self, shape, tree: np.ndarray):
-        self.top = np.zeros(shape)
-        self.err = np.zeros(shape)
-        self.mag = np.zeros(shape)
-        self.terms = 0
-        self.tree = tree
-
-    @staticmethod
-    def tree_shape(rows: int, *columns: int) -> tuple[int, ...]:
-        """The "tree" scratch ``add`` takes for a block of that shape."""
-        return 3, rows // 2, *columns
-
-    def add(self, p) -> None:
-        cols = tuple(slice(0, n) for n in p.shape[1:])
-        top, err, mag = self.top[cols], self.err[cols], self.mag[cols]
-        tree = _view(self.tree, self.tree_shape(*p.shape))
-        level = 0
-        with np.errstate(over="ignore", invalid="ignore"):
-            while len(p):
-                if len(p) % 2:
-                    top[...], e = _two_sum(top, p[-1])
-                    err += e
-                    mag += np.abs(e)
-                    self.terms += 1
-                    p = p[:-1]
-                    continue
-                half = len(p) // 2
-                # s alternates between buffers 0 and 1, so it never lands on
-                # p, and t takes buffer 2; e goes to buffer 1 at the first
-                # level, then over the b half of p, but never into the block
-                s, t = tree[level % 2, :half], tree[2, :half]
-                e = tree[1, :half] if level == 0 else p[half:]
-                _two_sum(p[:half], p[half:], s, t, e)
-                err += e.sum(axis=0)
-                mag += np.abs(e, out=e).sum(axis=0)
-                self.terms += half
-                p, level = s, level + 1
-
-    def result(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sums and a mask of the columns certified to equal fsum."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            r, t = _two_sum(self.top, self.err)
-            return r, _certified(r, t, self.mag, self.terms)
-
-
-def exact_sums(p) -> np.ndarray:
-    """Column sums of an (n, c) array, each equal to math.fsum of its column."""
-    p = np.asarray(p, dtype=float)
-    n, c = p.shape
-    step = max(1, min(n, CHUNK_ELEMENTS // max(1, c)))
-    sums = ColumnSums(c, np.empty(math.prod(ColumnSums.tree_shape(step, c))))
-    for lo in range(0, n, step):
-        sums.add(p[lo : lo + step])
-    r, ok = sums.result()
-    for i in np.flatnonzero(~ok):
-        r[i] = math.fsum(p[:, i].tolist())
-    return r
-
-
 def lag_products(x, out=None) -> np.ndarray:
     """Terms of alpha and beta for the columns of x[0..n]: an (n, 2c) array
     holding x[i-1] * x[i] in its first c columns and x[i-1]**2 in the rest."""
@@ -199,18 +81,28 @@ def lag_products(x, out=None) -> np.ndarray:
 
 def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) of every column of a (T+1, c) trajectory block."""
-    sums = exact_sums(lag_products(x))
-    c = x.shape[1]
+    n, c = x.shape[0] - 1, x.shape[1]
+    # row 0 is the 0.0 the fold starts from; accumulate is the sequential scan
+    p = np.zeros((n + 1, 2 * c))
+    lag_products(x, out=p[1:])
+    sums = np.add.accumulate(p, axis=0, out=p)[-1]
     return sums[:c], sums[c:]
 
 
-def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
-    """Compute (alpha, beta) for component j (1-based) of a trajectory.
+def add_rows(total, rows) -> None:
+    """Add the rows of ``rows`` into ``total`` one at a time, in order: the
+    fold of ``lag_sums``, carried on across row chunks.
 
-    Both are exact sums of the floating-point products (equal to math.fsum),
-    so they are the correctly rounded sums even for T ~ 1e5 with mixed
-    magnitudes.
+    A non-finite sum is the caller's to find, so overflow and inf - inf
+    raise no warning here.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row in rows:
+            np.add(total, row, out=total)
+
+
+def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
+    """Compute (alpha, beta) for component j (1-based) of a trajectory."""
     if not 1 <= j <= traj.k:
         raise IndexError(f"component {j} out of range 1..{traj.k}")
     alpha, beta = lag_sums(traj.coeffs[:, j - 1 : j])

@@ -18,11 +18,10 @@ and reason; past ABORT_THRESHOLD the run fails.
 
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
-every stream in the group, a stream's columns dropping out at its T, exact
-column sums and elementwise estimators, the same helpers that
-``simulate``, ``sufficient_stats`` and ``estimate_all`` run for a single
-replication, so both routes give the same bits; a replication simulated
-again for an exact sum runs ``simulate`` itself.
+every stream in the group, a stream's columns dropping out at its T, column
+sums folded row by row in time order and elementwise estimators, the same
+arithmetic that ``simulate``, ``sufficient_stats`` and ``estimate_all`` run
+for a single replication, so both routes give the same bits.
 """
 from __future__ import annotations
 
@@ -38,15 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    CHUNK_ELEMENTS,
-    FAULT_NAMES,
-    NON_FINITE,
-    ColumnSums,
-    _view,
-    estimate_columns,
-    lag_products,
-)
+from .estimators import FAULT_NAMES, NON_FINITE, add_rows, estimate_columns, lag_products
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -83,8 +74,10 @@ ABORT_THRESHOLD = 1e-3
 
 # A replication group has at most this many columns (replications times
 # components); its rows are simulated in chunks whose product arrays hold at
-# most CHUNK_ELEMENTS values.
+# most CHUNK_ELEMENTS values, or one row where a row holds more.  Neither
+# changes a bit of the output, only memory and speed.
 GROUP_COLUMNS = 2048
+CHUNK_ELEMENTS = 2**18
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -298,16 +291,22 @@ def _run_block(task):
 
 
 def _workspace(c: int):
-    """Flat scratch (x, products, tree) for the row chunks of groups of at
-    most c columns, three slices of one allocation.
+    """Flat scratch (x, products) for the row chunks of groups of at most c
+    columns, two slices of one allocation.
 
     A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
     trajectory values (see ``_run_group``), so no size depends on T or on
     how many columns are still running; x holds c more for the carry row.
     """
     e = max(CHUNK_ELEMENTS // 2, c)
-    buf = np.empty(6 * e + c)
-    return buf[: e + c], buf[e + c : 3 * e + c], buf[3 * e + c :]
+    buf = np.empty(3 * e + c)
+    return buf[: e + c], buf[e + c :]
+
+
+def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The front of a flat scratch buffer as an array of that shape; a buffer
+    too small for it raises ValueError rather than being silently regrown."""
+    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _words(n: int) -> list[int]:
@@ -406,20 +405,6 @@ def _coefficients(spec, k, rngs, fixed_real):
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
-def _fsum_into(sums, redo, batch, products):
-    """Set each sum that ``redo`` marks for replications ``batch`` to the
-    math.fsum of its products.
-
-    ``sums`` and ``redo`` are (2, m, k): alpha then beta, by replication and
-    component; ``products`` holds the lag products of the batch's
-    replications, alpha then beta, side by side as ``lag_products`` lays
-    them out.
-    """
-    products = products.reshape(len(products), 2, len(batch), -1)
-    for half, i, j in zip(*np.nonzero(redo[:, batch])):
-        sums[half, batch[i], j] = math.fsum(products[:, half, i, j].tolist())
-
-
 def _run_group(spec, runs, seed, fixed_real, work):
     """Simulate and estimate the streams of ``runs`` together.
 
@@ -431,15 +416,12 @@ def _run_group(spec, runs, seed, fixed_real, work):
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
-    view into ``work``, the parts ``_workspace`` plans.
+    view into ``work``, the parts ``_workspace`` plans.  Each chunk's lag
+    products are added into the running sums row by row (``add_rows``).
 
     A replication is usable when its alpha and beta sums are finite: every
     state enters a lag product of its column, so a non-finite state leaves
-    a non-finite sum.  A usable column whose chunked sum is not certified
-    exact is summed by ``math.fsum`` over its products: when its run ended
-    with the first chunk those are still whole in the scratch; otherwise
-    each replication concerned is simulated again, whole, by ``simulate``
-    from its stream and its own coefficient draw.
+    a non-finite sum.
 
     Returns, by T, the estimates, true coefficients and last states of the
     run's replications and a reason code for each: NON_FINITE where its sums
@@ -453,9 +435,9 @@ def _run_group(spec, runs, seed, fixed_real, work):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, products_part, tree = work
-    sums = ColumnSums((2, edges[-1]), tree)
-    done = chunks = 0
+    x_part, products_part = work
+    sums = np.zeros((2, edges[-1]))
+    done = 0
     out = {}
     for end in range(len(runs), 0, -1):
         T, k, omegas = runs[end - 1]
@@ -480,24 +462,14 @@ def _run_group(spec, runs, seed, fixed_real, work):
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
             products = lag_products(x[: n + 1], out=_view(products_part, (n, 2 * ca)))
-            sums.add(products.reshape(n, 2, ca))
+            add_rows(sums[:, :ca], products.reshape(n, 2, ca))
             x[0] = x[n]
-            done, chunks = done + n, chunks + 1
+            done += n
 
         # the run ends here: settle and estimate it before its columns go
         m, cols = len(omegas), slice(edges[end - 1], ca)
-        total, exact = sums.result()
-        by_rep = total[:, cols].reshape(2, m, k)
-        ok = np.isfinite(by_rep).all(axis=(0, 2))
-        redo = ~exact[:, cols].reshape(2, m, k) & ok[:, None]
-        if chunks == 1:  # one chunk: products holds every row
-            _fsum_into(by_rep, redo, np.arange(m), products.reshape(n, 2, ca)[..., cols])
-        elif redo.any():  # seeding costs about 0.1 ms even with no stream to seed
-            batch = np.flatnonzero(redo.any(axis=(0, 2))).tolist()
-            for i, rng in zip(batch, _replication_rngs(seed, T, [omegas[i] for i in batch])):
-                real = ModelRealization(*_coefficients(spec, k, [rng], fixed_real))
-                _fsum_into(by_rep, redo, [i], lag_products(simulate(real, T, rng).coeffs))
-        alpha, beta = by_rep.reshape(2, -1)
+        alpha, beta = sums[:, cols]
+        ok = (np.isfinite(alpha) & np.isfinite(beta)).reshape(m, k).all(axis=1)
         a, b = (np.tile(v, m) for v in prior_shapes(k))
         est_c, est_b, fault = estimate_columns(alpha, beta, sigma2[cols], a, b)
         fault = fault.reshape(m, k)

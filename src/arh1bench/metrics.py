@@ -62,22 +62,25 @@ class EfmseInput:
         return self.estimates.shape[0]
 
 
+def _squared_norms(d) -> np.ndarray:
+    """Each row's sum of squares, added in component order, so its bits do
+    not depend on how numpy vectorizes a reduction for the host CPU."""
+    return np.add.accumulate(d * d, axis=1)[:, -1]
+
+
 def efmse_param(inp: EfmseInput) -> float:
     """Mean over replications of the summed squared coefficient errors.
 
-    The per-replication sums (at most a handful of components) are plain
-    float64; the average over replications is compensated so batch order
-    cannot leak into reported values.
+    The average over replications is compensated (math.fsum), so batch
+    order cannot leak into reported values.
     """
-    d = inp.estimates - inp.truth
-    per_rep = np.einsum("ij,ij->i", d, d)
+    per_rep = _squared_norms(inp.estimates - inp.truth)
     return math.fsum(per_rep.tolist()) / inp.N
 
 
 def efmse_pred(inp: EfmseInput) -> float:
     """Like efmse_param with each squared error weighted by the last coefficient."""
-    d = (inp.estimates - inp.truth) * inp.last_coeffs
-    per_rep = np.einsum("ij,ij->i", d, d)
+    per_rep = _squared_norms((inp.estimates - inp.truth) * inp.last_coeffs)
     return math.fsum(per_rep.tolist()) / inp.N
 
 

@@ -1,20 +1,17 @@
 import math
-import tracemalloc
-from unittest import mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arh1bench import estimators
 from arh1bench.estimators import (
-    ColumnSums,
     DegenerateTrajectoryError,
     SufficientStats,
+    add_rows,
     estimate_all,
     estimate_columns,
-    exact_sums,
     lag_products,
     lag_sums,
     sufficient_stats,
@@ -78,9 +75,8 @@ class TestSufficientStats:
         rng = np.random.default_rng(31)
         col = rng.standard_normal(10_001) * np.logspace(0, 3, 10_001)
         st_ = sufficient_stats(_column_traj(col), 1)
-        alpha, beta = naive_sums(col)
-        assert st_.alpha == pytest.approx(alpha, rel=1e-12)
-        assert st_.beta == pytest.approx(beta, rel=1e-12)
+        # the same left fold, so the same bits
+        assert (st_.alpha, st_.beta) == naive_sums(col)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -93,48 +89,72 @@ class TestSufficientStats:
             SufficientStats(alpha=1.0, beta=0.5, T=0)
 
 
-# Summands for the exact-sum tests: magnitudes over the whole normal range,
-# subnormals and zeros, and values that make exact rounding ties with 1.0.
-_MAGNITUDES = st.one_of(
-    st.floats(min_value=1e-300, max_value=1e300),
-    st.floats(min_value=0.0, max_value=2.0**-1022),
-    st.sampled_from([0.0, 1.0, 2.0**-52, 2.0**-53, 2.0**-54, 3 * 2.0**-53, 2.0**53]),
-)
+def _spread(rng, shape) -> np.ndarray:
+    """Values of magnitude 1e-8..1e8 with random signs."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
 
 
-def _column(rng, pool, n, cancel):
-    """n summands drawn from the pool or spread over 1e-300..1e300, with
-    random signs; ``cancel`` makes half of them the negatives of the rest."""
-    wide = rng.uniform(1.0, 2.0, n) * np.exp2(rng.integers(-997, 997, n).astype(float))
-    col = np.where(rng.random(n) < 0.5, rng.choice(pool, n), wide)
-    col *= rng.choice([-1.0, 1.0], n)
-    if cancel:
-        half = col[: n // 2]
-        col = rng.permutation(np.concatenate([half, -half, col[2 * (n // 2) :]]))
-    return col
+def _fold(terms) -> float:
+    """The plain-Python left fold from 0.0; not the builtin sum, which
+    Python 3.12 and later compensates."""
+    s = 0.0
+    for v in terms:
+        s += v
+    return s
 
 
-def _tree(rows, columns):
-    """A tree scratch for ColumnSums blocks of up to that many rows."""
-    return np.empty(math.prod(ColumnSums.tree_shape(rows, columns)))
+def _within_fold_bound(got, terms) -> bool:
+    """|got - exact sum| <= (n - 1) * 2**-53 * sum |p|, the error bound of a
+    left fold of n terms, in exact rational arithmetic."""
+    terms = [Fraction(v) for v in terms]
+    bound = (len(terms) - 1) * Fraction(1, 2**53) * sum(map(abs, terms))
+    return abs(Fraction(float(got)) - sum(terms)) <= bound
+
+
+def _kernel_fold(x, chunk, spare):
+    """(alpha, beta) of the columns of x as the block kernel forms them: the
+    lag products of chunk rows at a time added into the front of running
+    sums that are ``spare`` columns wider."""
+    n, c = x.shape[0] - 1, x.shape[1]
+    sums = np.zeros((2, c + spare))
+    for lo in range(0, n, chunk):
+        add_rows(sums[:, :c], lag_products(x[lo : lo + chunk + 1]).reshape(-1, 2, c))
+    return sums[:, :c]
 
 
 class TestExactSums:
+    """Every alpha and beta is exactly, bit for bit, the left fold of its lag
+    products in time order, whichever route forms it and however the rows
+    are chunked, and lies within that fold's error bound of the true sum."""
+
     @given(
-        pool=st.lists(_MAGNITUDES, min_size=1, max_size=20),
-        n=st.integers(min_value=1, max_value=300),
-        cancel=st.lists(st.booleans(), min_size=1, max_size=3),
+        n=st.integers(min_value=0, max_value=300),
+        columns=st.integers(min_value=1, max_value=4),
+        chunk=st.integers(min_value=1, max_value=64),
+        spare=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
-        chunk=st.sampled_from([estimators.CHUNK_ELEMENTS, 5, 1]),
     )
-    @settings(max_examples=300, deadline=None)
-    def test_equals_fsum_bit_for_bit(self, pool, n, cancel, seed, chunk):
-        rng = np.random.default_rng(seed)
-        cols = [_column(rng, pool, n, c) for c in cancel]
-        with mock.patch.object(estimators, "CHUNK_ELEMENTS", chunk):
-            got = exact_sums(np.array(cols).T)
-        want = np.array([math.fsum(col.tolist()) for col in cols])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_left_fold_bit_for_bit(self, n, columns, chunk, spare, seed):
+        x = _spread(np.random.default_rng(seed), (n + 1, columns))
+        cols = x.T.tolist()
+        want = np.array([
+            [_fold(a * b for a, b in zip(col, col[1:])) for col in cols],
+            [_fold(a * a for a in col[:-1]) for col in cols],
+        ])
+        for got in (np.array(lag_sums(x)), _kernel_fold(x, chunk, spare)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_within_fold_error_bound(self, n, seed):
+        x = _spread(np.random.default_rng(seed), (n + 1, 2))
+        products = lag_products(x)
+        for got, col in zip(np.concatenate(lag_sums(x)), products.T):
+            assert _within_fold_bound(got, col.tolist())
 
     @pytest.mark.parametrize(
         "col",
@@ -143,83 +163,22 @@ class TestExactSums:
             [1.0, 2.0**-53, 2.0**-105],  # just past the tie
             [1.0, -(2.0**-54), -(2.0**-110)],  # just below a power of two
             [1e300, 1e-300, -1e300],
-            [-0.0],
+            [-0.0],  # from 0.0, a fold of negative zeros is +0.0
             [0.0, -0.0],
             [5e-324, 5e-324, -1e-310],
-            [1.0, 2.0**-53, 2.0**-200, -(2.0**-200)],  # an exact tie, left to fsum
+            [1.0, 2.0**-53, 2.0**-200, -(2.0**-200)],
         ],
     )
     def test_adversarial_columns(self, col):
-        got = exact_sums(np.array(col)[:, None])
-        assert got.view(np.int64)[0] == np.float64(math.fsum(col)).view(np.int64)
+        # the kernel's fold of these terms, one row per chunk and all at once
+        want = np.float64(_fold(col))
+        for chunk in (1, len(col)):
+            total = np.zeros(1)
+            for lo in range(0, len(col), chunk):
+                add_rows(total, np.array(col[lo : lo + chunk])[:, None])
+            assert total.view(np.int64)[0] == want.view(np.int64)
+        assert _within_fold_bound(want, col)
 
-    def test_exact_tie_is_not_certified(self):
-        # the tree's sum is right, but the certificate cannot show that the
-        # float sum of the TwoSum errors is exact, so fsum decides the tie
-        sums = ColumnSums(1, _tree(4, 1))
-        sums.add(np.array([[1.0], [2.0**-53], [2.0**-200], [-(2.0**-200)]]))
-        total, exact = sums.result()
-        assert total[0] == 1.0 and not exact[0]
-
-    def test_certificate_clears_simulated_columns(self):
-        # the fast path, not the fsum fallback, serves ordinary data
-        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(2.0), k_max=40)
-        traj = simulate(realize(spec, np.random.default_rng(9)), 2_000,
-                        np.random.default_rng(10))
-        products = lag_products(traj.coeffs)
-        sums = ColumnSums(products.shape[1], _tree(*products.shape))
-        sums.add(products)
-        total, exact = sums.result()
-        assert exact.all()
-        assert np.array_equal(total, exact_sums(products))
-
-
-    @given(
-        rows=st.lists(st.integers(min_value=0, max_value=41), min_size=1, max_size=6),
-        columns=st.integers(min_value=1, max_value=4),
-        wide=st.booleans(),
-        pool=st.lists(_MAGNITUDES, min_size=1, max_size=20),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @example(rows=[2, 7, 40, 1, 13], columns=3, wide=False, pool=[1.0], seed=0)
-    @settings(max_examples=200, deadline=None)
-    def test_reused_scratch_equals_fsum(self, rows, columns, wide, pool, seed):
-        # one ColumnSums fed blocks of changing row counts, odd ones and
-        # larger ones after smaller, certifies only fsum's sums and never
-        # writes into a block
-        rng = np.random.default_rng(seed)
-        n = sum(rows)
-        cols = [_column(rng, pool, n, False) if wide else rng.standard_normal(n)
-                for _ in range(columns)]
-        data = np.array(cols).reshape(columns, n).T.copy()
-        sums = ColumnSums(columns, _tree(max(rows), columns))
-        for lo, hi in zip(np.cumsum([0, *rows[:-1]]), np.cumsum(rows)):
-            block = data[lo:hi]
-            before = block.copy()
-            sums.add(block)
-            assert np.array_equal(block.view(np.int64), before.view(np.int64))
-        total, exact = sums.result()
-        want = np.array([math.fsum(col.tolist()) for col in cols])
-        assert np.array_equal(total[exact].view(np.int64), want[exact].view(np.int64))
-
-    def test_reused_scratch_allocates_no_block(self):
-        # after the first block, three more blocks of 2 MB each allocate
-        # under an eighth of a block
-        rng = np.random.default_rng(2)
-        blocks = [rng.standard_normal((64, 4090)) ** 2 for _ in range(4)]
-        sums = ColumnSums(4090, _tree(64, 4090))
-        sums.add(blocks[0])
-        tracemalloc.start()
-        try:
-            for block in blocks[1:]:
-                sums.add(block)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < blocks[0].nbytes / 8
-        total, exact = sums.result()
-        assert exact.all()
-        assert np.array_equal(total, exact_sums(np.concatenate(blocks)))
 
 class TestClassical:
     def test_constant_column(self):

@@ -16,11 +16,11 @@ GOLDEN_RUN_FIELDS = {"T_grid": [30, 60], "N": 20, "seed": 0, "formats": ["csv"]}
 GOLDEN_RUNS = {
     "ex1-redraw": (
         {"example": 1, "rho_mode": "redraw"},
-        "06e85045ff36cd8df513d1ed8667b3072ecd38d835aa6bc6b9abc1da3879947e",
+        "340dc3f1b16eeaab04c19f0a4d2c2108ae170065465dd261397304ce2dfc768e",
     ),
     "ex2-fixed": (
         {"example": 2, "rho_mode": "fixed"},
-        "9798ad6a48178663b2a48b20a77229245fc6172b25abcc8820c899abd07e0f77",
+        "19130b35a8a8aaa3dc3dc85111528b7954cac94c2c98ae8da219775c6a169b9b",
     ),
     "ex3-explicit": (
         {
@@ -29,7 +29,7 @@ GOLDEN_RUNS = {
             "rho_mode": "explicit",
             "rho_values": [0.8, 0.6, 0.4],
         },
-        "ffc87143fa56fa504a28e46b81504b6e7038945e8bfdcace0ed4fc1395aada3b",
+        "8f9e50d48c69d0646c22af2de2615e291d51370614a6412efb816b1698f24b40",
     ),
 }
 
@@ -46,7 +46,7 @@ ROW_CHUNK_RUN = (
         "seed": 0,
         "formats": ["csv"],
     },
-    "0d00b4b424db27047fe934ce50159d35b08a3ce0ee3792461a5f8140ba2d14ad",
+    "2e96b2b0b2344dc232c7866bd3264b478db5efda4af5f005def24d08bf1605eb",
 )
 
 # Example 3 keeps k_T = 1, 3, 4 and 7 components at these T, so a run mixes
@@ -61,8 +61,8 @@ MIXED_K_FIELDS = {
 }
 
 MIXED_K_RUNS = {
-    "fixed": "bffdb1d050fc9c593c2c21df2fd95d549ab08c17f66bd6e9bd97b757f66e55c9",
-    "redraw": "a927af2fe864f2fa6afbede9372012b21549c38483c97332376051df0e2fd038",
+    "fixed": "9e340add82f53f0ff48b9a4ba6438a9caab465b16997a64ebdcf41ae217de2ca",
+    "redraw": "395f0be1bddfd33436d8cd80f1fb802d3086f0888d4655da84520cd603bdd0cc",
 }
 
 GOLDEN_DIAGNOSTICS = {

@@ -313,13 +313,6 @@ def _assert_block_equal(got, want):
         _assert_bits_equal(records[:4], rows)
 
 
-def _uncertified(r, *rest):
-    # a sum left uncertified is spoilt, so one never taken again shows; the
-    # wrong value is finite, so the replication still reads as usable
-    r += 1.0
-    return np.zeros(r.shape, bool)
-
-
 def _alpha(task, T, omega, j):
     """alpha of component j (1-based) of replication omega at T, by the
     public calls: a value that marks that column wherever the kernel puts it."""
@@ -369,62 +362,29 @@ class TestBlockKernel:
             _assert_block_equal(harness._run_block(task), _one_at_a_time(task))
 
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
-    def test_fallbacks_match_default_path(self, monkeypatch, fields):
-        # no column sum certified: each is taken by math.fsum, from the
-        # scratch when the rows run as one chunk, else from each replication
-        # simulated again, once, by the public calls
+    def test_chunk_sizes_match_default_path(self, monkeypatch, fields):
+        # the rows as one chunk, as many, and one row a chunk give the same bits
         task = _block_task(fields, (300,), N=7)
-        spec, [(T, k)], lo, hi, seed, shared = task
         [want] = harness._run_block(task)
-        # each replication's stream as simulate takes it, after any redraw
-        omega_at = {}
-        for omega in range(lo, hi):
-            rng = np.random.default_rng([seed, 1, T, omega])
-            if shared is None:
-                realize(dataclasses.replace(spec, k_max=k), rng)
-            omega_at[str(rng.bit_generator.state)] = omega
-        resimulated = []
-
-        def recorded(real, T, rng, *rest):
-            resimulated.append(omega_at[str(rng.bit_generator.state)])
-            return simulate(real, T, rng, *rest)
-
-        monkeypatch.setattr(estimators, "_certified", _uncertified)
-        monkeypatch.setattr(harness, "simulate", recorded)
-        for chunk in (estimators.CHUNK_ELEMENTS, 4000, 1):
+        for chunk in (harness.CHUNK_ELEMENTS, 4000, 1):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
-            resimulated.clear()
             [got] = harness._run_block(task)
             assert not got[4].any() and not want[4].any()
             _assert_bits_equal(got[:4], want[:4])
-            multi_chunk = chunk // (2 * 7 * k) < 300
-            assert resimulated == (list(range(1, 8)) if multi_chunk else [])
 
     @settings(max_examples=200, deadline=None)
     @given(
         fields=st.sampled_from(BLOCK_FIELDS),
         grid=st.lists(st.integers(1, 300), min_size=1, max_size=3, unique=True).map(sorted),
         N=st.integers(1, 6),
-        chunk=st.sampled_from([estimators.CHUNK_ELEMENTS, 2**10, 1]),
-        seed=st.integers(0, 2**32 - 1),
-        share=st.floats(0.0, 1.0),
+        chunk=st.sampled_from([harness.CHUNK_ELEMENTS, 2**10, 1]),
     )
-    def test_uncertified_columns_fuzzed(self, fields, grid, N, chunk, seed, share):
-        # any subset of columns may fail the certificate, in groups of one
-        # row chunk or many, whose runs end at one T or several: the block
-        # still gives the public path's bits
+    def test_chunk_invariance_fuzzed(self, fields, grid, N, chunk):
+        # groups of one row chunk or many, whose runs end at one T or
+        # several: the block gives the public path's bits
         task = _block_task(fields, grid, N)
         want = _one_at_a_time(task)
-        certified = estimators._certified
-        fails = np.random.default_rng(seed)
-
-        def flaky(r, *rest):
-            ok = certified(r, *rest) & (fails.random(r.shape) >= share)
-            r[~ok] += 1.0
-            return ok
-
-        with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk), \
-                mock.patch.object(estimators, "_certified", flaky):
+        with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk):
             got = harness._run_block(task)
         _assert_block_equal(got, want)
 
@@ -461,7 +421,7 @@ class TestBlockKernel:
                 return C, rho, sigma2
 
             monkeypatch.setattr(harness, "_coefficients", spoiling)
-            for chunk in (estimators.CHUNK_ELEMENTS, 64):
+            for chunk in (harness.CHUNK_ELEMENTS, 64):
                 monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
                 with np.errstate(invalid="ignore"):
                     check([ESCAPED, DEGENERATE, NON_FINITE, 0, ESCAPED, 0])
@@ -547,7 +507,7 @@ class TestBlockKernel:
         assert widths == [
             [(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]
         ]
-        rows = estimators.CHUNK_ELEMENTS // (2 * 48)
+        rows = harness.CHUNK_ELEMENTS // (2 * 48)
         assert rows < 3000 and peak < rows * 48
         _assert_block_equal(got, _one_at_a_time(task))
 
@@ -566,17 +526,14 @@ class TestBlockKernel:
         with pytest.raises(ValueError, match="reshape"):
             harness._run_block(task)
 
-    def test_rerun_memory_bounded(self, monkeypatch):
-        # with no column certified, a group of many row chunks simulates its
-        # replications again one at a time and sums only the columns
-        # concerned: it holds less than a replication's trajectory, its lag
-        # products and the TwoSum-tree scratch of summing them whole
+    def test_rerun_memory_bounded(self):
+        # a group of many row chunks, run again in its workspace, holds less
+        # than a replication's trajectory and its lag products
         spec, [(T, k)], lo, hi, seed, _ = _block_task(
             {"example": 1, "kT_rule": "fixed:64"}, (3000,), N=2
         )
         runs = [(T, k, range(lo, hi))]
         work = harness._workspace(2 * k)
-        monkeypatch.setattr(estimators, "_certified", _uncertified)
         first = harness._run_group(spec, runs, seed, None, work)
         tracemalloc.start()
         try:
@@ -584,9 +541,8 @@ class TestBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        step = estimators.CHUNK_ELEMENTS // (2 * k)
-        tree = math.prod(estimators.ColumnSums.tree_shape(step, 2 * k))
-        one_replication = 8 * ((T + 1) * k + T * 2 * k + tree)
+        step = harness.CHUNK_ELEMENTS // (2 * k)
+        one_replication = 8 * ((T + 1) * k + T * 2 * k)
         assert step < T and peak < one_replication
         for a, b in zip(first[T][:5], second[T][:5], strict=True):
             assert np.array_equal(a, b)

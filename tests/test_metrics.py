@@ -85,6 +85,25 @@ class TestEfmse:
         assert efmse_param(inp) == pytest.approx(naive_param, rel=1e-12)
         assert efmse_pred(inp) == pytest.approx(naive_pred, rel=1e-12)
 
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 32)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_per_replication_sums_in_component_order(self, shape, seed):
+        # one replication's EFMSE is its squared errors added in component
+        # order, bit for bit as a plain loop adds them
+        rng = np.random.default_rng(seed)
+        est, truth, last = (rng.standard_normal(shape) for _ in range(3))
+        for e, t, x in zip(est.tolist(), truth.tolist(), last.tolist()):
+            param = pred = 0.0
+            for ej, tj, xj in zip(e, t, x):
+                d = ej - tj
+                param += d * d
+                pred += (d * xj) * (d * xj)
+            inp = _inp([e], [t], [x])
+            assert (efmse_param(inp), efmse_pred(inp)) == (param, pred)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             _inp(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((2, 3)))

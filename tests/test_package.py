@@ -78,9 +78,7 @@ print(sorted(m for m in sys.modules if m.startswith(("concurrent.futures.process
 
 
 def test_run_path_does_not_import_scipy(tmp_path):
-    # Every CLI path runs with scipy unimportable and writes its golden
-    # bytes.  The golden runs include column sums the certificate cannot
-    # clear, so the kernel's math.fsum fallback runs too.
+    # Every CLI path runs with scipy unimportable and writes its golden bytes.
     runs = {
         name: ({**fields, **GOLDEN_RUN_FIELDS}, want)
         for name, (fields, want) in GOLDEN_RUNS.items()
@@ -106,17 +104,13 @@ class NoScipy:
             raise ImportError(f"{{name}} is blocked")
 
 sys.meta_path.insert(0, NoScipy())
-from arh1bench import cli, harness
+from arh1bench import cli
 
-fallbacks = []
-fsum_into = harness._fsum_into
-harness._fsum_into = lambda *args: fallbacks.append(1) or fsum_into(*args)
 results = []
 for argv, path in {[case[:2] for case in cases]!r}:
     status = cli.main(argv)
     results.append([status, hashlib.sha256(open(path, "rb").read()).hexdigest()])
-print(json.dumps([results, len(fallbacks)]))
+print(json.dumps(results))
 """
-    results, fallbacks = json.loads(_run_python(code).splitlines()[-1])
+    results = json.loads(_run_python(code).splitlines()[-1])
     assert results == [[0, want] for _, _, want in cases]
-    assert fallbacks > 0
