@@ -146,6 +146,27 @@ class TestExactSums:
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(
+        rows=st.lists(st.integers(min_value=0, max_value=41), min_size=1, max_size=6),
+        columns=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(rows=[2, 7, 40, 1, 13], columns=3, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_reused_total_equals_left_fold(self, rows, columns, seed):
+        # one running total fed blocks of changing row counts, empty ones,
+        # odd ones and larger ones after smaller, ends at the left fold of
+        # each column and never writes into a block
+        data = _spread(np.random.default_rng(seed), (sum(rows), columns))
+        total = np.zeros(columns)
+        for lo, hi in zip(np.cumsum([0, *rows[:-1]]), np.cumsum(rows)):
+            block = data[lo:hi]
+            before = block.copy()
+            add_rows(total, block)
+            assert np.array_equal(block.view(np.int64), before.view(np.int64))
+        want = np.array([_fold(col) for col in data.T.tolist()])
+        assert np.array_equal(total.view(np.int64), want.view(np.int64))
+
+    @given(
         n=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
