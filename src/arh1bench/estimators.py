@@ -16,15 +16,28 @@ with the asymptotic guarantees.  Roots are evaluated with the product-form
 quadratic formula so that the a + b = 2 reduction to min(alpha/beta, 1) is
 exact and no cancellation occurs when alpha is small relative to beta.
 
+The shrink s = rho_hat - rho_tilde_minus solves
+
+    s * (1 - rho_hat + s) = c,      c = sigma2 * (a + b - 2) / beta,
+
+since the minus root r satisfies (r - rho_hat) * (r - 1) = c exactly.  At
+beta = T * C_j and sigma2 = C_j * (1 - rho_j**2), c is about
+(a_j + b_j - 2) * (1 - rho_j**2) / T, and the crossover
+T*_j = 4 * (a_j + b_j - 2) * (1 + rho_j) / (1 - rho_j), where 4c equals
+(1 - rho_j)**2, splits two regimes: s is near c / (1 - rho_j) for T well
+past T*_j, so T * s**2 decays like 1/T, and near sqrt(c) for T well short
+of it, where T * s**2 stays near (a_j + b_j - 2) * (1 - rho_j**2).
+
 Each sum is the left fold of its lag products in time order,
 ((p_1 + p_2) + p_3) + ..., from 0.0: the same sequence of IEEE additions
 wherever it runs, so it does not depend on how rows are chunked or columns
 grouped.  Its error is at most (T - 1) * 2**-53 * sum |p_i| (Rump, "Error
 estimation of floating-point summation and dot product", BIT 52, 2012), far
-below the Monte Carlo error of any EFMSE built on it.  ``lag_sums`` folds
-a whole block at once, ``add_rows`` a block a row chunk at a time.  The
-estimators run elementwise over arrays of columns, so one replication and a
-block of replications share every operation.
+below the Monte Carlo error of any EFMSE built on it.  ``fold_rows`` is
+that fold, for a whole block (``lag_sums``) or a row chunk led by the
+running sums (the block kernel).  The estimators run elementwise over
+arrays of columns, so one replication and a block of replications share
+every operation.
 """
 from __future__ import annotations
 
@@ -40,9 +53,9 @@ from .spectral_model import ModelRealization, PriorSpec, prior_shapes
 # covers independent rounding of the two estimators, nothing more.
 PROXIMITY_SLACK = 1e-9
 
-# estimate_all's checks for one component, in the order they run; a fault
-# code is the first check the component fails, 0 when it passes them all.
-# NON_FINITE marks a replication whose sums are not finite.
+# estimate_all's checks for one component: a fault code is the first check
+# the component fails, 0 when it passes them all.  NON_FINITE (sums not
+# finite) runs first and, in a replication, outranks the other codes.
 DEGENERATE, ESCAPED, NON_FINITE = 1, 2, 3
 FAULT_NAMES = {DEGENERATE: "degenerate", ESCAPED: "escaped", NON_FINITE: "non-finite"}
 
@@ -79,26 +92,27 @@ def lag_products(x, out=None) -> np.ndarray:
     return out
 
 
+def fold_rows(p, out=None) -> np.ndarray:
+    """The left fold of the rows of ``p``, ((p[0] + p[1]) + p[2]) + ...,
+    into ``out`` (a new array by default).
+
+    ``p`` must be C-contiguous with two or more values in each row: numpy
+    reduces an outer axis row after row, which is the fold, but reduces a
+    single column pairwise.  A non-finite sum is the caller's to find, so
+    overflow and inf - inf raise no warning here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduce(p, axis=0, out=out)
+
+
 def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
     """(alpha, beta) of every column of a (T+1, c) trajectory block."""
     n, c = x.shape[0] - 1, x.shape[1]
-    # row 0 is the 0.0 the fold starts from; accumulate is the sequential scan
+    # row 0 is the 0.0 the fold starts from
     p = np.zeros((n + 1, 2 * c))
     lag_products(x, out=p[1:])
-    sums = np.add.accumulate(p, axis=0, out=p)[-1]
+    sums = fold_rows(p)
     return sums[:c], sums[c:]
-
-
-def add_rows(total, rows) -> None:
-    """Add the rows of ``rows`` into ``total`` one at a time, in order: the
-    fold of ``lag_sums``, carried on across row chunks.
-
-    A non-finite sum is the caller's to find, so overflow and inf - inf
-    raise no warning here.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row in rows:
-            np.add(total, row, out=total)
 
 
 def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
@@ -148,10 +162,11 @@ def estimate_columns(alpha, beta, sigma2, a, b):
     """Classical and minus-root estimates of columns with sums (alpha, beta).
 
     Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
-    code of the first of estimate_all's checks a column fails (DEGENERATE,
-    ESCAPED), 0 where it passes, and the estimates of a faulty column are
-    meaningless.  The inputs must have sigma2 > 0 and a + b >= 2, as the
-    prior's shapes do (a + b >= 3.01), and the shrinkage check is
+    code of the first of estimate_all's checks a column fails (NON_FINITE,
+    DEGENERATE, ESCAPED), 0 where it passes, and the estimates of a faulty
+    column are meaningless.  The inputs must have sigma2 > 0 and
+    a + b >= 2, as the prior's shapes do (a + b >= 3.01), and the shrinkage
+    check is
 
         0 <= rho_hat - rho_tilde_minus <= sqrt(sigma2*(a+b-2)/beta)
 
@@ -164,17 +179,22 @@ def estimate_columns(alpha, beta, sigma2, a, b):
         delta = hat - minus
         slack = PROXIMITY_SLACK * (1.0 + bound)
         escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
-    fault = np.select([beta == 0.0, escaped], [DEGENERATE, ESCAPED], 0)
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    fault = np.select([~finite, beta == 0.0, escaped], [NON_FINITE, DEGENERATE, ESCAPED], 0)
     return hat, minus, fault
 
 
 def first_fault(fault, T: int, alpha, beta, sigma2, a, b) -> Exception | None:
-    """The exception estimate_all raises for the first faulty component of
-    one trajectory's columns, or None when every component passes."""
+    """The exception estimate_all raises for one trajectory's columns: for
+    the first component whose sums are not finite, else for the first
+    faulty one, as the block kernel ranks them; None when all pass."""
     bad = np.flatnonzero(fault)
     if not bad.size:
         return None
-    i = bad[0]
+    i = bad[np.argmax(fault[bad] == NON_FINITE)]
+    if fault[i] == NON_FINITE:
+        return RuntimeError(f"component {i + 1}: sums alpha={alpha[i]}, "
+                            f"beta={beta[i]} are not finite over T={T}")
     if fault[i] == DEGENERATE:
         return DegenerateTrajectoryError(
             f"component {i + 1} carries no energy (beta = 0) over T={T}"
@@ -198,10 +218,11 @@ def estimate_all(
     realization (they enter the estimator as known constants).  Each
     component is verified against the shrinkage bound (see
     ``estimate_columns``); a violation indicates numerical trouble and
-    raises rather than contaminating downstream error summaries, as does a
-    component with beta = 0 (DegenerateTrajectoryError).  ``priors`` is
-    unused: the prior is the one rule of ``prior_params``, and the argument
-    stays while perfbench passes it (ROADMAP item 4).
+    raises rather than contaminating downstream error summaries, as do
+    sums that are not finite (RuntimeError) and a component with beta = 0
+    (DegenerateTrajectoryError).  ``priors`` is unused: the prior is the
+    one rule of ``prior_params``, and the argument stays while perfbench
+    passes it (ROADMAP item 4).
     """
     if traj.T < 1:
         raise ValueError("estimation needs at least one transition")

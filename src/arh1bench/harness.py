@@ -19,9 +19,10 @@ and reason; past ABORT_THRESHOLD the run fails.
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
-sums folded row by row in time order and elementwise estimators, the same
-arithmetic that ``simulate``, ``sufficient_stats`` and ``estimate_all`` run
-for a single replication, so both routes give the same bits.
+sums folded in time order a row chunk at a time and elementwise estimators,
+the same arithmetic that ``simulate``, ``sufficient_stats`` and
+``estimate_all`` run for a single replication, so both routes give the same
+bits.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FAULT_NAMES, NON_FINITE, add_rows, estimate_columns, lag_products
+from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_rows, lag_products
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -296,10 +297,11 @@ def _workspace(c: int):
 
     A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
     trajectory values (see ``_run_group``), so no size depends on T or on
-    how many columns are still running; x holds c more for the carry row.
+    how many columns are still running; x holds c more for the row that
+    carries the states, products 2c more for the one that carries the sums.
     """
     e = max(CHUNK_ELEMENTS // 2, c)
-    buf = np.empty(3 * e + c)
+    buf = np.empty(3 * (e + c))
     return buf[: e + c], buf[e + c :]
 
 
@@ -417,7 +419,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
     view into ``work``, the parts ``_workspace`` plans.  Each chunk's lag
-    products are added into the running sums row by row (``add_rows``).
+    products follow the running sums in one array, which ``fold_rows``
+    folds back into them.
 
     A replication is usable when its alpha and beta sums are finite: every
     state enters a lag product of its column, so a non-finite state leaves
@@ -461,22 +464,25 @@ def _run_group(spec, runs, seed, fixed_real, work):
                 x[0] *= np.sqrt(C)
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
-            products = lag_products(x[: n + 1], out=_view(products_part, (n, 2 * ca)))
-            add_rows(sums[:, :ca], products.reshape(n, 2, ca))
+            # row 0 carries the sums on, set once the normals are out of it
+            p = _view(products_part, (n + 1, 2, ca))
+            p[0] = sums[:, :ca]
+            lag_products(x[: n + 1], out=p[1:].reshape(n, 2 * ca))
+            fold_rows(p, out=sums[:, :ca])
             x[0] = x[n]
             done += n
 
         # the run ends here: settle and estimate it before its columns go
         m, cols = len(omegas), slice(edges[end - 1], ca)
         alpha, beta = sums[:, cols]
-        ok = (np.isfinite(alpha) & np.isfinite(beta)).reshape(m, k).all(axis=1)
         a, b = (np.tile(v, m) for v in prior_shapes(k))
         est_c, est_b, fault = estimate_columns(alpha, beta, sigma2[cols], a, b)
         fault = fault.reshape(m, k)
         first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
+        spoilt = (fault == NON_FINITE).any(axis=1)
         out[T] = (
             est_c.reshape(m, k), est_b.reshape(m, k), rho[cols].reshape(m, k),
-            x[0, cols].reshape(m, k).copy(), np.where(ok, first, NON_FINITE),
+            x[0, cols].reshape(m, k).copy(), np.where(spoilt, NON_FINITE, first),
         )
     return out
 

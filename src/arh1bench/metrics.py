@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import estimate_columns, fold_rows
 from .simulator import Trajectory
-from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq
+from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq, prior_shapes
 
 # Monte Carlo paths are generated in fixed-size batches; the constant is
 # part of the draw-order contract for seeded diagnostics.
@@ -89,6 +90,26 @@ def theory_param_limit(real, k_T: int) -> float:
     if not 1 <= k_T <= real.k:
         raise ValueError(f"k_T={k_T} out of range 1..{real.k}")
     return float(np.sum(1.0 - real.rho[:k_T] ** 2))
+
+
+def finite_t_param_reference(real, k_T: int, T: int) -> float:
+    """Reference for T * efmse_param of the Bayes estimator at sample size T
+    for a fixed realization: sum (1 - rho_j**2) + T * s_j**2 + 4 * rho_j * s_j.
+
+    s_j is the shrink rho_hat - rho_tilde_minus of the minus root at the
+    sums the component has on average, beta = T * C_j and alpha = rho_j *
+    beta; 4 * rho_j * s_j is -2T * s_j times the classical bias -2 rho_j / T
+    (Marriott and Pope, 1954; White, 1961).  The added terms vanish past
+    each component's crossover T*_j (see ``estimators``).  It holds where
+    T * (1 - rho_j) is about 30 or more; below that it undershoots.
+    """
+    if not 1 <= k_T <= real.k:
+        raise ValueError(f"k_T={k_T} out of range 1..{real.k}")
+    rho = real.rho[:k_T]
+    beta = T * real.C[:k_T]
+    hat, minus, _ = estimate_columns(rho * beta, beta, real.sigma2[:k_T], *prior_shapes(k_T))
+    s = hat - minus
+    return float(np.sum(1.0 - rho**2 + T * s**2 + 4.0 * rho * s))
 
 
 def theory_pred_limit(real, k_T: int) -> float:
@@ -207,9 +228,11 @@ def _ar1_rho_hat_samples(
                 prev = row
             np.multiply(x[:n], x[1 : n + 1], out=terms[1 : n + 1, 0])
             np.multiply(x[:n], x[:n], out=terms[1 : n + 1, 1])
-            # a sum over the outer axis adds row after row, in order
-            terms[0] = terms[: n + 1].sum(axis=0)
+            terms[0] = fold_rows(terms[: n + 1])
             x[0] = x[n]
+        # the fold raises no warning, so an overflow is caught here
+        if not np.isfinite(terms[0]).all():
+            raise FloatingPointError("overflow encountered in the lag sums")
         out[lo : lo + m] = terms[0, 0] / terms[0, 1]
     return out
 

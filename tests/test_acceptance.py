@@ -15,7 +15,9 @@ asymptotic limit at T=2000 with the Beta(2**j, 1.01) prior (the pull on the
 low-index components shrinks the estimates far more than the O(1/T)
 sampling error the limit describes), so that test fails honestly rather
 than with a loosened tolerance.  The classical branch and every other
-criterion pass.
+criterion pass.  Beside it, the Bayes-minus-classical gap on the same
+replications is checked against the finite-T reference that accounts for
+the shrink.
 """
 import dataclasses
 import math
@@ -33,6 +35,7 @@ from arh1bench.metrics import (
     efmse_param,
     efmse_pred,
     ergodic_estimates,
+    finite_t_param_reference,
     normality_check,
     theory_param_limit,
     theory_pred_limit,
@@ -131,6 +134,31 @@ def test_c03_parameter_error_limit(fixed_draw_run, capsys):
         f"T*EFMSE_param/limit: classical {ratios['classical']:.3f}, "
         f"bayes {ratios['bayes']:.3f} (each must be within 20% of 1); "
         "the bayes gap is the documented prior-shrinkage shortfall",
+        capsys,
+    )
+    assert ok
+
+
+def test_c03_bayes_gap_finite_t_reference(fixed_draw_run, capsys):
+    # G = T (EFMSE_bayes - EFMSE_classical) / limit, paired on the same
+    # trajectories so the classical estimator's own Monte Carlo noise
+    # cancels, against its deterministic reference sum_j (T s_j**2 +
+    # 4 rho_j s_j) / limit; 3 paired standard errors from the
+    # per-replication differences
+    run = fixed_draw_run
+    limit = theory_param_limit(run.real, K_FIX)
+    want = (finite_t_param_reference(run.real, K_FIX, T_FIX) - limit) / limit
+    efmse = {}
+    for name, est in (("classical", run.est_classical), ("bayes", run.est_bayes)):
+        efmse[name] = efmse_param(EfmseInput(est, run.truth, run.last))
+    gap = T_FIX * (efmse["bayes"] - efmse["classical"]) / limit
+    diff = np.sum((run.est_bayes - run.truth) ** 2 - (run.est_classical - run.truth) ** 2, axis=1)
+    se = T_FIX * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
+    ok = abs(gap - want) <= 3.0 * se
+    _report(
+        3, ok,
+        f"paired gap T*(EFMSE_bayes - EFMSE_classical)/limit {gap:.3f} +/- {se:.3f} "
+        f"vs finite-T reference {want:.3f} (within 3 standard errors)",
         capsys,
     )
     assert ok

@@ -7,11 +7,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arh1bench.estimators import (
+    DEGENERATE,
+    NON_FINITE,
     DegenerateTrajectoryError,
     SufficientStats,
-    add_rows,
     estimate_all,
     estimate_columns,
+    fold_rows,
     lag_products,
     lag_sums,
     sufficient_stats,
@@ -111,14 +113,29 @@ def _within_fold_bound(got, terms) -> bool:
     return abs(Fraction(float(got)) - sum(terms)) <= bound
 
 
+def _fold_into(total, rows):
+    """Fold ``rows`` into ``total`` as the block kernel does: the rows follow
+    a carry row holding the running total, and the fold goes back into it.
+    Returns the array folded."""
+    p = np.empty((len(rows) + 1, *total.shape))
+    p[0] = total
+    p[1:] = rows
+    fold_rows(p, out=total)
+    return p
+
+
 def _kernel_fold(x, chunk, spare):
     """(alpha, beta) of the columns of x as the block kernel forms them: the
-    lag products of chunk rows at a time added into the front of running
-    sums that are ``spare`` columns wider."""
+    lag products of chunk rows at a time, led by a carry row, folded into
+    the front of running sums that are ``spare`` columns wider."""
     n, c = x.shape[0] - 1, x.shape[1]
     sums = np.zeros((2, c + spare))
     for lo in range(0, n, chunk):
-        add_rows(sums[:, :c], lag_products(x[lo : lo + chunk + 1]).reshape(-1, 2, c))
+        m = min(chunk, n - lo)
+        p = np.empty((m + 1, 2, c))
+        p[0] = sums[:, :c]
+        lag_products(x[lo : lo + m + 1], out=p[1:].reshape(m, 2 * c))
+        fold_rows(p, out=sums[:, :c])
     return sums[:, :c]
 
 
@@ -153,18 +170,29 @@ class TestExactSums:
     @example(rows=[2, 7, 40, 1, 13], columns=3, seed=0)
     @settings(max_examples=200, deadline=None)
     def test_reused_total_equals_left_fold(self, rows, columns, seed):
-        # one running total fed blocks of changing row counts, empty ones,
-        # odd ones and larger ones after smaller, ends at the left fold of
-        # each column and never writes into a block
-        data = _spread(np.random.default_rng(seed), (sum(rows), columns))
-        total = np.zeros(columns)
+        # one running (alpha, beta) total fed blocks of changing row counts,
+        # empty ones, odd ones and larger ones after smaller, ends at the
+        # left fold of each column and never writes into a block
+        data = _spread(np.random.default_rng(seed), (sum(rows), 2, columns))
+        total = np.zeros((2, columns))
         for lo, hi in zip(np.cumsum([0, *rows[:-1]]), np.cumsum(rows)):
-            block = data[lo:hi]
-            before = block.copy()
-            add_rows(total, block)
-            assert np.array_equal(block.view(np.int64), before.view(np.int64))
-        want = np.array([_fold(col) for col in data.T.tolist()])
-        assert np.array_equal(total.view(np.int64), want.view(np.int64))
+            p = _fold_into(total, data[lo:hi])
+            assert np.array_equal(p[1:].view(np.int64), data[lo:hi].view(np.int64))
+        want = np.array([_fold(col) for col in data.reshape(len(data), 2 * columns).T.tolist()])
+        assert np.array_equal(total.ravel().view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4097])
+    def test_width_two_is_left_fold(self, n):
+        # one replication with k = 1, the narrowest fold there is: rows of
+        # two values (alpha's and beta's terms), never summed pairwise
+        x = _spread(np.random.default_rng(n), (n + 1, 1))
+        col = x[:, 0].tolist()
+        want = np.array([
+            [_fold(a * b for a, b in zip(col, col[1:]))],
+            [_fold(a * a for a in col[:-1])],
+        ])
+        for got in (np.array(lag_sums(x)), _kernel_fold(x, 64, 0), _kernel_fold(x, n + 1, 1)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @given(
         n=st.integers(min_value=1, max_value=300),
@@ -191,14 +219,18 @@ class TestExactSums:
         ],
     )
     def test_adversarial_columns(self, col):
-        # the kernel's fold of these terms, one row per chunk and all at once
-        want = np.float64(_fold(col))
+        # the kernel's fold of these terms, one row per chunk and all at
+        # once; a fold needs two values a row, so the terms reversed ride
+        # along as a second column
+        cols = [col, col[::-1]]
+        want = np.array([_fold(c) for c in cols])
         for chunk in (1, len(col)):
-            total = np.zeros(1)
+            total = np.zeros(2)
             for lo in range(0, len(col), chunk):
-                add_rows(total, np.array(col[lo : lo + chunk])[:, None])
-            assert total.view(np.int64)[0] == want.view(np.int64)
-        assert _within_fold_bound(want, col)
+                _fold_into(total, np.array(cols).T[lo : lo + chunk])
+            assert np.array_equal(total.view(np.int64), want.view(np.int64))
+        for got, c in zip(want, cols):
+            assert _within_fold_bound(got, c)
 
 
 class TestClassical:
@@ -321,6 +353,45 @@ class TestBayes:
         assert np.all(np.abs(minus[settled] - want) <= 0.01 * np.abs(want))
 
 
+class TestShrink:
+    """At the sums a component has on average, beta = T * C and alpha =
+    rho * beta, the shrink s = rho_hat - rho_tilde_minus solves
+    s * (1 - rho_hat + s) = c, c = sigma2 * (a + b - 2) / beta, and is near
+    c / (1 - rho) well past the crossover T* = 4 (a + b - 2)(1 + rho)/(1 - rho)
+    and near sqrt(c) well short of it."""
+
+    RHO = np.array([0.1, 0.5, 0.9, 0.99, 0.999])
+
+    def _shrink(self, j, factor):
+        """rho_hat, s and c of the components j with the RHO at T = factor * T*."""
+        a, b = prior_params(j)
+        rho, C = self.RHO, j**-1.5
+        T = factor * 4.0 * (a + b - 2.0) * (1.0 + rho) / (1.0 - rho)
+        beta, sigma2 = T * C, C * (1.0 - rho**2)
+        shapes = (np.full(rho.size, v) for v in (a, b))
+        hat, minus, fault = estimate_columns(rho * beta, beta, sigma2, *shapes)
+        assert not fault.any()
+        return hat, hat - minus, sigma2 * (a + b - 2.0) / beta
+
+    @pytest.mark.parametrize("factor", [1e-4, 1.0, 100.0])
+    @pytest.mark.parametrize("j", range(1, 6))
+    def test_identity(self, j, factor):
+        # s is the difference of two values near rho_hat, so it holds their
+        # rounding relative to its own size: 1e-10 at the smallest s here
+        hat, s, c = self._shrink(j, factor)
+        assert np.allclose(s * (1.0 - hat + s), c, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("j", range(1, 6))
+    def test_two_regimes(self, j):
+        # at T = 100 T*, 4c = (1 - rho)**2 / 100 and c / (1 - rho) is 0.25%
+        # above s; at T = T* / 10**4, 4c = 10**4 (1 - rho)**2 and sqrt(c)
+        # is 1.0% above s, whatever the component
+        hat, s, c = self._shrink(j, 100.0)
+        assert np.all(np.abs(c / (1.0 - hat) / s - 1.0025) < 1e-4)
+        _, s, c = self._shrink(j, 1e-4)
+        assert np.all(np.abs(np.sqrt(c) / s - 1.01) < 1e-4)
+
+
 class TestCubicScore:
     def test_flat_prior_factorization(self):
         # a=b=1, sigma2=1, alpha=3, beta=5: r(r-1)(5r-3) = 0
@@ -425,6 +496,25 @@ class TestEstimateAll:
             stats = sufficient_stats(traj, j)
             assert np.float64(stats.alpha).view(np.int64) == est.alpha[j - 1].view(np.int64)
             assert np.float64(stats.beta).view(np.int64) == est.beta[j - 1].view(np.int64)
+
+    def test_non_finite_sums_raise(self):
+        # finite states whose lag products overflow leave sums that are not
+        # finite: estimate_all raises, as the block kernel drops such a
+        # replication as NON_FINITE, ahead of a degenerate component
+        real = ModelRealization(C=[1.0, 1.0], rho=[0.5, 0.5], sigma2=[0.75, 0.75])
+        for first in ([1.0, 2.0, 1.5], [0.0, 0.0, 0.0]):
+            traj = Trajectory(coeffs=np.column_stack([first, np.full(3, 1e200)]))
+            with np.errstate(over="ignore"), pytest.raises(RuntimeError) as exc:
+                estimate_all(traj, real, 2, PriorSpec())
+            assert type(exc.value) is RuntimeError
+            assert str(exc.value) == "component 2: sums alpha=inf, beta=inf are not finite over T=2"
+
+    def test_non_finite_code_comes_first(self):
+        alpha = np.array([np.inf, 1.0, np.nan, -np.inf, 1.0, 0.0])
+        beta = np.array([np.inf, np.inf, 0.0, 2.0, 2.0, 0.0])
+        ones = np.ones(alpha.size)
+        _, _, fault = estimate_columns(alpha, beta, ones, 2.0 * ones, ones)
+        assert fault.tolist() == [NON_FINITE] * 4 + [0, DEGENERATE]
 
     def test_range_validation(self):
         traj = _column_traj([1.0, 2.0, 1.5])

@@ -16,6 +16,7 @@ from arh1bench.metrics import (
     efmse_param,
     efmse_pred,
     ergodic_estimates,
+    finite_t_param_reference,
     ks_distance_to_normal,
     normality_check,
     prior_param_limit,
@@ -162,6 +163,26 @@ class TestTheoryLimits:
         assert theory_pred_limit(real, 6) == pytest.approx(
             float(np.sum(real.sigma2)), rel=1e-15
         )
+
+    def test_finite_t_reference(self):
+        # the limit plus T * s**2 + 4 * rho * s per component: above the
+        # limit at every T, and falling to it, like 1/T once T passes each
+        # component's crossover T*_j (77 and 48 here)
+        real = ModelRealization(C=[1.0, 0.5], rho=[0.9, 0.6], sigma2=[0.19, 0.32])
+        limit = theory_param_limit(real, 2)
+        excess = [finite_t_param_reference(real, 2, T) - limit for T in (1e3, 1e6, 1e7)]
+        assert 0.0 < excess[2] < excess[1] < excess[0]
+        assert excess[1] / excess[2] == pytest.approx(10.0, rel=0.01)
+        # one component against the positive root of s**2 + (1 - rho) s = c
+        single = ModelRealization(C=[1.0], rho=[0.5], sigma2=[0.75])
+        a, b = 2.0, 1.01  # prior_params(1)
+        T = 1000.0
+        c = 0.75 * (a + b - 2.0) / T
+        s = (-(1.0 - 0.5) + math.sqrt(0.25 + 4.0 * c)) / 2.0
+        want = 0.75 + T * s * s + 4.0 * 0.5 * s
+        assert finite_t_param_reference(single, 1, T) == pytest.approx(want, rel=1e-9)
+        with pytest.raises(ValueError):
+            finite_t_param_reference(real, 3, 100)
 
     def test_prior_limits_against_monte_carlo(self):
         # closed-form Beta second moments vs numpy's own beta sampler
