@@ -1,6 +1,7 @@
 """End-to-end acceptance checks.
 
-One test per shipping criterion, run at the sizes the criteria state.
+One test per shipping criterion, two for criterion 3, run at the sizes
+the criteria state.
 Each test prints a single ``criterion NN: PASS/FAIL`` line (visible even
 without -s) before asserting, so a full run reads as a checklist.
 
