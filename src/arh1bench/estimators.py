@@ -34,10 +34,11 @@ wherever it runs, so it does not depend on how rows are chunked or columns
 grouped.  Its error is at most (T - 1) * 2**-53 * sum |p_i| (Rump, "Error
 estimation of floating-point summation and dot product", BIT 52, 2012), far
 below the Monte Carlo error of any EFMSE built on it.  ``fold_rows`` is
-that fold, for a whole block (``lag_sums``) or a row chunk led by the
-running sums (the block kernel).  The estimators run elementwise over
-arrays of columns, so one replication and a block of replications share
-every operation.
+that fold, down to one column wide, for a whole block (``lag_sums``) or a
+row chunk led by the running sums (the block kernel), alpha's terms and
+then beta's through one array.  The estimators run elementwise over arrays
+of columns, so one replication and a block of replications share every
+operation.
 """
 from __future__ import annotations
 
@@ -81,38 +82,33 @@ class SufficientStats:
             raise ValueError(f"beta is a sum of squares and cannot be {self.beta}")
 
 
-def lag_products(x, out=None) -> np.ndarray:
-    """Terms of alpha and beta for the columns of x[0..n]: an (n, 2c) array
-    holding x[i-1] * x[i] in its first c columns and x[i-1]**2 in the rest."""
-    n, c = x.shape[0] - 1, x.shape[1]
-    out = np.empty((n, 2 * c)) if out is None else out
-    lagged = x[:-1]
-    np.multiply(lagged, x[1:], out=out[:, :c])
-    np.multiply(lagged, lagged, out=out[:, c:])
-    return out
-
-
 def fold_rows(p, out=None) -> np.ndarray:
     """The left fold of the rows of ``p``, ((p[0] + p[1]) + p[2]) + ...,
-    into ``out`` (a new array by default).
+    into ``out`` (a new array by default); ``p`` itself is not written.
 
-    ``p`` must be C-contiguous with two or more values in each row: numpy
-    reduces an outer axis row after row, which is the fold, but reduces a
-    single column pairwise.  A non-finite sum is the caller's to find, so
-    overflow and inf - inf raise no warning here.
+    ``p`` must be C-contiguous.  numpy reduces an outer axis row after row,
+    which is the fold, where a row holds two or more values, but sums a
+    single column pairwise, so a lone column is folded by
+    ``np.add.accumulate``, which runs in order.  A non-finite sum is the
+    caller's to find, so overflow and inf - inf raise no warning here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        if p.size == len(p):
+            p = np.add.accumulate(p, axis=0)[-1:]
         return np.add.reduce(p, axis=0, out=out)
 
 
 def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of every column of a (T+1, c) trajectory block."""
-    n, c = x.shape[0] - 1, x.shape[1]
+    """(alpha, beta) of every column of a (T+1, c) trajectory block: the
+    fold of x[i-1] * x[i], then of x[i-1]**2, through one array."""
+    lagged = x[:-1]
     # row 0 is the 0.0 the fold starts from
-    p = np.zeros((n + 1, 2 * c))
-    lag_products(x, out=p[1:])
-    sums = fold_rows(p)
-    return sums[:c], sums[c:]
+    p = np.zeros(x.shape)
+    sums = []
+    for other in (x[1:], lagged):
+        np.multiply(lagged, other, out=p[1:])
+        sums.append(fold_rows(p))
+    return sums[0], sums[1]
 
 
 def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:

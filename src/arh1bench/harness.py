@@ -19,8 +19,9 @@ and reason; past ABORT_THRESHOLD the run fails.
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
-sums folded in time order a row chunk at a time and elementwise estimators,
-the same arithmetic that ``simulate``, ``sufficient_stats`` and
+sums folded in time order a row chunk at a time, alpha's terms and then
+beta's through one slab of scratch, and elementwise estimators, the same
+arithmetic that ``simulate``, ``sufficient_stats`` and
 ``estimate_all`` run for a single replication, so both routes give the same
 bits.
 """
@@ -38,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_rows, lag_products
+from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_rows
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -74,9 +75,9 @@ DEFAULT_T_GRID = (250, 500, 750, 1000, 1250, 1500, 1750, 2000)
 ABORT_THRESHOLD = 1e-3
 
 # A replication group has at most this many columns (replications times
-# components); its rows are simulated in chunks whose product arrays hold at
-# most CHUNK_ELEMENTS values, or one row where a row holds more.  Neither
-# changes a bit of the output, only memory and speed.
+# components); its rows are simulated in chunks of at most CHUNK_ELEMENTS / 2
+# values, or one row where a row holds more.  Neither changes a bit of the
+# output, only memory and speed.
 GROUP_COLUMNS = 2048
 CHUNK_ELEMENTS = 2**18
 
@@ -116,6 +117,20 @@ def _check_seed(seed) -> int:
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be an integer that fits in 64 bits, got {seed!r}")
     return int(seed)
+
+
+def _check_formats(fmts) -> tuple[str, ...]:
+    """Report formats, a sequence or a comma-separated string, as a tuple of
+    distinct names from a nonempty subset of csv,json."""
+    if isinstance(fmts, str):
+        fmts = tuple(f for f in fmts.split(",") if f)
+    if (
+        not isinstance(fmts, (tuple, list))
+        or not fmts
+        or any(f not in ("csv", "json") for f in fmts)
+    ):
+        raise ValueError(f"formats must be a nonempty subset of csv,json, got {fmts!r}")
+    return tuple(dict.fromkeys(fmts))
 
 
 def example_model(
@@ -194,16 +209,7 @@ class ExperimentConfig:
         object.__setattr__(self, "rho_values", spec.rho_values)
         object.__setattr__(self, "spec", spec)
 
-        fmts = self.formats
-        if isinstance(fmts, str):
-            fmts = tuple(f for f in fmts.split(",") if f)
-        if (
-            not isinstance(fmts, (tuple, list))
-            or not fmts
-            or any(f not in ("csv", "json") for f in fmts)
-        ):
-            raise ValueError(f"formats must be a nonempty subset of csv,json, got {fmts!r}")
-        object.__setattr__(self, "formats", tuple(dict.fromkeys(fmts)))
+        object.__setattr__(self, "formats", _check_formats(self.formats))
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ValueError(f"output_dir must be a path, got {self.output_dir!r}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -292,16 +298,16 @@ def _run_block(task):
 
 
 def _workspace(c: int):
-    """Flat scratch (x, products) for the row chunks of groups of at most c
-    columns, two slices of one allocation.
+    """Flat scratch (x, terms) for the row chunks of groups of at most c
+    columns, two equal slabs of one allocation.
 
     A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
-    trajectory values (see ``_run_group``), so no size depends on T or on
-    how many columns are still running; x holds c more for the row that
-    carries the states, products 2c more for the one that carries the sums.
+    values a slab (see ``_run_group``), so no size depends on T or on how
+    many columns are still running; each slab holds c more for its leading
+    row, which carries the states in x and a running sum in terms.
     """
     e = max(CHUNK_ELEMENTS // 2, c)
-    buf = np.empty(3 * (e + c))
+    buf = np.empty(2 * (e + c))
     return buf[: e + c], buf[e + c :]
 
 
@@ -417,10 +423,10 @@ def _run_group(spec, runs, seed, fixed_real, work):
     The rows run in segments, each ending at a run's T, where that run's
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
-    fill CHUNK_ELEMENTS products.  Every array the size of a row chunk is a
-    view into ``work``, the parts ``_workspace`` plans.  Each chunk's lag
-    products follow the running sums in one array, which ``fold_rows``
-    folds back into them.
+    fill CHUNK_ELEMENTS alpha and beta terms.  Every array the size of a
+    row chunk is a view into ``work``, the two slabs ``_workspace`` plans.
+    Each chunk's alpha terms, then its beta terms, follow their running
+    sums in the terms slab, which ``fold_rows`` folds back into them.
 
     A replication is usable when its alpha and beta sums are finite: every
     state enters a lag product of its column, so a non-finite state leaves
@@ -438,7 +444,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, products_part = work
+    x_part, terms_part = work
     sums = np.zeros((2, edges[-1]))
     done = 0
     out = {}
@@ -451,10 +457,10 @@ def _run_group(spec, runs, seed, fixed_real, work):
         x = _view(x_part, (rows + 1, ca))
         while done < T:
             n = min(rows, T - done)
-            # the normals go through the products buffer, free until the
-            # products of this chunk fill it; the first chunk takes row 0
+            # the normals go through the terms slab, free until the terms
+            # of this chunk fill it; the first chunk takes row 0
             lead = int(done == 0)
-            z = _view(products_part, ((n + lead) * ca,))
+            z = _view(terms_part, ((n + lead) * ca,))
             for (_, kr, o), r, a, b in zip(runs, rngs, edges, edges[1 : end + 1]):
                 zr = z[(n + lead) * a : (n + lead) * b].reshape(len(o), n + lead, kr)
                 for row, rng in zip(zr, r):
@@ -464,11 +470,12 @@ def _run_group(spec, runs, seed, fixed_real, work):
                 x[0] *= np.sqrt(C)
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
-            # row 0 carries the sums on, set once the normals are out of it
-            p = _view(products_part, (n + 1, 2, ca))
-            p[0] = sums[:, :ca]
-            lag_products(x[: n + 1], out=p[1:].reshape(n, 2 * ca))
-            fold_rows(p, out=sums[:, :ca])
+            # row 0 carries a sum on, set once the normals are out of it
+            p = _view(terms_part, (n + 1, ca))
+            for total, other in zip(sums[:, :ca], (x[1 : n + 1], x[:n])):
+                p[0] = total
+                np.multiply(x[:n], other, out=p[1:])
+                fold_rows(p, out=total)
             x[0] = x[n]
             done += n
 
@@ -490,10 +497,13 @@ def _run_group(spec, runs, seed, fixed_real, work):
 def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[EfmseReport]:
     """Run the full Monte Carlo study and return one report per (T, estimator).
 
-    ``workers`` is the process count (None or 1 runs inline).  Results are
-    identical for any worker count; see the module docstring.
+    ``workers`` is the process count, an int >= 1 (None or 1 runs inline).
+    Results are identical for any worker count; see the module docstring.
     """
-    workers = 1 if workers is None else max(1, int(workers))
+    if workers is None:
+        workers = 1
+    elif not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
     rule = config.kT_rule
     spec = config.spec
 
@@ -573,9 +583,11 @@ def _csv_cell(value) -> str:
 def emit_reports(reports, formats, output_dir) -> list[Path]:
     """Write efmse.csv / efmse.json plus the two plot tables; returns paths.
 
-    Every table is serialized before any file is written, so a bad report
-    (such as a non-finite value bound for strict JSON) leaves no output.
+    ``formats`` follows ExperimentConfig's rule.  Every table is serialized
+    before any file is written, so bad formats or a bad report (such as a
+    non-finite value bound for strict JSON) leave no output.
     """
+    formats = _check_formats(formats)
     reports = list(reports)
     if not reports:
         raise ValueError("no reports to emit")

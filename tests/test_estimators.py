@@ -14,7 +14,6 @@ from arh1bench.estimators import (
     estimate_all,
     estimate_columns,
     fold_rows,
-    lag_products,
     lag_sums,
     sufficient_stats,
 )
@@ -125,18 +124,26 @@ def _fold_into(total, rows):
 
 
 def _kernel_fold(x, chunk, spare):
-    """(alpha, beta) of the columns of x as the block kernel forms them: the
-    lag products of chunk rows at a time, led by a carry row, folded into
-    the front of running sums that are ``spare`` columns wider."""
+    """(alpha, beta) of the columns of x as the block kernel forms them:
+    chunk rows at a time, alpha's lag products and then beta's, each led by
+    a carry row in one array, folded into the front of running sums that
+    are ``spare`` columns wider."""
     n, c = x.shape[0] - 1, x.shape[1]
     sums = np.zeros((2, c + spare))
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
-        p = np.empty((m + 1, 2, c))
-        p[0] = sums[:, :c]
-        lag_products(x[lo : lo + m + 1], out=p[1:].reshape(m, 2 * c))
-        fold_rows(p, out=sums[:, :c])
+        rows = x[lo : lo + m + 1]
+        p = np.empty((m + 1, c))
+        for total, other in zip(sums[:, :c], (rows[1:], rows[:-1])):
+            p[0] = total
+            np.multiply(rows[:-1], other, out=p[1:])
+            fold_rows(p, out=total)
     return sums[:, :c]
+
+
+# Row counts either side of the block sizes at which a pairwise sum would
+# split its terms.
+_ROW_COUNTS = [0, 1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4097]
 
 
 class TestExactSums:
@@ -181,10 +188,11 @@ class TestExactSums:
         want = np.array([_fold(col) for col in data.reshape(len(data), 2 * columns).T.tolist()])
         assert np.array_equal(total.ravel().view(np.int64), want.view(np.int64))
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4097])
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
     def test_width_two_is_left_fold(self, n):
-        # one replication with k = 1, the narrowest fold there is: rows of
-        # two values (alpha's and beta's terms), never summed pairwise
+        # one replication with k = 1, the narrowest fold there is: its two
+        # sums, alpha's terms and then beta's, each folded as a lone column,
+        # never summed pairwise
         x = _spread(np.random.default_rng(n), (n + 1, 1))
         col = x[:, 0].tolist()
         want = np.array([
@@ -194,6 +202,20 @@ class TestExactSums:
         for got in (np.array(lag_sums(x)), _kernel_fold(x, 64, 0), _kernel_fold(x, n + 1, 1)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    def test_one_column_fold_is_left_fold(self, n):
+        # a lone column, which np.add.reduce would sum pairwise, is folded
+        # in order, into a new array or into out, and its block is not written
+        p = _spread(np.random.default_rng(n), (n + 1, 1))
+        before = p.copy()
+        want = np.array([_fold(p[:, 0].tolist())])
+        out = np.full(1, np.nan)
+        assert fold_rows(p, out=out) is out
+        for got in (fold_rows(p), out):
+            assert got.shape == (1,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(p.view(np.int64), before.view(np.int64))
+
     @given(
         n=st.integers(min_value=1, max_value=300),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -201,7 +223,7 @@ class TestExactSums:
     @settings(max_examples=100, deadline=None)
     def test_within_fold_error_bound(self, n, seed):
         x = _spread(np.random.default_rng(seed), (n + 1, 2))
-        products = lag_products(x)
+        products = np.concatenate([x[:-1] * x[1:], x[:-1] * x[:-1]], axis=1)
         for got, col in zip(np.concatenate(lag_sums(x)), products.T):
             assert _within_fold_bound(got, col.tolist())
 
@@ -220,15 +242,16 @@ class TestExactSums:
     )
     def test_adversarial_columns(self, col):
         # the kernel's fold of these terms, one row per chunk and all at
-        # once; a fold needs two values a row, so the terms reversed ride
-        # along as a second column
+        # once, with the terms reversed alongside as a second column and
+        # each column alone
         cols = [col, col[::-1]]
         want = np.array([_fold(c) for c in cols])
         for chunk in (1, len(col)):
-            total = np.zeros(2)
-            for lo in range(0, len(col), chunk):
-                _fold_into(total, np.array(cols).T[lo : lo + chunk])
-            assert np.array_equal(total.view(np.int64), want.view(np.int64))
+            for sel in (slice(None), slice(0, 1), slice(1, 2)):
+                total = np.zeros(2)[sel]
+                for lo in range(0, len(col), chunk):
+                    _fold_into(total, np.array(cols).T[lo : lo + chunk, sel])
+                assert np.array_equal(total.view(np.int64), want[sel].view(np.int64))
         for got, c in zip(want, cols):
             assert _within_fold_bound(got, c)
 

@@ -205,6 +205,19 @@ class TestRunExperiment:
         assert [r.kT for r in grid] == [1, 1, 3, 3, 5, 5]
         assert [_float_bits(r) for r in grid] == [_float_bits(r) for r in alone]
 
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
+    def test_bad_worker_count_rejected(self, monkeypatch, workers):
+        # a count is None or an int >= 1, never coerced, and is checked
+        # before any block is planned
+        def planned(*args):
+            raise AssertionError("blocks planned before the worker count was checked")
+
+        monkeypatch.setattr(harness, "_partition", planned)
+        cfg = ExperimentConfig(example=1, T_grid=(20,), N=2)
+        with pytest.raises(ValueError, match="workers") as exc:
+            run_experiment(cfg, workers)
+        assert "\n" not in str(exc.value)
+
     def test_rerun_is_deterministic(self):
         cfg = ExperimentConfig(example=2, T_grid=(120,), N=6, seed=1)
         assert run_experiment(cfg) == run_experiment(cfg)
@@ -387,6 +400,40 @@ class TestBlockKernel:
         with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk):
             got = harness._run_block(task)
         _assert_block_equal(got, want)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_lone_column_chunk_matches_one_replication(self, monkeypatch, workers):
+        # example 3 keeps k_T = 1 at T = 10 and 16; split over 2 workers,
+        # each block is one replication, whose T = 16 column runs its last
+        # rows alone and is folded as a lone column
+        task = _block_task(BLOCK_FIELDS[1], (10, 16), N=2)
+        spec, levels, _, _, seed, shared = task
+        assert [k for _, k in levels] == [1, 1]
+        widths = set()
+
+        def traced(p, out=None):
+            widths.add(p.shape[1])
+            return estimators.fold_rows(p, out=out)
+
+        monkeypatch.setattr(harness, "fold_rows", traced)
+        blocks = [
+            harness._run_block((spec, levels, lo, hi, seed, shared))
+            for lo, hi in harness._partition(2, workers)
+        ]
+        got = [[np.concatenate(v) for v in zip(*per_T)] for per_T in zip(*blocks)]
+        assert (1 in widths) == (workers == 2)
+        _assert_block_equal(got, _one_at_a_time(task))
+
+    @pytest.mark.parametrize(
+        "c", [1, 48, harness.GROUP_COLUMNS, harness.CHUNK_ELEMENTS // 2 + 1]
+    )
+    def test_workspace_is_two_slabs(self, c):
+        # x and terms are equal slabs of one allocation, each a chunk of at
+        # most max(CHUNK_ELEMENTS // 2, c) values and its leading row
+        x, terms = harness._workspace(c)
+        slab = max(harness.CHUNK_ELEMENTS // 2, c) + c
+        assert x.size == terms.size == slab
+        assert x.base is terms.base and x.base.size == 2 * slab
 
     def test_reason_per_replication(self, monkeypatch):
         # each replication gets the code of its first faulty component, or
@@ -620,6 +667,15 @@ class TestEmitReports:
         names = {p.name for p in written}
         assert names == {"efmse.json", "plot_param.csv", "plot_pred.csv"}
         assert not (tmp_path / "efmse.csv").exists()
+
+    @pytest.mark.parametrize("formats", [["CSV"], (), "jsonl"])
+    def test_unknown_formats_write_nothing(self, tmp_path, formats):
+        # formats follow the config's rule: no format is skipped, and none
+        # is matched by substring
+        reports = self._reports()
+        with pytest.raises(ValueError, match="formats"):
+            emit_reports(reports, formats, tmp_path / "out")
+        assert not list(tmp_path.iterdir())
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(ValueError):
