@@ -86,23 +86,20 @@ def _parse_t_grid(text: str) -> tuple[int, ...]:
 
 
 def _parse_rho_mode(text: str) -> tuple[str, tuple[float, ...] | None]:
-    if text in ("redraw", "fixed", "explicit"):
+    # any other mode goes on as it is, for the model spec to check
+    if not text.startswith("explicit:"):
         return text, None
-    if text.startswith("explicit:"):
-        path = text[len("explicit:"):]
-        try:
-            with open(path, encoding="utf-8") as fh:
-                values = json.load(fh)
-        except OSError as exc:
-            raise CliError(f"cannot read coefficient file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise CliError(f"coefficient file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(values, list) or not values:
-            raise CliError(f"coefficient file {path} must hold a nonempty JSON array")
-        return "explicit", tuple(values)
-    raise CliError(
-        f"--rho-mode expects redraw, fixed or explicit:FILE, got {text!r}"
-    )
+    path = text[len("explicit:"):]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except OSError as exc:
+        raise CliError(f"cannot read coefficient file {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"coefficient file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(values, list) or not values:
+        raise CliError(f"coefficient file {path} must hold a nonempty JSON array")
+    return "explicit", tuple(values)
 
 
 def _resolve_workers(value: str | None) -> int:
@@ -115,12 +112,9 @@ def _resolve_workers(value: str | None) -> int:
             return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     try:
-        n = int(value)
+        return int(value)
     except ValueError:
         raise CliError(f"--workers expects an integer or 'auto', got {value!r}") from None
-    if n < 1:
-        raise CliError(f"--workers must be >= 1, got {n}")
-    return n
 
 
 def _run_command(args) -> int:

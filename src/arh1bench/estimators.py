@@ -34,11 +34,11 @@ wherever it runs, so it does not depend on how rows are chunked or columns
 grouped.  Its error is at most (T - 1) * 2**-53 * sum |p_i| (Rump, "Error
 estimation of floating-point summation and dot product", BIT 52, 2012), far
 below the Monte Carlo error of any EFMSE built on it.  ``fold_rows`` is
-that fold, down to one column wide, for a whole block (``lag_sums``) or a
-row chunk led by the running sums (the block kernel), alpha's terms and
-then beta's through one array.  The estimators run elementwise over arrays
-of columns, so one replication and a block of replications share every
-operation.
+that fold, down to one column wide; ``fold_lag_terms`` forms the lag terms
+and folds alpha's, then beta's, onto running sums, for a whole block
+(``lag_sums``) or a row chunk (the block kernel and the diagnostics' path
+engine).  The estimators run elementwise over arrays of columns, so one
+replication and a block of replications share every operation.
 """
 from __future__ import annotations
 
@@ -98,16 +98,22 @@ def fold_rows(p, out=None) -> np.ndarray:
         return np.add.reduce(p, axis=0, out=out)
 
 
-def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
-    """(alpha, beta) of every column of a (T+1, c) trajectory block: the
-    fold of x[i-1] * x[i], then of x[i-1]**2, through one array."""
+def fold_lag_terms(x, sums, p) -> None:
+    """Fold x[i-1] * x[i] onto ``sums[0]``, then x[i-1]**2 onto ``sums[1]``,
+    in place, each through ``p``: C-contiguous with x's shape, its row 0
+    carries the running sum in ahead of the terms.  ``x`` is not written."""
     lagged = x[:-1]
-    # row 0 is the 0.0 the fold starts from
-    p = np.zeros(x.shape)
-    sums = []
-    for other in (x[1:], lagged):
+    for total, other in zip(sums, (x[1:], lagged)):
+        p[0] = total
         np.multiply(lagged, other, out=p[1:])
-        sums.append(fold_rows(p))
+        fold_rows(p, out=total)
+
+
+def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta) of every column of a (T+1, c) trajectory block, folded
+    from 0.0 by ``fold_lag_terms``."""
+    sums = np.zeros((2, x.shape[1]))
+    fold_lag_terms(x, sums, np.empty(x.shape))
     return sums[0], sums[1]
 
 

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_rows
+from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_lag_terms
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -57,11 +57,13 @@ from .metrics import (
 )
 from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
+    RHO_CLAMP_EPS,
     EigenvalueLaw,
     ModelRealization,
     SpectralModelSpec,
     draw_rho,
     eigenvalues,
+    prior_params,
     prior_shapes,
     realize,
 )
@@ -144,7 +146,9 @@ def example_model(
 
     ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
     components that rule keeps at sample size ``T_max``, which covers every
-    smaller T because k_T never decreases in T.
+    smaller T because k_T never decreases in T.  Drawn coefficients are
+    refused where component k_T's prior has b / a < RHO_CLAMP_EPS: most of
+    its draws would then lie where ``draw_rho``'s clamp rewrites them.
     """
     if not _is_int(example) or example not in EXAMPLE_EXPONENTS:
         raise ValueError(f"example must be 1, 2 or 3, got {example!r}")
@@ -155,6 +159,10 @@ def example_model(
         rho_mode=rho_mode,
         rho_values=rho_values,
     )
+    a, b = prior_params(spec.k_max)
+    if spec.rho_mode != "explicit" and b / a < RHO_CLAMP_EPS:
+        raise ValueError(f"k_T={spec.k_max} at T={T_max} puts most prior draws within "
+                         f"{RHO_CLAMP_EPS:g} of 1, where draw_rho's clamp rewrites them")
     return spec, rule
 
 
@@ -425,8 +433,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS alpha and beta terms.  Every array the size of a
     row chunk is a view into ``work``, the two slabs ``_workspace`` plans.
-    Each chunk's alpha terms, then its beta terms, follow their running
-    sums in the terms slab, which ``fold_rows`` folds back into them.
+    ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
+    onto their running sums through the terms slab.
 
     A replication is usable when its alpha and beta sums are finite: every
     state enters a lag product of its column, so a non-finite state leaves
@@ -470,12 +478,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
                 x[0] *= np.sqrt(C)
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
-            # row 0 carries a sum on, set once the normals are out of it
-            p = _view(terms_part, (n + 1, ca))
-            for total, other in zip(sums[:, :ca], (x[1 : n + 1], x[:n])):
-                p[0] = total
-                np.multiply(x[:n], other, out=p[1:])
-                fold_rows(p, out=total)
+            # the terms go through the slab once the normals are out of it
+            fold_lag_terms(x[: n + 1], sums[:, :ca], _view(terms_part, (n + 1, ca)))
             x[0] = x[n]
             done += n
 
@@ -503,7 +507,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     if workers is None:
         workers = 1
     elif not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be None or an integer >= 1, got {workers!r}")
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     rule = config.kT_rule
     spec = config.spec
 

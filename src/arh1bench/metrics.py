@@ -10,8 +10,10 @@ and their theoretical large-T limits: T * efmse_param tends to
 sum_{j<=k_T} (1 - rho_j**2) and T * efmse_pred to
 sum_{j<=k_T} C_j * (1 - rho_j**2) for both estimators.  The diagnostics
 (Bartlett limit, asymptotic normality, ergodic second moments) validate the
-scalar AR(1) machinery those limits rest on, using an internal path
-generator that shares no code with the trajectory simulator.
+scalar AR(1) machinery those limits rest on.  The ergodic check runs
+``simulate``, the other two a path engine sharing ``ar1_steps`` and
+``fold_lag_terms``, whose bit-for-bit oracles in the tests are
+``scipy.signal.lfilter`` for the paths and a plain loop for the sums.
 """
 from __future__ import annotations
 
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_columns, fold_rows
-from .simulator import Trajectory
+from .estimators import estimate_columns, fold_lag_terms
+from .simulator import Trajectory, ar1_steps
 from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq, prior_shapes
 
 # Monte Carlo paths are generated in fixed-size batches; the constant is
@@ -206,34 +208,29 @@ def _ar1_rho_hat_samples(
 ) -> np.ndarray:
     """Moment estimates from N independent stationary scalar AR(1) paths.
 
-    Standalone path engine (a time loop vectorized over paths in fixed
-    chunks); kept free of the trajectory simulator on purpose so the two
-    can vouch for each other.  The rows run in chunks of AR1_ROW_CHUNK, so
-    memory does not grow with T; row 0 of each buffer carries the state
-    and the sums of alpha and beta terms in from the chunk before.
+    The path engine: paths run in chunks of AR1_PATH_CHUNK and their rows
+    in chunks of AR1_ROW_CHUNK, so memory does not grow with T.  Each row
+    chunk is stepped by ``ar1_steps`` and folded by ``fold_lag_terms``;
+    row 0 of x carries the state in from the chunk before.
     """
     out = np.empty(N)
     scale0 = sigma / math.sqrt(1.0 - rho * rho)
     for lo in range(0, N, AR1_PATH_CHUNK):
         m = min(AR1_PATH_CHUNK, N - lo)
         x = np.empty((AR1_ROW_CHUNK + 1, m))
-        terms = np.zeros((AR1_ROW_CHUNK + 1, 2, m))
+        p = np.empty((AR1_ROW_CHUNK + 1, m))
+        sums = np.zeros((2, m))
         x[0] = scale0 * rng.standard_normal(m)
         for t in range(0, T, AR1_ROW_CHUNK):
             n = min(AR1_ROW_CHUNK, T - t)
             np.multiply(sigma, rng.standard_normal((n, m)), out=x[1 : n + 1])
-            prev = x[0]
-            for row in x[1 : n + 1]:
-                row += rho * prev
-                prev = row
-            np.multiply(x[:n], x[1 : n + 1], out=terms[1 : n + 1, 0])
-            np.multiply(x[:n], x[:n], out=terms[1 : n + 1, 1])
-            terms[0] = fold_rows(terms[: n + 1])
+            ar1_steps(x[: n + 1], rho)
+            fold_lag_terms(x[: n + 1], sums, p[: n + 1])
             x[0] = x[n]
         # the fold raises no warning, so an overflow is caught here
-        if not np.isfinite(terms[0]).all():
+        if not np.isfinite(sums).all():
             raise FloatingPointError("overflow encountered in the lag sums")
-        out[lo : lo + m] = terms[0, 0] / terms[0, 1]
+        out[lo : lo + m] = sums[0] / sums[1]
     return out
 
 

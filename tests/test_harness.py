@@ -410,12 +410,14 @@ class TestBlockKernel:
         spec, levels, _, _, seed, shared = task
         assert [k for _, k in levels] == [1, 1]
         widths = set()
+        fold_rows = estimators.fold_rows
 
         def traced(p, out=None):
             widths.add(p.shape[1])
-            return estimators.fold_rows(p, out=out)
+            return fold_rows(p, out=out)
 
-        monkeypatch.setattr(harness, "fold_rows", traced)
+        # the kernel folds through fold_lag_terms, which calls fold_rows
+        monkeypatch.setattr(estimators, "fold_rows", traced)
         blocks = [
             harness._run_block((spec, levels, lo, hi, seed, shared))
             for lo, hi in harness._partition(2, workers)
@@ -577,7 +579,7 @@ class TestBlockKernel:
         # a group of many row chunks, run again in its workspace, holds less
         # than a replication's trajectory and its lag products
         spec, [(T, k)], lo, hi, seed, _ = _block_task(
-            {"example": 1, "kT_rule": "fixed:64"}, (3000,), N=2
+            {"example": 1, "kT_rule": "fixed:39"}, (4000,), N=2
         )
         runs = [(T, k, range(lo, hi))]
         work = harness._workspace(2 * k)
