@@ -1,6 +1,6 @@
 """End-to-end acceptance checks.
 
-One test per shipping criterion, two for criterion 3, run at the sizes
+One test per shipping criterion, three for criterion 3, run at the sizes
 the criteria state.
 Each test prints a single ``criterion NN: PASS/FAIL`` line (visible even
 without -s) before asserting, so a full run reads as a checklist.
@@ -18,7 +18,7 @@ sampling error the limit describes), so that test fails honestly rather
 than with a loosened tolerance.  The classical branch and every other
 criterion pass.  Beside it, the Bayes-minus-classical gap on the same
 replications is checked against the finite-T reference that accounts for
-the shrink.
+the shrink, at T=2000 and across T = 2e3, 1e4 and 3e4 on the same draw.
 """
 import dataclasses
 import math
@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pytest
 
-from arh1bench import cli
+from arh1bench import cli, harness
 from arh1bench.estimators import SufficientStats, estimate_all
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
@@ -160,6 +160,35 @@ def test_c03_bayes_gap_finite_t_reference(fixed_draw_run, capsys):
         3, ok,
         f"paired gap T*(EFMSE_bayes - EFMSE_classical)/limit {gap:.3f} +/- {se:.3f} "
         f"vs finite-T reference {want:.3f} (within 3 standard errors)",
+        capsys,
+    )
+    assert ok
+
+
+def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
+    # the same paired gap on criterion 3's draw at three T, each within 3
+    # paired standard errors of its finite-T reference, and falling as T
+    # grows: the shrink's share of the error is a finite-T effect
+    real = fixed_draw_run.real
+    spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=K_FIX, rho_mode="fixed")
+    limit = theory_param_limit(real, K_FIX)
+    gaps, ok, detail = [], True, []
+    for T in (2_000, 10_000, 30_000):
+        [(est_c, est_b, truth, _, reason)] = harness._run_block(
+            (spec, ((T, K_FIX),), 1, N_FIX + 1, SEED, real)
+        )
+        assert not reason.any()
+        diff = np.sum((est_b - truth) ** 2 - (est_c - truth) ** 2, axis=1)
+        gap = T * float(np.mean(diff)) / limit
+        se = T * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
+        want = (finite_t_param_reference(real, K_FIX, T) - limit) / limit
+        ok &= abs(gap - want) <= 3.0 * se
+        gaps.append(gap)
+        detail.append(f"T={T}: {gap:.3f} +/- {se:.3f} vs {want:.3f}")
+    ok &= all(b < a for a, b in zip(gaps, gaps[1:]))
+    _report(
+        3, ok,
+        "paired gap sweep " + "; ".join(detail) + " (each within 3 standard errors, falling in T)",
         capsys,
     )
     assert ok

@@ -117,11 +117,28 @@ class TestRunErrors:
         assert _run(["run", "--example", "1", "--T", "a,b", "--N", "2"]) == 1
         assert _run(["run", "--example", "1", "--T", "500,250", "--N", "2"]) == 1
 
-    def test_bad_workers(self, tmp_path):
+    def test_bad_workers(self, tmp_path, capsys):
+        # a count below 1 is left to run_experiment, which says so in one line
         args = ["run", "--example", "1", "--T", "20", "--N", "2",
                 "--out", str(tmp_path)]
-        assert _run(args + ["--workers", "0"]) == 1
-        assert _run(args + ["--workers", "soon"]) == 1
+        for value in ("0", "soon"):
+            assert _run(args + ["--workers", value]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "flags", [["--rho-mode", "bogus"], ["--rho-mode", "explicit"], ["--kT", "fixed:40"]]
+    )
+    def test_bad_model_flags(self, tmp_path, capsys, flags):
+        # the rho mode goes on to the model spec and the prior to
+        # example_model, which reject these in one line
+        assert _run([
+            "run", "--example", "1", "--T", "20", "--N", "2", "--out", str(tmp_path), *flags,
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
 
     def test_auto_workers_count_usable_cpus(self, monkeypatch):
         # resolved without starting any process

@@ -13,6 +13,7 @@ from arh1bench.estimators import (
     SufficientStats,
     estimate_all,
     estimate_columns,
+    fold_lag_terms,
     fold_rows,
     lag_sums,
     sufficient_stats,
@@ -124,20 +125,14 @@ def _fold_into(total, rows):
 
 
 def _kernel_fold(x, chunk, spare):
-    """(alpha, beta) of the columns of x as the block kernel forms them:
-    chunk rows at a time, alpha's lag products and then beta's, each led by
-    a carry row in one array, folded into the front of running sums that
-    are ``spare`` columns wider."""
+    """(alpha, beta) of the columns of x as the block kernel and the path
+    engine form them: ``fold_lag_terms`` on chunk rows at a time, onto the
+    front of running sums that are ``spare`` columns wider."""
     n, c = x.shape[0] - 1, x.shape[1]
     sums = np.zeros((2, c + spare))
     for lo in range(0, n, chunk):
         m = min(chunk, n - lo)
-        rows = x[lo : lo + m + 1]
-        p = np.empty((m + 1, c))
-        for total, other in zip(sums[:, :c], (rows[1:], rows[:-1])):
-            p[0] = total
-            np.multiply(rows[:-1], other, out=p[1:])
-            fold_rows(p, out=total)
+        fold_lag_terms(x[lo : lo + m + 1], sums[:, :c], np.empty((m + 1, c)))
     return sums[:, :c]
 
 
@@ -161,6 +156,7 @@ class TestExactSums:
     @settings(max_examples=200, deadline=None)
     def test_equals_left_fold_bit_for_bit(self, n, columns, chunk, spare, seed):
         x = _spread(np.random.default_rng(seed), (n + 1, columns))
+        before = x.copy()
         cols = x.T.tolist()
         want = np.array([
             [_fold(a * b for a, b in zip(col, col[1:])) for col in cols],
@@ -168,6 +164,8 @@ class TestExactSums:
         ])
         for got in (np.array(lag_sums(x)), _kernel_fold(x, chunk, spare)):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # fold_lag_terms writes only the sums and its scratch, never x
+        assert np.array_equal(x.view(np.int64), before.view(np.int64))
 
     @given(
         rows=st.lists(st.integers(min_value=0, max_value=41), min_size=1, max_size=6),

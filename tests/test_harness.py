@@ -106,6 +106,28 @@ class TestConfig:
         )
         assert cfg.rho_values == (0.5, 0.4, 0.3, 0.2, 0.1)
 
+    @pytest.mark.parametrize("rho_mode", ["redraw", "fixed"])
+    def test_drawn_prior_past_clamp_rejected(self, rho_mode):
+        # Beta(2**k, 1.01) has b / a = 1.84e-12 at k = 39 and 9.19e-13 at
+        # k = 40, below RHO_CLAMP_EPS; power:4.1 reaches k_T = 40 between
+        # T = 3.6e6 and 3.8e6
+        for T, rule in ((3_600_000, None), (20, KtRule.fixed(39))):
+            cfg = ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
+            assert cfg.spec.k_max == 39
+        for T, rule in ((3_800_000, None), (20, KtRule.fixed(40))):
+            with pytest.raises(ValueError, match="k_T=40 .* clamp") as exc:
+                ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
+            assert "\n" not in str(exc.value)
+
+    def test_explicit_or_bare_spec_past_clamp_kept(self):
+        # explicit values are not drawn, and a bare spec is not a config
+        cfg = ExperimentConfig(
+            example=3, T_grid=(3_800_000,), rho_mode="explicit", rho_values=(0.5,) * 40
+        )
+        assert cfg.spec.k_max == 40
+        spec = SpectralModelSpec(law=EigenvalueLaw.power_law(2.0), k_max=40, rho_mode="fixed")
+        assert realize(spec, np.random.default_rng(0)).k == 40
+
     def test_config_from_dict(self):
         cfg = config_from_dict(
             {
