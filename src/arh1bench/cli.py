@@ -85,10 +85,10 @@ def _parse_t_grid(text: str) -> tuple[int, ...]:
         raise CliError(f"--T expects comma-separated integers, got {text!r}") from None
 
 
-def _parse_rho_mode(text: str) -> tuple[str, tuple[float, ...] | None]:
-    # any other mode goes on as it is, for the model spec to check
+def _parse_rho_mode(text: str) -> dict:
+    """The config fields a --rho-mode value sets, for the model spec to check."""
     if not text.startswith("explicit:"):
-        return text, None
+        return {"rho_mode": text}
     path = text[len("explicit:"):]
     try:
         with open(path, encoding="utf-8") as fh:
@@ -97,9 +97,7 @@ def _parse_rho_mode(text: str) -> tuple[str, tuple[float, ...] | None]:
         raise CliError(f"cannot read coefficient file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"coefficient file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(values, list) or not values:
-        raise CliError(f"coefficient file {path} must hold a nonempty JSON array")
-    return "explicit", tuple(values)
+    return {"rho_mode": "explicit", "rho_values": values}
 
 
 def _resolve_workers(value: str | None) -> int:
@@ -128,10 +126,7 @@ def _run_command(args) -> int:
     if args.seed is not None:
         data["seed"] = args.seed
     if args.rho_mode is not None:
-        mode, values = _parse_rho_mode(args.rho_mode)
-        data["rho_mode"] = mode
-        if values is not None:
-            data["rho_values"] = values
+        data.update(_parse_rho_mode(args.rho_mode))
     if args.out is not None:
         data["output_dir"] = args.out
     if args.format is not None:

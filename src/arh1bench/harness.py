@@ -47,7 +47,7 @@ from .metrics import (
     bartlett_check,
     efmse_param,
     efmse_pred,
-    ergodic_estimates,
+    ergodic_check,
     normality_check,
     prior_param_limit,
     prior_pred_limit,
@@ -59,7 +59,6 @@ from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
     RHO_CLAMP_EPS,
     EigenvalueLaw,
-    ModelRealization,
     SpectralModelSpec,
     draw_rho,
     eigenvalues,
@@ -88,9 +87,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-# One-sided 0.5% Kolmogorov-Smirnov critical value is KS_CRITICAL / sqrt(N).
-KS_CRITICAL = 1.73
 
 CSV_HEADER = ",".join(f.name for f in dataclasses.fields(EfmseReport))
 
@@ -147,8 +143,10 @@ def example_model(
     ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
     components that rule keeps at sample size ``T_max``, which covers every
     smaller T because k_T never decreases in T.  Drawn coefficients are
-    refused where component k_T's prior has b / a < RHO_CLAMP_EPS: most of
-    its draws would then lie where ``draw_rho``'s clamp rewrites them.
+    refused where component k_T's prior has b / a < RHO_CLAMP_EPS (k_T >=
+    40): its median draw would then lie where ``draw_rho``'s clamp rewrites
+    it.  The rule marks only the median: at k_T = 39 about 42% of
+    component 39's draws are still clamped to 1 - RHO_CLAMP_EPS.
     """
     if not _is_int(example) or example not in EXAMPLE_EXPONENTS:
         raise ValueError(f"example must be 1, 2 or 3, got {example!r}")
@@ -643,39 +641,10 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _bartlett(key, rho, sigma2, T, N):
-    t_mse, target = bartlett_check(rho, sigma2, T, N, np.random.default_rng(key))
-    tol = 0.1 * target
-    return {"t_mse": t_mse}, {"limit": target, "tolerance": tol}, abs(t_mse - target) <= tol
-
-
-def _normality(key, rho, T, N):
-    ks, _ = normality_check(rho, T, N, np.random.default_rng(key))
-    crit = KS_CRITICAL / math.sqrt(N)
-    return {"ks_distance": ks}, {"critical_value": crit}, ks <= crit
-
-
-def _ergodic(key, rho, C, n):
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
-    if not 0.0 < C < math.inf:
-        raise ValueError(f"C must be positive and finite, got {C}")
-    if n < 2:
-        raise ValueError(f"ergodic averages need n >= 2, got {n}")
-    real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
-    traj = simulate(real, n, np.random.default_rng(key))
-    c_hat, d_hat = ergodic_estimates(traj, 1, n)
-    ratio = rho * n / (n - 1)
-    return (
-        {"c_hat": c_hat, "d_hat": d_hat, "ratio": d_hat / c_hat},
-        {"c": C, "c_tolerance": 0.05 * C, "ratio": ratio, "ratio_tolerance": 0.02},
-        abs(c_hat - C) <= 0.05 * C and abs(d_hat / c_hat - ratio) <= 0.02,
-    )
-
-
 def _positivity(key, example, T, N):
-    if T < 2 or N < 1:
-        raise ValueError("positivity diagnostic needs T >= 2 and N >= 1")
+    # T is range-checked by truncation_order and positivity_diagnostic
+    if N < 1:
+        raise ValueError(f"positivity diagnostic needs N >= 1, got {N}")
     spec, _ = example_model(example, T)
     per_component = np.zeros(spec.k_max)
     all_hold = 0
@@ -693,9 +662,9 @@ def _positivity(key, example, T, N):
 # its parameter's type; a runner takes the stream key and the parameters and
 # returns (outputs, targets, pass), pass None where the check is informational.
 DIAGNOSTICS = {
-    "bartlett": (1, {"rho": 0.6, "sigma2": 1.0, "T": 4000, "N": 4000}, _bartlett),
-    "normality": (2, {"rho": 0.5, "T": 3000, "N": 2000}, _normality),
-    "ergodic": (3, {"rho": 0.9, "C": 1.0, "n": 200_000}, _ergodic),
+    "bartlett": (1, {"rho": 0.6, "sigma2": 1.0, "T": 4000, "N": 4000}, bartlett_check),
+    "normality": (2, {"rho": 0.5, "T": 3000, "N": 2000}, normality_check),
+    "ergodic": (3, {"rho": 0.9, "C": 1.0, "n": 200_000}, ergodic_check),
     "positivity": (4, {"example": 1, "T": 500, "N": 100}, _positivity),
 }
 

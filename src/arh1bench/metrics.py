@@ -10,10 +10,14 @@ and their theoretical large-T limits: T * efmse_param tends to
 sum_{j<=k_T} (1 - rho_j**2) and T * efmse_pred to
 sum_{j<=k_T} C_j * (1 - rho_j**2) for both estimators.  The diagnostics
 (Bartlett limit, asymptotic normality, ergodic second moments) validate the
-scalar AR(1) machinery those limits rest on.  The ergodic check runs
-``simulate``, the other two a path engine sharing ``ar1_steps`` and
-``fold_lag_terms``, whose bit-for-bit oracles in the tests are
-``scipy.signal.lfilter`` for the paths and a plain loop for the sums.
+scalar AR(1) machinery those limits rest on.  Each is one function
+(``bartlett_check``, ``normality_check``, ``ergodic_check``) that
+range-checks its parameters, draws from ``default_rng(key)`` and returns
+its outputs, targets and pass verdict; ``harness.DIAGNOSTICS`` runs it as
+it is.  The ergodic check runs ``simulate``, the other two a path engine
+sharing ``ar1_steps`` and ``fold_lag_terms``, whose bit-for-bit oracles in
+the tests are ``scipy.signal.lfilter`` for the paths and a plain loop for
+the sums.
 """
 from __future__ import annotations
 
@@ -23,8 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import estimate_columns, fold_lag_terms
-from .simulator import Trajectory, ar1_steps
-from .spectral_model import EigenvalueLaw, PriorSpec, eigenvalue, prior_mean_sq, prior_shapes
+from .simulator import ar1_steps, simulate
+from .spectral_model import (
+    EigenvalueLaw, ModelRealization, PriorSpec, eigenvalue, prior_mean_sq, prior_shapes
+)
 
 # Monte Carlo paths are generated in fixed-size batches; the constant is
 # part of the draw-order contract for seeded diagnostics.
@@ -186,11 +192,6 @@ class KtRule:
         except ValueError as exc:
             raise ValueError(f"bad truncation rule {text!r}: {exc}") from exc
 
-    def __str__(self) -> str:
-        if self.kind == "fixed":
-            return f"fixed:{int(self.value)}"
-        return f"power:{self.value:g}"
-
 
 def truncation_order(T: int, rule: KtRule) -> int:
     """Number of components retained at sample size T."""
@@ -234,22 +235,26 @@ def _ar1_rho_hat_samples(
     return out
 
 
-def bartlett_check(
-    rho: float, sigma2: float, T: int, N: int, rng: np.random.Generator
-) -> tuple[float, float]:
-    """Monte Carlo check of the scaled-error limit T * E(rho_hat - rho)**2.
+def bartlett_check(key, rho: float, sigma2: float, T: int, N: int) -> tuple[dict, dict, bool]:
+    """Bartlett limit T * E(rho_hat - rho)**2 -> 1 - rho**2, on N paths of
+    length T drawn from ``default_rng(key)``.
 
-    Returns the empirical T * mean squared error and its limit 1 - rho**2.
+    Returns (outputs, targets, verdict): the empirical T * mean squared
+    error, the limit with its 10% tolerance, and whether it lies within.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    if T < 1 or N < 1:
-        raise ValueError("T and N must be positive")
-    rho_hats = _ar1_rho_hat_samples(rho, math.sqrt(sigma2), T, N, rng)
+    if T < 1:
+        raise ValueError(f"T must be >= 1, got {T}")
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
+    rho_hats = _ar1_rho_hat_samples(rho, math.sqrt(sigma2), T, N, np.random.default_rng(key))
     t_mse = T * float(np.mean((rho_hats - rho) ** 2))
-    return t_mse, 1.0 - rho * rho
+    limit = 1.0 - rho * rho
+    tol = 0.1 * limit
+    return {"t_mse": t_mse}, {"limit": limit, "tolerance": tol}, abs(t_mse - limit) <= tol
 
 
 def _normal_cdf(z) -> np.ndarray:
@@ -268,43 +273,66 @@ def ks_distance_to_normal(z) -> float:
     return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
 
 
-def normality_check(
-    rho: float, T: int, N: int, rng: np.random.Generator
-) -> tuple[float, np.ndarray]:
-    """KS distance of the standardized estimates to the standard normal.
+# One-sided 0.5% Kolmogorov-Smirnov critical value is KS_CRITICAL / sqrt(N).
+KS_CRITICAL = 1.73
 
-    Scores are z = sqrt(T) * (rho_hat - rho) / sqrt(1 - rho**2); unit
-    innovation variance is used since the scores are scale invariant.
+
+def normality_check(key, rho: float, T: int, N: int) -> tuple[dict, dict, bool]:
+    """Asymptotic normality of the scores z = sqrt(T) * (rho_hat - rho) /
+    sqrt(1 - rho**2), on N paths of length T drawn from ``default_rng(key)``
+    with unit innovation variance (the scores are scale invariant).
+
+    Returns (outputs, targets, verdict): the scores' KS distance to the
+    standard normal, the critical value KS_CRITICAL / sqrt(N), and whether
+    the distance is within it.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError(f"rho must lie in (-1, 1), got {rho}")
     if T < 1:
-        raise ValueError(f"T must be positive, got {T}")
+        raise ValueError(f"T must be >= 1, got {T}")
     if N < 100:
         raise ValueError(f"normality check needs N >= 100, got {N}")
-    rho_hats = _ar1_rho_hat_samples(rho, 1.0, T, N, rng)
-    z = math.sqrt(T) * (rho_hats - rho) / math.sqrt(1.0 - rho * rho)
-    return ks_distance_to_normal(z), z
+    rho_hats = _ar1_rho_hat_samples(rho, 1.0, T, N, np.random.default_rng(key))
+    ks = ks_distance_to_normal(math.sqrt(T) * (rho_hats - rho) / math.sqrt(1.0 - rho * rho))
+    crit = KS_CRITICAL / math.sqrt(N)
+    return {"ks_distance": ks}, {"critical_value": crit}, ks <= crit
 
 
-def ergodic_estimates(traj: Trajectory, j: int, n: int) -> tuple[float, float]:
-    """Time averages of the second moments over the first n transitions.
+def ergodic_estimates(x) -> tuple[float, float]:
+    """Time averages of the second moments of one path x[0..n].
 
-    c_hat = (1/n) sum_{i=1..n} x[i-1]**2 estimates the coefficient variance
-    C_j; d_hat = (1/(n-1)) sum_{i=1..n} x[i-1]*x[i] estimates the lag-one
-    moment (its normalization makes d_hat/c_hat = (n/(n-1)) * alpha/beta).
+    c_hat = (1/n) sum_{i=1..n} x[i-1]**2 estimates the variance C; d_hat =
+    (1/(n-1)) sum_{i=1..n} x[i-1]*x[i] estimates the lag-one moment (its
+    normalization makes d_hat/c_hat = (n/(n-1)) * alpha/beta).
     """
+    n = len(x) - 1
+    lagged = x[:-1]
+    c_hat = math.fsum((lagged * lagged).tolist()) / n
+    d_hat = math.fsum((lagged * x[1:]).tolist()) / (n - 1)
+    return c_hat, d_hat
+
+
+def ergodic_check(key, rho: float, C: float, n: int) -> tuple[dict, dict, bool]:
+    """Ergodic second moments of one stationary AR(1) path of variance C and
+    n transitions, which ``simulate`` draws from ``default_rng(key)``.
+
+    Returns (outputs, targets, verdict): c_hat, d_hat and their ratio; C
+    within 5% and rho * n / (n - 1) within 0.02; and whether both hold.
+    """
+    if not -1.0 < rho < 1.0:
+        raise ValueError(f"rho must lie in (-1, 1), got {rho}")
+    if not 0.0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     if n < 2:
         raise ValueError(f"ergodic averages need n >= 2, got {n}")
-    if n > traj.T:
-        raise IndexError(f"horizon n={n} exceeds trajectory length T={traj.T}")
-    if not 1 <= j <= traj.k:
-        raise IndexError(f"component {j} out of range 1..{traj.k}")
-    col = traj.coeffs[:, j - 1]
-    lagged = col[:n]
-    c_hat = math.fsum((lagged * lagged).tolist()) / n
-    d_hat = math.fsum((lagged * col[1 : n + 1]).tolist()) / (n - 1)
-    return c_hat, d_hat
+    real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
+    c_hat, d_hat = ergodic_estimates(simulate(real, n, np.random.default_rng(key)).coeffs[:, 0])
+    ratio = rho * n / (n - 1)
+    return (
+        {"c_hat": c_hat, "d_hat": d_hat, "ratio": d_hat / c_hat},
+        {"c": C, "c_tolerance": 0.05 * C, "ratio": ratio, "ratio_tolerance": 0.02},
+        abs(c_hat - C) <= 0.05 * C and abs(d_hat / c_hat - ratio) <= 0.02,
+    )
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,7 @@ class SpectralModelSpec:
             )
         if self.rho_mode == "explicit":
             if not self.rho_values:
-                raise ValueError("explicit rho_mode requires rho_values")
+                raise ValueError(f"explicit rho_mode requires rho_values, got {self.rho_values!r}")
             if not isinstance(self.rho_values, (tuple, list)) or not all(
                 isinstance(v, numbers.Real) and not isinstance(v, bool)
                 for v in self.rho_values

@@ -35,7 +35,7 @@ from arh1bench.metrics import (
     bartlett_check,
     efmse_param,
     efmse_pred,
-    ergodic_estimates,
+    ergodic_check,
     finite_t_param_reference,
     normality_check,
     theory_param_limit,
@@ -107,18 +107,18 @@ def paper_run():
 
 
 def test_c01_bartlett_limit(capsys):
-    rng = np.random.default_rng([SEED, 3, 1])
-    t_mse, limit = bartlett_check(0.6, 1.0, 4000, 4000, rng)
+    outputs, targets, _ = bartlett_check([SEED, 3, 1], 0.6, 1.0, 4000, 4000)
+    t_mse, limit = outputs["t_mse"], targets["limit"]
     ok = abs(t_mse - limit) <= 0.10 * limit
     _report(1, ok, f"T*MSE {t_mse:.4f} vs limit {limit:.2f} (tol 10%)", capsys)
     assert ok
 
 
 def test_c02_score_normality(capsys):
-    rng = np.random.default_rng([SEED, 3, 2])
-    ks, scores = normality_check(0.5, 3000, 2000, rng)
+    N = 2000
+    ks = normality_check([SEED, 3, 2], 0.5, 3000, N)[0]["ks_distance"]
     ok = ks <= 0.0387
-    _report(2, ok, f"KS distance {ks:.4f} on {len(scores)} scores (critical 0.0387)", capsys)
+    _report(2, ok, f"KS distance {ks:.4f} on {N} scores (critical 0.0387)", capsys)
     assert ok
 
 
@@ -299,9 +299,8 @@ def test_c09_proximity_bound(fixed_draw_run, capsys):
 def test_c10_ergodic_averages(capsys):
     n = 200_000
     rho, C = 0.9, 1.0
-    real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
-    traj = simulate(real, n, np.random.default_rng([SEED, 3, 3]))
-    c_hat, d_hat = ergodic_estimates(traj, 1, n)
+    outputs = ergodic_check([SEED, 3, 3], rho, C, n)[0]
+    c_hat, d_hat = outputs["c_hat"], outputs["d_hat"]
     ratio_target = rho * n / (n - 1)
     ok = abs(c_hat - C) <= 0.05 * C and abs(d_hat / c_hat - ratio_target) <= 0.02
     _report(

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -162,6 +163,21 @@ class TestRunErrors:
             "--rho-mode", f"explicit:{rho_file}", "--out", str(tmp_path),
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "content", ["5", "{}", "[]", "null", '"abc"', '[0.5, "x"]', "[true, 0.5, 0.4, 0.3, 0.2]"]
+    )
+    def test_bad_rho_file_is_one_line_error(self, tmp_path, capsys, content):
+        # the model spec checks the file's values, as it checks a config's
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text(content)
+        assert _run([
+            "run", "--example", "1", "--T", "20", "--N", "2",
+            "--rho-mode", f"explicit:{rho_file}", "--out", str(tmp_path / "out"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("fields", BAD_CONFIG_FIELDS)
     def test_mistyped_config_field(self, tmp_path, capsys, fields):
@@ -397,6 +413,12 @@ class TestDiagCommand:
             ["normality", "--T", "0"],
             ["bartlett", "--seed", "18446744073709551616"],
             ["ergodic", "--n", "-5"],
+            ["bartlett", "--sigma2", "0"],
+            ["bartlett", "--N", "0"],
+            ["normality", "--N", "99"],
+            ["normality", "--rho", "-1"],
+            ["positivity", "--T", "1"],
+            ["positivity", "--N", "0"],
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, argv):
@@ -405,8 +427,9 @@ class TestDiagCommand:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
+        # the message names the parameter given (for n, not the simulator's T)
+        assert re.search(rf"\b{argv[1][2:]}\b", err)
         if argv == ["ergodic", "--n", "-5"]:
-            # the message names the parameter given, not the simulator's T
             assert "n >= 2, got -5" in err
 
     @given(data=st.data())

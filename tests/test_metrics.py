@@ -15,6 +15,7 @@ from arh1bench.metrics import (
     bartlett_check,
     efmse_param,
     efmse_pred,
+    ergodic_check,
     ergodic_estimates,
     finite_t_param_reference,
     ks_distance_to_normal,
@@ -27,7 +28,7 @@ from arh1bench.metrics import (
     _ar1_rho_hat_samples,
     _normal_cdf,
 )
-from arh1bench.simulator import Trajectory, simulate
+from arh1bench.simulator import simulate
 from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
@@ -242,9 +243,10 @@ class TestTruncationOrder:
         assert truncation_order(2**5, rule) == 2
         assert truncation_order(3**5, rule) == 3
 
-    def test_parse_and_str_roundtrip(self):
-        for text in ("fixed:5", "power:4.1"):
-            assert str(KtRule.parse(text)) == text
+    def test_parse_kind_and_value(self):
+        for text, kind, value in (("fixed:5", "fixed", 5), ("power:4.1", "power", 4.1)):
+            rule = KtRule.parse(text)
+            assert (rule.kind, rule.value) == (kind, value)
         with pytest.raises(ValueError):
             KtRule.parse("fixed")
         with pytest.raises(ValueError):
@@ -259,25 +261,22 @@ class TestTruncationOrder:
 
 class TestBartlett:
     def test_targets(self):
-        rng = np.random.default_rng(1)
-        _, target = bartlett_check(0.6, 1.0, 50, 10, rng)
-        assert target == pytest.approx(0.64, rel=1e-15)
-        _, target = bartlett_check(0.9, 2.0, 50, 10, rng)
-        assert target == pytest.approx(0.19, rel=1e-14)
+        _, targets, _ = bartlett_check([1], 0.6, 1.0, 50, 10)
+        assert targets["limit"] == pytest.approx(0.64, rel=1e-15)
+        _, targets, _ = bartlett_check([1], 0.9, 2.0, 50, 10)
+        assert targets["limit"] == pytest.approx(0.19, rel=1e-14)
+        assert targets["tolerance"] == pytest.approx(0.019, rel=1e-14)
 
     def test_white_noise_limit(self):
-        t_mse, target = bartlett_check(0.0, 1.0, 4000, 4000, np.random.default_rng(2))
-        assert target == 1.0
-        assert abs(t_mse - 1.0) < 0.1
+        outputs, targets, verdict = bartlett_check([2], 0.0, 1.0, 4000, 4000)
+        assert targets["limit"] == 1.0
+        assert abs(outputs["t_mse"] - 1.0) < 0.1
+        assert verdict is True
 
     def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            bartlett_check(1.0, 1.0, 10, 10, rng)
-        with pytest.raises(ValueError):
-            bartlett_check(0.5, 0.0, 10, 10, rng)
-        with pytest.raises(ValueError):
-            bartlett_check(0.5, 1.0, 0, 10, rng)
+        for args in ((1.0, 1.0, 10, 10), (0.5, 0.0, 10, 10), (0.5, 1.0, 0, 10), (0.5, 1.0, 10, 0)):
+            with pytest.raises(ValueError):
+                bartlett_check([0], *args)
 
     @pytest.mark.parametrize("rho", [0.6, 0.999, -0.3])
     def test_paths_match_lfilter(self, rho):
@@ -334,14 +333,18 @@ class TestBartlett:
 
 class TestNormality:
     def test_score_moments(self):
-        ks, z = normality_check(0.5, 3000, 2000, np.random.default_rng(3))
+        # the scores normality_check tests, drawn from the same stream
+        rho_hats = _ar1_rho_hat_samples(0.5, 1.0, 3000, 2000, np.random.default_rng(3))
+        z = math.sqrt(3000) * (rho_hats - 0.5) / math.sqrt(1.0 - 0.25)
         assert abs(float(np.mean(z))) < 3.0 / math.sqrt(2000)
         assert abs(float(np.var(z)) - 1.0) < 0.15
-        assert 0.0 < ks < 1.0
+        outputs, targets, _ = normality_check([3], 0.5, 3000, 2000)
+        assert outputs["ks_distance"] == ks_distance_to_normal(z)
+        assert targets["critical_value"] == 1.73 / math.sqrt(2000)
 
     def test_needs_enough_paths(self):
         with pytest.raises(ValueError):
-            normality_check(0.5, 100, 50, np.random.default_rng(0))
+            normality_check([0], 0.5, 100, 99)
 
     def test_ks_distance_hand_case(self):
         assert ks_distance_to_normal([0.0]) == pytest.approx(0.5, rel=1e-12)
@@ -373,30 +376,27 @@ class TestNormality:
 
 class TestErgodic:
     def test_constant_column(self):
-        traj = Trajectory(coeffs=np.full((6, 1), 3.0))
-        c_hat, d_hat = ergodic_estimates(traj, 1, 5)
+        c_hat, d_hat = ergodic_estimates(np.full(6, 3.0))
         assert c_hat == pytest.approx(9.0, rel=1e-15)
         assert d_hat == pytest.approx(9.0 * 5 / 4, rel=1e-15)
 
     def test_zero_column(self):
-        traj = Trajectory(coeffs=np.zeros((5, 2)))
-        assert ergodic_estimates(traj, 2, 4) == (0.0, 0.0)
+        assert ergodic_estimates(np.zeros(5)) == (0.0, 0.0)
 
     def test_bounds(self):
-        traj = Trajectory(coeffs=np.ones((4, 1)))
-        with pytest.raises(IndexError):
-            ergodic_estimates(traj, 1, 4)
-        with pytest.raises(IndexError):
-            ergodic_estimates(traj, 2, 3)
-        with pytest.raises(ValueError):
-            ergodic_estimates(traj, 1, 1)
+        for rho, C, n in ((0.5, 1.0, 1), (1.0, 1.0, 10), (0.5, 0.0, 10), (0.5, math.inf, 10)):
+            with pytest.raises(ValueError):
+                ergodic_check([0], rho, C, n)
 
     def test_converges_to_stationary_moments(self):
-        real = ModelRealization(C=[1.0], rho=[0.9], sigma2=[0.19])
+        # sigma2 as ergodic_check forms it, 0.18999999999999995
+        real = ModelRealization(C=[1.0], rho=[0.9], sigma2=[1.0 - 0.9 * 0.9])
         traj = simulate(real, 50_000, np.random.default_rng(10))
-        c_hat, d_hat = ergodic_estimates(traj, 1, 50_000)
+        c_hat, d_hat = ergodic_estimates(traj.coeffs[:, 0])
         assert abs(c_hat - 1.0) < 0.15
         assert abs(d_hat / c_hat - 0.9) < 0.02
+        outputs, _, verdict = ergodic_check([10], 0.9, 1.0, 50_000)
+        assert (outputs["c_hat"], outputs["d_hat"], verdict) == (c_hat, d_hat, True)
 
 
 class TestReportShape:
