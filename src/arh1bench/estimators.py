@@ -11,10 +11,11 @@ estimator is a root of the penalized quadratic
 
 whose discriminant (alpha - beta)**2 - 4*beta*sigma2*(2 - (a + b)) is
 nonnegative whenever a + b >= 2, as for the prior's shapes (2**k, 1.01),
-which have a + b >= 3.01.  The smaller ("minus") root is the estimator
-with the asymptotic guarantees.  Roots are evaluated with the product-form
-quadratic formula so that the a + b = 2 reduction to min(alpha/beta, 1) is
-exact and no cancellation occurs when alpha is small relative to beta.
+which have a + b >= 3.01.  Only the smaller ("minus") root is solved: it
+is the estimator with the asymptotic guarantees.  It is evaluated with the
+product-form quadratic formula so that the a + b = 2 reduction to
+min(alpha/beta, 1) is exact and no cancellation occurs when alpha is small
+relative to beta.
 
 The shrink s = rho_hat - rho_tilde_minus solves
 
@@ -125,28 +126,21 @@ def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
     return SufficientStats(alpha=float(alpha[0]), beta=float(beta[0]), T=traj.T)
 
 
-def _quadratic_roots(alpha, beta, sigma2, a, b):
-    """Both roots (minus, plus) of the penalized quadratic, elementwise.
+def _minus_root(alpha, beta, sigma2, a, b):
+    """The minus root of the penalized quadratic, elementwise.
 
-    Uses the product form for whichever root would suffer cancellation:
-    with s = alpha + beta and q = s + sign(s)*sqrt(disc), the roots are
-    q/(2*beta) and 2*c0/q where c0 = alpha + sigma2*(2 - (a + b)).  With
+    With s = alpha + beta and c0 = alpha + sigma2*(2 - (a + b)), it is
+    2*c0/(s + sqrt(disc)) where s > 0, else (s - sqrt(disc))/(2*beta): each
+    adds sqrt(disc) to s's magnitude, so neither cancels.  With
     a + b >= 2 and sigma2 > 0, disc is a square plus a term >= 0, never negative.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shift = 2.0 - (a + b)
         diff = alpha - beta
-        disc = diff * diff - 4.0 * beta * sigma2 * shift
-        root = np.sqrt(disc)
+        root = np.sqrt(diff * diff - 4.0 * beta * sigma2 * shift)
         s = alpha + beta
-        c0 = alpha + sigma2 * shift
-        pos, neg = s > 0.0, s < 0.0
-        q = np.where(neg, s - root, s + root)
-        quot = q / (2.0 * beta)
-        prod = 2.0 * c0 / q
-        minus = np.where(pos, prod, np.where(neg, quot, -quot))
-        plus = np.where(pos, quot, np.where(neg, prod, quot))
-    return minus, plus
+        return np.where(s > 0.0, 2.0 * (alpha + sigma2 * shift) / (s + root),
+                        (s - root) / (2.0 * beta))
 
 
 @dataclass(frozen=True)
@@ -163,6 +157,8 @@ class EstimateSet:
 def estimate_columns(alpha, beta, sigma2, a, b):
     """Classical and minus-root estimates of columns with sums (alpha, beta).
 
+    The inputs broadcast, so a run's (m, k) sums and sigma2 (m
+    replications, k components) take its (k,) prior shapes as they are.
     Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
     code of the first of estimate_all's checks a column fails (NON_FINITE,
     DEGENERATE, ESCAPED), 0 where it passes, and the estimates of a faulty
@@ -174,7 +170,7 @@ def estimate_columns(alpha, beta, sigma2, a, b):
 
     whenever rho_hat <= 1.
     """
-    minus, _ = _quadratic_roots(alpha, beta, sigma2, a, b)
+    minus = _minus_root(alpha, beta, sigma2, a, b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hat = alpha / beta
         bound = np.sqrt(sigma2 * (a + b - 2.0) / beta)
@@ -202,7 +198,7 @@ def first_fault(fault, T: int, alpha, beta, sigma2, a, b) -> Exception | None:
             f"component {i + 1} carries no energy (beta = 0) over T={T}"
         )
     alpha, beta, sigma2, a, b = (float(v[i]) for v in (alpha, beta, sigma2, a, b))
-    minus, _ = _quadratic_roots(alpha, beta, sigma2, a, b)
+    minus = _minus_root(alpha, beta, sigma2, a, b)
     bound = math.sqrt(sigma2 * (a + b - 2.0) / beta)
     delta = alpha / beta - float(minus)
     return RuntimeError(f"component {i + 1}: shrinkage {delta} escapes [0, {bound}]")

@@ -439,9 +439,9 @@ def _run_group(spec, runs, seed, fixed_real, work):
     a non-finite sum.
 
     Returns, by T, the estimates, true coefficients and last states of the
-    run's replications and a reason code for each: NON_FINITE where its sums
-    are not finite, else the fault code of its first faulty component, 0
-    where it is kept.
+    run's m replications, each (m, k), and a reason code for each one:
+    NON_FINITE where its sums are not finite, else the fault code of its
+    first faulty component, 0 where it is kept.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -483,16 +483,12 @@ def _run_group(spec, runs, seed, fixed_real, work):
 
         # the run ends here: settle and estimate it before its columns go
         m, cols = len(omegas), slice(edges[end - 1], ca)
-        alpha, beta = sums[:, cols]
-        a, b = (np.tile(v, m) for v in prior_shapes(k))
-        est_c, est_b, fault = estimate_columns(alpha, beta, sigma2[cols], a, b)
-        fault = fault.reshape(m, k)
+        alpha, beta = sums[:, cols].reshape(2, m, k)
+        sig, truth, last = (v[cols].reshape(m, k) for v in (sigma2, rho, x[0]))
+        est_c, est_b, fault = estimate_columns(alpha, beta, sig, *prior_shapes(k))
         first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
         spoilt = (fault == NON_FINITE).any(axis=1)
-        out[T] = (
-            est_c.reshape(m, k), est_b.reshape(m, k), rho[cols].reshape(m, k),
-            x[0, cols].reshape(m, k).copy(), np.where(spoilt, NON_FINITE, first),
-        )
+        out[T] = (est_c, est_b, truth, last.copy(), np.where(spoilt, NON_FINITE, first))
     return out
 
 

@@ -196,7 +196,7 @@ class KtRule:
 def truncation_order(T: int, rule: KtRule) -> int:
     """Number of components retained at sample size T."""
     if T < 1:
-        raise ValueError(f"sample size must be >= 1, got {T}")
+        raise ValueError(f"T must be >= 1, got {T}")
     if rule.kind == "fixed":
         return int(rule.value)
     # Small upward nudge so exact integer powers are not floored away by

@@ -13,7 +13,6 @@ from scipy.optimize import brentq
 
 from arh1bench.estimators import (
     DegenerateTrajectoryError,
-    _quadratic_roots,
     estimate_columns,
     first_fault,
 )
@@ -66,7 +65,9 @@ def naive_sums(col) -> tuple[float, float]:
 
 def bayes_estimate(stats, sigma2: float, a: float, b: float, root: str = "minus") -> float:
     """The minus (or plus) root of the penalized quadratic for one component
-    with sums ``stats``, raising the error ``estimate_all`` would raise."""
+    with sums ``stats``, raising the error ``estimate_all`` would raise.  The
+    package solves only the minus root; the plus root is the larger of
+    ``_real_quadratic_roots``."""
     cols = [np.array([v], dtype=float) for v in (stats.alpha, stats.beta, sigma2, a, b)]
     _, minus, fault = estimate_columns(*cols)
     error = first_fault(fault, stats.T, *cols)
@@ -74,7 +75,8 @@ def bayes_estimate(stats, sigma2: float, a: float, b: float, root: str = "minus"
         raise error
     if root == "minus":
         return float(minus[0])
-    return float(_quadratic_roots(*cols)[1][0])
+    c0 = stats.alpha + sigma2 * (2.0 - (a + b))
+    return max(_real_quadratic_roots(stats.beta, -(stats.alpha + stats.beta), c0))
 
 
 def _real_quadratic_roots(c2: float, c1: float, c0: float):

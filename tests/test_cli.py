@@ -228,7 +228,7 @@ class TestRunErrors:
 
         def escaped(*args):
             hat, minus, fault = estimate_columns(*args)
-            fault[7] = ESCAPED  # replication 2, component 3
+            fault[1, 2] = ESCAPED  # replication 2, component 3
             return hat, minus, fault
 
         monkeypatch.setattr(harness, "estimate_columns", escaped)
@@ -419,6 +419,8 @@ class TestDiagCommand:
             ["normality", "--rho", "-1"],
             ["positivity", "--T", "1"],
             ["positivity", "--N", "0"],
+            ["positivity", "--T", "0"],
+            ["positivity", "--T", "-1"],
         ],
     )
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, argv):

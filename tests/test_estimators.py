@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 
 from arh1bench.estimators import (
     DEGENERATE,
+    ESCAPED,
     NON_FINITE,
     DegenerateTrajectoryError,
     SufficientStats,
+    _minus_root,
     estimate_all,
     estimate_columns,
+    first_fault,
     fold_lag_terms,
     fold_rows,
     lag_sums,
@@ -28,6 +31,7 @@ from arh1bench.spectral_model import (
     PriorSpec,
     SpectralModelSpec,
     prior_params,
+    prior_shapes,
     realize,
     truncate_realization,
 )
@@ -374,6 +378,42 @@ class TestBayes:
         assert np.all(np.abs(minus[settled] - want) <= 0.01 * np.abs(want))
 
 
+def _three_way_minus(alpha, beta, sigma2, a, b):
+    """The minus root as the three-way product form on the sign of
+    s = alpha + beta gave it, the reference for ``_minus_root``."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shift = 2.0 - (a + b)
+        diff = alpha - beta
+        root = np.sqrt(diff * diff - 4.0 * beta * sigma2 * shift)
+        s = alpha + beta
+        c0 = alpha + sigma2 * shift
+        pos, neg = s > 0.0, s < 0.0
+        q = np.where(neg, s - root, s + root)
+        quot = q / (2.0 * beta)
+        return np.where(pos, 2.0 * c0 / q, np.where(neg, quot, -quot))
+
+
+class TestMinusRoot:
+    @pytest.mark.parametrize("sign", [1, -1, 0])
+    @pytest.mark.parametrize("k", [1, 5, 39, MAX_PRIOR_EXPONENT])
+    def test_equals_three_way_form_bit_for_bit(self, sign, k):
+        # each branch of s = alpha + beta: s > 0, s < 0 and s == 0 exactly
+        # (alpha = -beta), at prior shapes up to a = 2**511
+        rng = np.random.default_rng([25, sign + 1, k])
+        n = 20_000
+        beta = rng.uniform(0.05, 50.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        ratio = {1: rng.uniform(0.0, 2.0, n), -1: -rng.uniform(1.0, 3.0, n), 0: -1.0}[sign]
+        alpha = ratio * beta
+        s = alpha + beta
+        assert np.all(s > 0.0) if sign == 1 else np.all(np.sign(s) == sign)
+        sigma2 = rng.uniform(1e-4, 5.0, n)
+        a, b = prior_params(k)
+        got = _minus_root(alpha, beta, sigma2, a, b)
+        want = _three_way_minus(alpha, beta, sigma2, a, b)
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestShrink:
     """At the sums a component has on average, beta = T * C and alpha =
     rho * beta, the shrink s = rho_hat - rho_tilde_minus solves
@@ -529,6 +569,20 @@ class TestEstimateAll:
                 estimate_all(traj, real, 2, PriorSpec())
             assert type(exc.value) is RuntimeError
             assert str(exc.value) == "component 2: sums alpha=inf, beta=inf are not finite over T=2"
+
+    def test_escaped_message(self):
+        # the first ESCAPED component is named, with its shrink
+        # alpha/beta - minus and its bound sqrt(sigma2*(a+b-2)/beta)
+        alpha, beta = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+        sigma2 = np.array([0.5, 0.25, 0.125])
+        a, b = prior_shapes(3)
+        _, minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
+        assert not fault.any()
+        error = first_fault(np.array([0, ESCAPED, ESCAPED]), 7, alpha, beta, sigma2, a, b)
+        assert type(error) is RuntimeError
+        delta = 2.0 / 5.0 - float(minus[1])
+        bound = math.sqrt(0.25 * (4.0 + 1.01 - 2.0) / 5.0)
+        assert str(error) == f"component 2: shrinkage {delta} escapes [0, {bound}]"
 
     def test_non_finite_code_comes_first(self):
         alpha = np.array([np.inf, 1.0, np.nan, -np.inf, 1.0, 0.0])
