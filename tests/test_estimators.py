@@ -404,8 +404,7 @@ class TestMinusRoot:
         beta = rng.uniform(0.05, 50.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         ratio = {1: rng.uniform(0.0, 2.0, n), -1: -rng.uniform(1.0, 3.0, n), 0: -1.0}[sign]
         alpha = ratio * beta
-        s = alpha + beta
-        assert np.all(s > 0.0) if sign == 1 else np.all(np.sign(s) == sign)
+        assert np.all(np.sign(alpha + beta) == sign)
         sigma2 = rng.uniform(1e-4, 5.0, n)
         a, b = prior_params(k)
         got = _minus_root(alpha, beta, sigma2, a, b)
