@@ -30,6 +30,10 @@ from .harness import (
 CI_SCALE_N = 200
 PAPER_SCALE_N = 1000
 
+# The run flags stored under the name of the config field each sets;
+# --rho-mode sets rho_mode and rho_values, so it is laid over them apart.
+_RUN_FIELDS = ("example", "T_grid", "N", "kT_rule", "seed", "output_dir", "formats")
+
 # Each diagnostic parameter with the type of its defaults; one --flag each.
 _DIAG_PARAMS = {n: type(v) for _, dflt, _ in DIAGNOSTICS.values() for n, v in dflt.items()}
 
@@ -54,15 +58,17 @@ def _build_parser() -> _Parser:
                      help="built-in model preset (may also come from --config)")
     run.add_argument("--config", metavar="FILE",
                      help="JSON config; explicit flags override its fields")
-    run.add_argument("--T", metavar="T1,T2,...",
+    run.add_argument("--T", dest="T_grid", metavar="T1,T2,...", type=_parse_t_grid,
                      help="comma-separated sample-size grid")
     run.add_argument("--N", type=int, help=f"replications per T (default {CI_SCALE_N})")
-    run.add_argument("--kT", metavar="RULE", help="truncation rule, fixed:5 or power:4.1")
+    run.add_argument("--kT", dest="kT_rule", metavar="RULE",
+                     help="truncation rule, fixed:5 or power:4.1")
     run.add_argument("--seed", type=int, help="64-bit master seed (default 0)")
-    run.add_argument("--rho-mode", metavar="MODE",
+    run.add_argument("--rho-mode", metavar="MODE", type=_parse_rho_mode,
                      help="redraw | fixed | explicit:FILE (JSON array of coefficients)")
-    run.add_argument("--out", metavar="DIR", help="output directory")
-    run.add_argument("--format", metavar="FMTS", help="comma subset of csv,json")
+    run.add_argument("--out", dest="output_dir", metavar="DIR", help="output directory")
+    run.add_argument("--format", dest="formats", metavar="FMTS",
+                     help="comma subset of csv,json")
     run.add_argument("--workers", metavar="N|auto",
                      help="worker processes (env ARH1_BENCH_WORKERS, then auto)")
     run.add_argument("--paper-scale", action="store_true",
@@ -82,22 +88,21 @@ def _parse_t_grid(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise CliError(f"--T expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
 
 
 def _parse_rho_mode(text: str) -> dict:
     """The config fields a --rho-mode value sets, for the model spec to check."""
     if not text.startswith("explicit:"):
-        return {"rho_mode": text}
+        # a drawn mode drops the config file's coefficients; a bare explicit keeps them
+        return {"rho_mode": text} if text == "explicit" else {"rho_mode": text, "rho_values": None}
     path = text[len("explicit:"):]
     try:
         with open(path, encoding="utf-8") as fh:
-            values = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read coefficient file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"coefficient file {path} is not valid JSON: {exc}") from exc
-    return {"rho_mode": "explicit", "rho_values": values}
+            return {"rho_mode": "explicit", "rho_values": json.load(fh)}
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise argparse.ArgumentTypeError(f"cannot read coefficient file {path}: {exc}") from exc
 
 
 def _resolve_workers(value: str | None) -> int:
@@ -116,28 +121,15 @@ def _resolve_workers(value: str | None) -> int:
 
 
 def _run_command(args) -> int:
-    data = load_config(args.config) if args.config else {}
-    if args.example is not None:
-        data["example"] = args.example
-    if args.T is not None:
-        data["T_grid"] = _parse_t_grid(args.T)
-    if args.kT is not None:
-        data["kT_rule"] = args.kT
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.rho_mode is not None:
-        data.update(_parse_rho_mode(args.rho_mode))
-    if args.out is not None:
-        data["output_dir"] = args.out
-    if args.format is not None:
-        data["formats"] = args.format
-    if args.N is not None:
-        data["N"] = args.N
-    elif args.paper_scale:
-        data["N"] = PAPER_SCALE_N
-    elif "N" not in data:
-        data["N"] = CI_SCALE_N
-
+    # later sources win: the default N, the config file, --paper-scale, flags
+    flags = {name: getattr(args, name) for name in _RUN_FIELDS if getattr(args, name) is not None}
+    data = {
+        "N": CI_SCALE_N,
+        **(load_config(args.config) if args.config else {}),
+        **({"N": PAPER_SCALE_N} if args.paper_scale else {}),
+        **flags,
+        **(args.rho_mode or {}),
+    }
     config = config_from_dict(data)
     workers = _resolve_workers(args.workers)
     reports = run_experiment(config, workers=workers)

@@ -14,7 +14,7 @@ Each worker receives one contiguous replication block for the whole T
 grid, and results are merged per T in replication order, so every emitted
 byte depends only on (config, seed), never on the worker count or
 scheduling.  Bad replications are dropped, then counted and logged per T
-and reason; past ABORT_THRESHOLD the run fails.
+and reason; past ABORT_THRESHOLD, or where a T keeps none, the run fails.
 
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
@@ -95,7 +95,7 @@ EXAMPLE_EXPONENTS = {1: 1.5, 2: 1.1, 3: 2.0}
 EXAMPLE_KT_RULES = {1: KtRule.fixed(5), 2: KtRule.fixed(5), 3: KtRule.power(4.1)}
 
 class AbortedReplicationsError(RuntimeError):
-    """Raised when the replications dropped, for any reason, exceed the threshold."""
+    """Raised when the replications dropped exceed the threshold or leave a T with none."""
 
     def __init__(self, aborted: int, total: int):
         self.aborted = aborted
@@ -502,7 +502,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         workers = 1
     elif not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    rule = config.kT_rule
     spec = config.spec
 
     fixed_real = None
@@ -511,7 +510,7 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
     elif spec.rho_mode == "explicit":
         fixed_real = realize(spec)
 
-    levels = tuple((T, truncation_order(T, rule)) for T in config.T_grid)
+    levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
     tasks = [
         (spec, levels, lo, hi, config.seed, fixed_real)
         for lo, hi in _partition(config.N, workers)
@@ -528,18 +527,18 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         finally:
             pool.shutdown()
 
-    reports: list[EfmseReport] = []
-    aborted_total, total = 0, len(config.T_grid) * config.N
+    # every T's drops are counted and logged before the one verdict on them
+    reports, aborted = [], 0
     for i, (T, k_T) in enumerate(levels):
         # the blocks run on from replication 1: reason[j] is replication j + 1's
         est_c, est_b, truth, last, reason = map(np.concatenate, zip(*(r[i] for r in results)))
         for code, name in FAULT_NAMES.items():
             bad = (np.flatnonzero(reason == code) + 1).tolist()
-            aborted_total += len(bad)
+            aborted += len(bad)
             if bad:
                 logger.warning(f"T=%d: aborted %d {name} replications: %s", T, len(bad), bad)
         if est_c.shape[0] == 0:
-            raise AbortedReplicationsError(aborted_total, total)
+            continue
 
         if fixed_real is None:
             param_limit = prior_param_limit(spec.prior, k_T)
@@ -567,15 +566,26 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
                 )
             )
 
-    if aborted_total > ABORT_THRESHOLD * total:
-        raise AbortedReplicationsError(aborted_total, total)
+    # a T that kept nothing fails the run even on a grid long enough to
+    # hold its N drops under the threshold
+    total = len(levels) * config.N
+    if aborted > ABORT_THRESHOLD * total or len(reports) < 2 * len(levels):
+        raise AbortedReplicationsError(aborted, total)
     return reports
 
 
-def _csv_cell(value) -> str:
-    # repr of a builtin float keeps the shortest digits that round-trip, so
-    # emitted tables are exactly reproducible and diffable.
-    return repr(float(value)) if isinstance(value, float) else str(value)
+def _csv_text(header: str, rows) -> str:
+    """A CSV table under its header line.  A float cell is the repr of a
+    builtin float, the shortest digits that round-trip, so emitted tables
+    are exactly reproducible and diffable."""
+    lines = (",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+             for row in rows)
+    return "\n".join((header, *lines)) + "\n"
+
+
+def _json_text(obj) -> str:
+    """Strict JSON (a non-finite number raises ValueError), indented."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def emit_reports(reports, formats, output_dir) -> list[Path]:
@@ -591,35 +601,20 @@ def emit_reports(reports, formats, output_dir) -> list[Path]:
         raise ValueError("no reports to emit")
     texts = {}
     if "csv" in formats:
-        lines = [CSV_HEADER]
-        for r in reports:
-            lines.append(
-                ",".join(_csv_cell(getattr(r, f.name)) for f in dataclasses.fields(r))
-            )
-        texts["efmse.csv"] = "\n".join(lines) + "\n"
+        texts["efmse.csv"] = _csv_text(CSV_HEADER, map(dataclasses.astuple, reports))
     if "json" in formats:
-        rows = [dataclasses.asdict(r) for r in reports]
-        texts["efmse.json"] = json.dumps(rows, indent=2, allow_nan=False) + "\n"
+        texts["efmse.json"] = _json_text([dataclasses.asdict(r) for r in reports])
 
     by_T: dict[int, dict[str, EfmseReport]] = {}
     for r in reports:
         by_T.setdefault(r.T, {})[r.estimator] = r
+    for T, pair in by_T.items():
+        if not {"classical", "bayes"} <= pair.keys():
+            raise ValueError(f"T={T} lacks one of the two estimator reports")
     for fname, field in (("plot_param.csv", "efmse_param"), ("plot_pred.csv", "efmse_pred")):
-        lines = ["T,classical,bayes,one_over_T"]
-        for T, pair in by_T.items():
-            if not {"classical", "bayes"} <= pair.keys():
-                raise ValueError(f"T={T} lacks one of the two estimator reports")
-            lines.append(
-                ",".join(
-                    (
-                        str(T),
-                        _csv_cell(getattr(pair["classical"], field)),
-                        _csv_cell(getattr(pair["bayes"], field)),
-                        _csv_cell(1.0 / T),
-                    )
-                )
-            )
-        texts[fname] = "\n".join(lines) + "\n"
+        rows = [(T, *(getattr(pair[e], field) for e in ("classical", "bayes")), 1.0 / T)
+                for T, pair in by_T.items()]
+        texts[fname] = _csv_text("T,classical,bayes,one_over_T", rows)
     return [_write_text(Path(output_dir) / name, text) for name, text in texts.items()]
 
 
@@ -699,5 +694,4 @@ def run_diagnostics(kind: str, params: dict | None, seed: int, output_dir) -> Pa
         raise ValueError(f"{kind} diagnostic is not computable at {inputs}: {exc}") from exc
     record = {"kind": kind, "seed": seed, "inputs": inputs, "outputs": outputs,
               "targets": targets, "pass": verdict}
-    text = json.dumps(record, indent=2, allow_nan=False) + "\n"
-    return _write_text(Path(output_dir) / f"diag_{kind}.json", text)
+    return _write_text(Path(output_dir) / f"diag_{kind}.json", _json_text(record))

@@ -88,7 +88,8 @@ def efmse_param(inp: EfmseInput) -> float:
 
 
 def efmse_pred(inp: EfmseInput) -> float:
-    """Like efmse_param with each squared error weighted by the last coefficient."""
+    """Like efmse_param with each squared error weighted by the square of the
+    last coefficient, X_{T,j}**2."""
     per_rep = _squared_norms((inp.estimates - inp.truth) * inp.last_coeffs)
     return math.fsum(per_rep.tolist()) / inp.N
 
@@ -160,11 +161,12 @@ class KtRule:
                 raise ValueError(f"fixed truncation order must be a positive integer, got {self.value}")
         elif self.kind == "power":
             # alpha > 4 keeps sqrt(T) * C_{k_T} divergent for the
-            # quadratic-decay example, the regime the prediction theory needs.
-            if not self.value > 4.0:
+            # quadratic-decay example, the regime the prediction theory needs;
+            # an infinite alpha would keep k_T = 1 at every T.
+            if not 4.0 < self.value < math.inf:
                 raise ValueError(
-                    f"power rule needs alpha > 4 so that sqrt(T) * C_kT diverges, "
-                    f"got alpha={self.value}"
+                    f"power rule needs a finite alpha > 4 so that sqrt(T) * C_kT "
+                    f"diverges, got alpha={self.value}"
                 )
         else:
             raise ValueError(f"unknown truncation rule kind {self.kind!r}")

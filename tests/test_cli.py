@@ -62,6 +62,43 @@ class TestRunCommand:
         row = (tmp_path / "efmse.csv").read_text().splitlines()[1].split(",")
         assert row[2] == "4"
 
+    @pytest.mark.parametrize(
+        "config_n, flags, want",
+        [(7, ["--paper-scale"], "1000"), (7, [], "7"), (None, ["--N", "4", "--paper-scale"], "4"),
+         (None, [], "200")],
+    )
+    def test_replication_count_precedence(self, tmp_path, config_n, flags, want):
+        # --N beats --paper-scale, which beats the config file's N, which
+        # beats the default
+        fields = {"example": 1, "T_grid": [20], "seed": 1, "formats": ["csv"]}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(fields if config_n is None else {**fields, "N": config_n}))
+        code = _run([
+            "run", "--config", str(cfg), *flags, "--out", str(tmp_path / "out"),
+            "--workers", "1",
+        ])
+        assert code == 0
+        row = (tmp_path / "out" / "efmse.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == want
+
+    @pytest.mark.parametrize("mode", ["redraw", "fixed"])
+    def test_drawn_rho_mode_overrides_config_coefficients(self, tmp_path, mode):
+        # a drawn --rho-mode drops the config file's explicit coefficients
+        fields = {"example": 1, "T_grid": [20, 40], "N": 3, "seed": 2, "formats": ["csv"]}
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(json.dumps(
+            {**fields, "rho_mode": "explicit", "rho_values": [0.5, 0.4, 0.3, 0.25, 0.2]}))
+        drawn = tmp_path / "drawn.json"
+        drawn.write_text(json.dumps({**fields, "rho_mode": mode}))
+        assert _run([
+            "run", "--config", str(explicit), "--rho-mode", mode,
+            "--out", str(tmp_path / "a"), "--workers", "1",
+        ]) == 0
+        assert _run(["run", "--config", str(drawn), "--out", str(tmp_path / "b"),
+                     "--workers", "1"]) == 0
+        a = (tmp_path / "a" / "efmse.csv").read_bytes()
+        assert a == (tmp_path / "b" / "efmse.csv").read_bytes()
+
     def test_config_file_with_flag_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -114,9 +151,26 @@ class TestRunErrors:
     def test_no_example_at_all(self):
         assert _run(["run", "--T", "20", "--N", "2"]) == 1
 
-    def test_bad_t_grid(self):
-        assert _run(["run", "--example", "1", "--T", "a,b", "--N", "2"]) == 1
-        assert _run(["run", "--example", "1", "--T", "500,250", "--N", "2"]) == 1
+    def test_bad_t_grid(self, tmp_path, capsys):
+        for grid, start in (
+            ("a,b", "error: argument --T: expects comma-separated integers"),
+            ("500,250", "error: T_grid must be strictly increasing"),
+        ):
+            assert _run(["run", "--example", "1", "--T", grid, "--N", "2",
+                         "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(start) and len(err.splitlines()) == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rule", ["power:inf", "power:1e400"])
+    def test_non_finite_power_rule(self, tmp_path, capsys, rule):
+        # T ** (1 / inf) is 1: an infinite alpha would keep k_T = 1 at every T
+        assert _run(["run", "--example", "1", "--T", "20", "--N", "2", "--kT", rule,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert repr(rule) in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_workers(self, tmp_path, capsys):
         # a count below 1 is left to run_experiment, which says so in one line
@@ -149,11 +203,15 @@ class TestRunErrors:
         monkeypatch.delattr(cli.os, "sched_getaffinity")
         assert cli._resolve_workers("auto") == 8
 
-    def test_missing_rho_file(self, tmp_path):
+    def test_missing_rho_file(self, tmp_path, capsys):
         assert _run([
             "run", "--example", "1", "--T", "20", "--N", "2",
-            "--rho-mode", f"explicit:{tmp_path / 'nope.json'}",
+            "--rho-mode", f"explicit:{tmp_path / 'nope.json'}", "--out", str(tmp_path / "out"),
         ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument --rho-mode: cannot read coefficient file")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_rho_file(self, tmp_path, capsys):
         rho_file = tmp_path / "rho.json"
@@ -252,8 +310,9 @@ _FUZZ_FIELDS = {
     ),
     "N": (st.integers(1, 3), st.sampled_from([0, -1, True, 2.5, "2", None])),
     "kT_rule": (
-        st.sampled_from(["fixed:1", "fixed:3", "fixed:40", "power:4.1", "power:6", "power:inf"]),
-        st.sampled_from(["fixed:0", "fixed:512", "power:4", "power:nan", "fixed:x", "", 3]),
+        st.sampled_from(["fixed:1", "fixed:3", "fixed:40", "power:4.1", "power:6"]),
+        st.sampled_from(["fixed:0", "fixed:512", "power:4", "power:nan", "power:inf", "fixed:x",
+                         "", 3]),
     ),
     "seed": (st.integers(0, 2**64 - 1), st.sampled_from([-1, 2**64, 1.5, "0", None])),
     "rho_mode": (st.sampled_from(["redraw", "fixed"]), st.sampled_from(["bogus", 1, None])),

@@ -1,8 +1,9 @@
 """Golden outputs: SHA-256 of emitted reports for small fixed configs.
 
-The hashes pin every byte of ``efmse.csv`` and of each diagnostic record
-across refactors.  A change that alters output bytes on purpose must
-update the hash here and say why in CHANGES.md.
+The hashes pin every byte of ``efmse.csv``, of the other three reports
+for one run, and of each diagnostic record across refactors.  A change
+that alters output bytes on purpose must update the hash here and say
+why in CHANGES.md.
 """
 import hashlib
 
@@ -31,6 +32,13 @@ GOLDEN_RUNS = {
         },
         "8f9e50d48c69d0646c22af2de2615e291d51370614a6412efb816b1698f24b40",
     ),
+}
+
+# The other reports of GOLDEN_RUNS' "ex1-redraw", written with both formats.
+OTHER_REPORTS = {
+    "efmse.json": "adc94a9208114bd31aeb6e40f4844ceed32c1191b89138a6193b645dcdcef629",
+    "plot_param.csv": "b6319dfa7165c0d1787de6ecb58eb767266a900f96a3243b5a132738d2a59102",
+    "plot_pred.csv": "3a47de9a746a29539bd309a089112833c39ec9f93b62178f59f0d4f9eed32a7a",
 }
 
 # Example 3 at T=20000 keeps 11 components, so one replication holds 20001
@@ -96,6 +104,16 @@ def test_efmse_csv_bytes(name, workers, tmp_path):
     config = config_from_dict({**fields, **GOLDEN_RUN_FIELDS})
     emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
     assert _sha256(tmp_path / "efmse.csv") == want
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_other_report_bytes(workers, tmp_path):
+    fields, want = GOLDEN_RUNS["ex1-redraw"]
+    config = config_from_dict({**fields, **GOLDEN_RUN_FIELDS, "formats": ["csv", "json"]})
+    emit_reports(run_experiment(config, workers=workers), config.formats, tmp_path)
+    assert _sha256(tmp_path / "efmse.csv") == want
+    for name, digest in OTHER_REPORTS.items():
+        assert _sha256(tmp_path / name) == digest, name
 
 
 @pytest.mark.parametrize("workers", [1, 2])

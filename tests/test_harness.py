@@ -534,6 +534,37 @@ class TestBlockKernel:
         assert [e.aborted for e, _ in singles] == [1, 3, 2]
         assert (got.aborted, got.total) == (6, 18)
 
+    def test_every_drop_counted_before_the_verdict(self, monkeypatch, caplog):
+        # with every replication dropped, every T's drops are counted and
+        # logged before the run fails, not just those of the first T
+        estimate_columns = harness.estimate_columns
+
+        def escaped(*args):
+            hat, minus, fault = estimate_columns(*args)
+            fault[:, 0] = ESCAPED
+            return hat, minus, fault
+
+        monkeypatch.setattr(harness, "estimate_columns", escaped)
+        with pytest.raises(AbortedReplicationsError) as exc:
+            run_experiment(ExperimentConfig(example=1, T_grid=(20, 40), N=4))
+        assert (exc.value.aborted, exc.value.total) == (8, 8)
+        assert caplog.messages == [
+            "T=20: aborted 4 escaped replications: [1, 2, 3, 4]",
+            "T=40: aborted 4 escaped replications: [1, 2, 3, 4]",
+        ]
+
+    def test_t_that_kept_nothing_fails_under_threshold(self, monkeypatch, caplog):
+        # a T with no replication left has no report, so the run fails even
+        # where its drops stay under the threshold, as on a grid of 1000 T
+        task = _block_task({"example": 1}, (20,), N=2)
+        _inject_faults(monkeypatch, {_alpha(task, 20, w, 1): ESCAPED for w in (1, 2)})
+        monkeypatch.setattr(harness, "ABORT_THRESHOLD", 0.6)
+        config = config_from_dict({"example": 1, "T_grid": [20, 40], "N": 2, "seed": 0})
+        with pytest.raises(AbortedReplicationsError) as exc:
+            run_experiment(config, workers=1)
+        assert (exc.value.aborted, exc.value.total) == (2, 4)
+        assert caplog.messages == ["T=20: aborted 2 escaped replications: [1, 2]"]
+
     def test_bad_replication_under_threshold_dropped(self, monkeypatch, caplog):
         # one escape in 1001 replications stays within ABORT_THRESHOLD: the
         # run completes and averages over the other 1000

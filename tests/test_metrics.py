@@ -233,6 +233,12 @@ class TestTruncationOrder:
         with pytest.raises(ValueError):
             KtRule.power(3.0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, float("1e400"), math.nan])
+    def test_power_rule_needs_finite_alpha(self, alpha):
+        # T ** (1 / inf) is 1, so an infinite alpha would keep k_T = 1 at every T
+        with pytest.raises(ValueError, match="finite alpha > 4"):
+            KtRule.power(alpha)
+
     def test_nondecreasing_in_T(self):
         rule = KtRule.power(4.1)
         orders = [truncation_order(T, rule) for T in range(1, 3000, 7)]
