@@ -612,7 +612,7 @@ def emit_reports(reports, formats, output_dir) -> list[Path]:
         if not {"classical", "bayes"} <= pair.keys():
             raise ValueError(f"T={T} lacks one of the two estimator reports")
     for fname, field in (("plot_param.csv", "efmse_param"), ("plot_pred.csv", "efmse_pred")):
-        rows = [(T, *(getattr(pair[e], field) for e in ("classical", "bayes")), 1.0 / T)
+        rows = [(T, getattr(pair["classical"], field), getattr(pair["bayes"], field), 1.0 / T)
                 for T, pair in by_T.items()]
         texts[fname] = _csv_text("T,classical,bayes,one_over_T", rows)
     return [_write_text(Path(output_dir) / name, text) for name, text in texts.items()]
