@@ -57,7 +57,7 @@ PROXIMITY_SLACK = 1e-9
 
 # estimate_all's checks for one component: a fault code is the first check
 # the component fails, 0 when it passes them all.  NON_FINITE (sums not
-# finite) runs first and, in a replication, outranks the other codes.
+# finite) runs first and outranks the others in ``deciding_component``.
 DEGENERATE, ESCAPED, NON_FINITE = 1, 2, 3
 FAULT_NAMES = {DEGENERATE: "degenerate", ESCAPED: "escaped", NON_FINITE: "non-finite"}
 
@@ -160,9 +160,9 @@ def estimate_columns(alpha, beta, sigma2, a, b):
     The inputs broadcast, so a run's (m, k) sums and sigma2 (m
     replications, k components) take its (k,) prior shapes as they are.
     Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
-    code of the first of estimate_all's checks a column fails (NON_FINITE,
-    DEGENERATE, ESCAPED), 0 where it passes, and the estimates of a faulty
-    column are meaningless.  The inputs must have sigma2 > 0 and
+    int8 code of the first of estimate_all's checks a column fails
+    (NON_FINITE, DEGENERATE, ESCAPED), 0 where it passes, and the estimates
+    of a faulty column are meaningless.  The inputs must have sigma2 > 0 and
     a + b >= 2, as the prior's shapes do (a + b >= 3.01), and the shrinkage
     check is
 
@@ -178,18 +178,23 @@ def estimate_columns(alpha, beta, sigma2, a, b):
         slack = PROXIMITY_SLACK * (1.0 + bound)
         escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
     finite = np.isfinite(alpha) & np.isfinite(beta)
-    fault = np.select([~finite, beta == 0.0, escaped], [NON_FINITE, DEGENERATE, ESCAPED], 0)
+    fault = np.select([~finite, beta == 0.0, escaped],
+                      [NON_FINITE, DEGENERATE, ESCAPED], np.int8(0))
     return hat, minus, fault
 
 
+def deciding_component(fault):
+    """Index along the last axis of the component that decides a replication's
+    fault: its first with sums not finite, else its first faulty one, else 0."""
+    return np.argmax(2 * (fault == NON_FINITE) + (fault != 0), axis=-1)
+
+
 def first_fault(fault, T: int, alpha, beta, sigma2, a, b) -> Exception | None:
-    """The exception estimate_all raises for one trajectory's columns: for
-    the first component whose sums are not finite, else for the first
-    faulty one, as the block kernel ranks them; None when all pass."""
-    bad = np.flatnonzero(fault)
-    if not bad.size:
+    """The exception estimate_all raises for one trajectory's columns, for
+    the ``deciding_component``; None when all pass."""
+    i = deciding_component(fault)
+    if not fault[i]:
         return None
-    i = bad[np.argmax(fault[bad] == NON_FINITE)]
     if fault[i] == NON_FINITE:
         return RuntimeError(f"component {i + 1}: sums alpha={alpha[i]}, "
                             f"beta={beta[i]} are not finite over T={T}")

@@ -11,9 +11,11 @@ the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
 Each worker receives one contiguous replication block for the whole T
-grid, and results are merged per T in replication order, so every emitted
-byte depends only on (config, seed), never on the worker count or
-scheduling.  Bad replications are dropped, then counted and logged per T
+grid and returns its groups' records as they ran.  ``run_experiment``
+merges each T's records once, from every group of every block in
+replication order, so every emitted byte depends only on (config, seed),
+never on the worker count or scheduling.  There, too, each replication's
+fault is ranked, and bad replications are dropped, counted and logged per T
 and reason; past ABORT_THRESHOLD, or where a T keeps none, the run fails.
 
 Within a block, the (T, omega) streams run longest T first, packed into
@@ -39,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FAULT_NAMES, NON_FINITE, estimate_columns, fold_lag_terms
+from .estimators import FAULT_NAMES, deciding_component, estimate_columns, fold_lag_terms
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -92,7 +94,7 @@ CSV_HEADER = ",".join(f.name for f in dataclasses.fields(EfmseReport))
 
 # Built-in model presets: eigenvalue decay exponent and truncation rule.
 EXAMPLE_EXPONENTS = {1: 1.5, 2: 1.1, 3: 2.0}
-EXAMPLE_KT_RULES = {1: KtRule.fixed(5), 2: KtRule.fixed(5), 3: KtRule.power(4.1)}
+EXAMPLE_KT_RULES = {1: KtRule("fixed", 5), 2: KtRule("fixed", 5), 3: KtRule("power", 4.1)}
 
 class AbortedReplicationsError(RuntimeError):
     """Raised when the replications dropped exceed the threshold or leave a T with none."""
@@ -243,8 +245,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
 
 def load_config(path) -> dict:
     """Read a JSON config file into a plain mapping (validated on build)."""
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must contain a JSON object")
     return data
@@ -267,10 +272,10 @@ def _run_block(task):
     """Run one contiguous block of replications at every T of the grid.
 
     The block's (T, omega) streams run longest T first, packed into groups
-    of at most GROUP_COLUMNS columns that share one scratch.  Returns, for
-    each T in grid order, the stacked records of the replications kept and
-    every replication's reason code (see ``_run_group``).  Must stay a
-    module-level function so worker processes can unpickle it.
+    of at most GROUP_COLUMNS columns that share one scratch.  Returns the
+    groups' outputs (see ``_run_group``) in the order they ran, so each T's
+    records come in replication order.  Must stay a module-level function
+    so worker processes can unpickle it.
     """
     spec, levels, lo, hi, seed, fixed_real = task
     groups, runs, width = [], [], 0
@@ -290,17 +295,7 @@ def _run_block(task):
             width, omega = width + n * k, omega + n
     groups.append(runs)
     work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in groups))
-    parts = {}
-    for runs in groups:
-        for T, part in _run_group(spec, runs, seed, fixed_real, work).items():
-            parts.setdefault(T, []).append(part)
-    del work  # free it before stacking the records, not under them
-    results = []
-    for T, _ in levels:
-        *records, reason = (np.concatenate(v) for v in zip(*parts.pop(T)))
-        kept = reason == 0
-        results.append((*(r[kept] for r in records), reason))
-    return results
+    return [_run_group(spec, runs, seed, fixed_real, work) for runs in groups]
 
 
 def _workspace(c: int):
@@ -434,14 +429,12 @@ def _run_group(spec, runs, seed, fixed_real, work):
     ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
     onto their running sums through the terms slab.
 
-    A replication is usable when its alpha and beta sums are finite: every
-    state enters a lag product of its column, so a non-finite state leaves
-    a non-finite sum.
+    Every state enters a lag product of its column, so a non-finite state
+    leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
 
-    Returns, by T, the estimates, true coefficients and last states of the
-    run's m replications, each (m, k), and a reason code for each one:
-    NON_FINITE where its sums are not finite, else the fault code of its
-    first faulty component, 0 where it is kept.
+    Returns, by T, the estimates, true coefficients, last states and fault
+    codes of the run's m replications, each (m, k); the faults are ranked
+    and the faulty replications dropped by ``run_experiment``.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -486,9 +479,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
         alpha, beta = sums[:, cols].reshape(2, m, k)
         sig, truth, last = (v[cols].reshape(m, k) for v in (sigma2, rho, x[0]))
         est_c, est_b, fault = estimate_columns(alpha, beta, sig, *prior_shapes(k))
-        first = fault[np.arange(m), (fault != 0).argmax(axis=1)]
-        spoilt = (fault == NON_FINITE).any(axis=1)
-        out[T] = (est_c, est_b, truth, last.copy(), np.where(spoilt, NON_FINITE, first))
+        out[T] = (est_c, est_b, truth, last.copy(), fault)
     return out
 
 
@@ -529,16 +520,19 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
 
     # every T's drops are counted and logged before the one verdict on them
     reports, aborted = [], 0
-    for i, (T, k_T) in enumerate(levels):
-        # the blocks run on from replication 1: reason[j] is replication j + 1's
-        est_c, est_b, truth, last, reason = map(np.concatenate, zip(*(r[i] for r in results)))
+    groups = [group for block in results for group in block]
+    for T, k_T in levels:
+        # the groups run on from replication 1: row j is replication j + 1's
+        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
+        reason = fault[np.arange(len(fault)), deciding_component(fault)]
         for code, name in FAULT_NAMES.items():
             bad = (np.flatnonzero(reason == code) + 1).tolist()
             aborted += len(bad)
             if bad:
                 logger.warning(f"T=%d: aborted %d {name} replications: %s", T, len(bad), bad)
-        if est_c.shape[0] == 0:
+        if reason.all():
             continue
+        est_c, est_b, truth, last = (r[reason == 0] for r in records)
 
         if fixed_real is None:
             param_limit = prior_param_limit(spec.prior, k_T)

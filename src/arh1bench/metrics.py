@@ -22,6 +22,8 @@ the sums.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,34 +152,28 @@ def prior_pred_limit(law: EigenvalueLaw, prior: PriorSpec, k_T: int) -> float:
 
 @dataclass(frozen=True)
 class KtRule:
-    """Truncation-order rule: a fixed component count or floor(T**(1/alpha))."""
+    """Truncation-order rule: ("fixed", k) keeps k components, ("power", a) floor(T**(1/a))."""
 
     kind: str
     value: float
 
     def __post_init__(self):
+        # True is neither a count nor an exponent
+        v, number = self.value, not isinstance(self.value, bool)
         if self.kind == "fixed":
-            if self.value < 1 or self.value != int(self.value):
-                raise ValueError(f"fixed truncation order must be a positive integer, got {self.value}")
+            if not (number and isinstance(v, numbers.Integral) and v >= 1):
+                raise ValueError(f"fixed truncation order must be a positive integer, got {v!r}")
         elif self.kind == "power":
             # alpha > 4 keeps sqrt(T) * C_{k_T} divergent for the
             # quadratic-decay example, the regime the prediction theory needs;
             # an infinite alpha would keep k_T = 1 at every T.
-            if not 4.0 < self.value < math.inf:
+            if not (number and isinstance(v, numbers.Real) and 4.0 < v <= sys.float_info.max):
                 raise ValueError(
                     f"power rule needs a finite alpha > 4 so that sqrt(T) * C_kT "
-                    f"diverges, got alpha={self.value}"
+                    f"diverges, got alpha={v!r}"
                 )
         else:
             raise ValueError(f"unknown truncation rule kind {self.kind!r}")
-
-    @classmethod
-    def fixed(cls, k: int) -> "KtRule":
-        return cls(kind="fixed", value=int(k))
-
-    @classmethod
-    def power(cls, alpha: float) -> "KtRule":
-        return cls(kind="power", value=float(alpha))
 
     @classmethod
     def parse(cls, text: str) -> "KtRule":
@@ -188,9 +184,7 @@ class KtRule:
                 f"truncation rule must look like 'fixed:5' or 'power:4.1', got {text!r}"
             )
         try:
-            if kind == "fixed":
-                return cls.fixed(int(raw))
-            return cls.power(float(raw))
+            return cls(kind, int(raw) if kind == "fixed" else float(raw))
         except ValueError as exc:
             raise ValueError(f"bad truncation rule {text!r}: {exc}") from exc
 

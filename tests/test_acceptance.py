@@ -51,6 +51,7 @@ from arh1bench.spectral_model import (
     realize,
 )
 from conftest import bayes_estimate, cubic_score_solve
+from test_harness import stack_groups
 
 SEED = 0
 T_FIX = 2000
@@ -174,8 +175,9 @@ def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
     limit = theory_param_limit(real, K_FIX)
     gaps, ok, detail = [], True, []
     for T in (2_000, 10_000, 30_000):
-        [(est_c, est_b, truth, _, reason)] = harness._run_block(
-            (spec, ((T, K_FIX),), 1, N_FIX + 1, SEED, real)
+        levels = ((T, K_FIX),)
+        [(est_c, est_b, truth, _, reason)] = stack_groups(
+            harness._run_block((spec, levels, 1, N_FIX + 1, SEED, real)), levels
         )
         assert not reason.any()
         diff = np.sum((est_b - truth) ** 2 - (est_c - truth) ** 2, axis=1)
@@ -229,7 +231,7 @@ def test_c05_benchmark_bracket(paper_run, capsys):
 
 
 def test_c06_truncation_grid(capsys):
-    rule = KtRule.power(4.1)
+    rule = KtRule("power", 4.1)
     got = tuple(truncation_order(T, rule) for T in DEFAULT_T_GRID)
     want = (3, 4, 5, 5, 5, 5, 6, 6)
     ok = got == want

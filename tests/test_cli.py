@@ -247,12 +247,19 @@ class TestRunErrors:
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
-    def test_bad_config_file(self, tmp_path):
-        missing = tmp_path / "missing.json"
-        assert _run(["run", "--config", str(missing)]) == 1
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert _run(["run", "--config", str(bad)]) == 1
+    def test_bad_config_file(self, tmp_path, capsys):
+        # missing, not UTF-8, not JSON and truncated: each is one stderr
+        # line that names the file, and nothing is written
+        out = tmp_path / "out"
+        for i, content in enumerate([None, b"\xff{}", b"{not json", b'{"example": 1,\n']):
+            path = tmp_path / f"cfg{i}.json"
+            if content is not None:
+                path.write_bytes(content)
+            assert _run(["run", "--config", str(path), "--out", str(out), "--workers", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read config file {path}: ")
+            assert err.count("\n") == 1
+            assert not out.exists()
 
     def test_abort_exit_code(self, tmp_path, monkeypatch, capsys):
         def boom(config, workers=None):

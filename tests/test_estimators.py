@@ -13,6 +13,7 @@ from arh1bench.estimators import (
     DegenerateTrajectoryError,
     SufficientStats,
     _minus_root,
+    deciding_component,
     estimate_all,
     estimate_columns,
     first_fault,
@@ -583,12 +584,29 @@ class TestEstimateAll:
         bound = math.sqrt(0.25 * (4.0 + 1.01 - 2.0) / 5.0)
         assert str(error) == f"component 2: shrinkage {delta} escapes [0, {bound}]"
 
+    # each row of fault codes and the component that decides it
+    DECIDING = [
+        ([0, 0, 0], 0),  # no fault
+        ([0, DEGENERATE, NON_FINITE], 2),  # non-finite sums outrank an earlier fault
+        ([ESCAPED, DEGENERATE, 0], 0),  # else the first faulty component decides
+        ([0, 0, ESCAPED], 2),
+        ([NON_FINITE, 0, NON_FINITE], 0),
+    ]
+
+    def test_deciding_component(self):
+        # the rows as one 2-D array, and each as a 1-D row
+        rows, want = (list(v) for v in zip(*self.DECIDING))
+        assert deciding_component(np.array(rows)).tolist() == want
+        for row, i in self.DECIDING:
+            assert deciding_component(np.array(row)) == i
+
     def test_non_finite_code_comes_first(self):
         alpha = np.array([np.inf, 1.0, np.nan, -np.inf, 1.0, 0.0])
         beta = np.array([np.inf, np.inf, 0.0, 2.0, 2.0, 0.0])
         ones = np.ones(alpha.size)
         _, _, fault = estimate_columns(alpha, beta, ones, 2.0 * ones, ones)
         assert fault.tolist() == [NON_FINITE] * 4 + [0, DEGENERATE]
+        assert fault.dtype == np.int8  # the narrowest codes to ship from a pool worker
 
     def test_range_validation(self):
         traj = _column_traj([1.0, 2.0, 1.5])

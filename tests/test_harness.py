@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -68,11 +69,11 @@ class TestConfig:
         cfg = ExperimentConfig(example=1)
         assert cfg.T_grid == DEFAULT_T_GRID
         assert cfg.N == 1000
-        assert cfg.kT_rule == KtRule.fixed(5)
+        assert cfg.kT_rule == KtRule("fixed", 5)
         assert cfg.rho_mode == "redraw"
         assert cfg.formats == ("csv", "json")
         assert cfg.label == "1"
-        assert ExperimentConfig(example=3).kT_rule == KtRule.power(4.1)
+        assert ExperimentConfig(example=3).kT_rule == KtRule("power", 4.1)
 
     def test_grid_and_count_validation(self):
         with pytest.raises(ValueError):
@@ -111,10 +112,10 @@ class TestConfig:
         # Beta(2**k, 1.01) has b / a = 1.84e-12 at k = 39 and 9.19e-13 at
         # k = 40, below RHO_CLAMP_EPS; power:4.1 reaches k_T = 40 between
         # T = 3.6e6 and 3.8e6
-        for T, rule in ((3_600_000, None), (20, KtRule.fixed(39))):
+        for T, rule in ((3_600_000, None), (20, KtRule("fixed", 39))):
             cfg = ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
             assert cfg.spec.k_max == 39
-        for T, rule in ((3_800_000, None), (20, KtRule.fixed(40))):
+        for T, rule in ((3_800_000, None), (20, KtRule("fixed", 40))):
             with pytest.raises(ValueError, match="k_T=40 .* clamp") as exc:
                 ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
             assert "\n" not in str(exc.value)
@@ -139,7 +140,7 @@ class TestConfig:
                 "formats": ["csv"],
             }
         )
-        assert cfg.kT_rule == KtRule.power(4.1)
+        assert cfg.kT_rule == KtRule("power", 4.1)
         assert cfg.T_grid == (100, 200)
         with pytest.raises(ValueError):
             config_from_dict({"example": 1, "bogus": 3})
@@ -181,6 +182,11 @@ class TestRunExperiment:
         inline = run_experiment(cfg, workers=1)
         pooled = run_experiment(cfg, workers=3)
         assert inline == pooled
+
+    def test_pool_leaves_no_process(self):
+        # the pool is shut down whole: no worker outlives the run
+        run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=4), workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_pool_sized_to_blocks(self, monkeypatch):
         asked, mapped = [], []
@@ -313,6 +319,22 @@ BLOCK_FIELDS = [
 ]
 
 
+def stack_groups(groups, levels):
+    """Per T of levels, the records of groups (as _run_block returns them)
+    stacked and ranked as run_experiment does: the kept replications'
+    estimates, truths and last states, then every replication's reason."""
+    out = []
+    for T, _ in levels:
+        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
+        reason = fault[np.arange(len(fault)), estimators.deciding_component(fault)]
+        out.append((*(r[reason == 0] for r in records), reason))
+    return out
+
+
+def _run_block(task):
+    return stack_groups(harness._run_block(task), task[1])
+
+
 def _one_at_a_time(task):
     """What the public calls give each replication of a block task, one
     replication at a time: per T, the rows of _run_block's estimates,
@@ -394,16 +416,16 @@ class TestBlockKernel:
         # T and for a grid whose streams share groups
         for grid in ((300,), (15, 100, 300)):
             task = _block_task(fields, grid, N=7)
-            _assert_block_equal(harness._run_block(task), _one_at_a_time(task))
+            _assert_block_equal(_run_block(task), _one_at_a_time(task))
 
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_chunk_sizes_match_default_path(self, monkeypatch, fields):
         # the rows as one chunk, as many, and one row a chunk give the same bits
         task = _block_task(fields, (300,), N=7)
-        [want] = harness._run_block(task)
+        [want] = _run_block(task)
         for chunk in (harness.CHUNK_ELEMENTS, 4000, 1):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
-            [got] = harness._run_block(task)
+            [got] = _run_block(task)
             assert not got[4].any() and not want[4].any()
             _assert_bits_equal(got[:4], want[:4])
 
@@ -420,7 +442,7 @@ class TestBlockKernel:
         task = _block_task(fields, grid, N)
         want = _one_at_a_time(task)
         with mock.patch.object(harness, "CHUNK_ELEMENTS", chunk):
-            got = harness._run_block(task)
+            got = _run_block(task)
         _assert_block_equal(got, want)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -444,7 +466,7 @@ class TestBlockKernel:
             harness._run_block((spec, levels, lo, hi, seed, shared))
             for lo, hi in harness._partition(2, workers)
         ]
-        got = [[np.concatenate(v) for v in zip(*per_T)] for per_T in zip(*blocks)]
+        got = stack_groups([group for block in blocks for group in block], levels)
         assert (1 in widths) == (workers == 2)
         _assert_block_equal(got, _one_at_a_time(task))
 
@@ -474,7 +496,7 @@ class TestBlockKernel:
         }
 
         def check(reasons):
-            [(*records, reason)] = harness._run_block(task)
+            [(*records, reason)] = _run_block(task)
             assert reason.tolist() == reasons
             _assert_bits_equal(records, [w[reason == 0] for w in want])
 
@@ -611,7 +633,7 @@ class TestBlockKernel:
         ]
         rows = harness.CHUNK_ELEMENTS // (2 * 48)
         assert rows < 3000 and peak < rows * 48
-        _assert_block_equal(got, _one_at_a_time(task))
+        _assert_block_equal(stack_groups(got, task[1]), _one_at_a_time(task))
 
     def test_x_planned_without_carry_row_raises(self, monkeypatch):
         # x must hold a row chunk and the row that carries the states into

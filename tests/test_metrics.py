@@ -216,53 +216,78 @@ class TestTheoryLimits:
 
 class TestTruncationOrder:
     def test_power_rule_on_paper_grid(self):
-        rule = KtRule.power(4.1)
+        rule = KtRule("power", 4.1)
         got = tuple(truncation_order(T, rule) for T in PAPER_T_GRID)
         assert got == (3, 4, 5, 5, 5, 5, 6, 6)
 
     def test_fixed_rule(self):
-        rule = KtRule.fixed(5)
-        assert all(truncation_order(T, rule) == 5 for T in (1, 250, 10_000))
+        for rule in (KtRule("fixed", 5), KtRule("fixed", np.int64(5))):
+            assert rule == KtRule("fixed", 5)
+            assert all(truncation_order(T, rule) == 5 for T in (1, 250, 10_000))
+
+    @pytest.mark.parametrize("k", [
+        2.5,  # not floored to 2
+        True,  # not taken as 1
+        math.inf,  # not an OverflowError
+        1e300,  # not a rule of 10**300 components
+        5.0,
+        pytest.param("5", id="str"),
+        -3,
+    ])
+    def test_fixed_rule_needs_integer(self, k):
+        # each refusal is a ValueError, and no count is coerced
+        with pytest.raises(ValueError, match="positive integer"):
+            KtRule("fixed", k)
 
     def test_power_rule_guards_prediction_regime(self):
         # alpha must exceed 4 so sqrt(T) * C_{k_T} diverges for quadratic
         # eigenvalue decay: the growth exponent 1/2 - 2/alpha stays positive
         assert 0.5 - 2.0 / 4.1 > 0
         with pytest.raises(ValueError):
-            KtRule.power(4.0)
+            KtRule("power", 4.0)
         with pytest.raises(ValueError):
-            KtRule.power(3.0)
+            KtRule("power", 3.0)
 
-    @pytest.mark.parametrize("alpha", [math.inf, float("1e400"), math.nan])
+    @pytest.mark.parametrize(
+        "alpha", [math.inf, float("1e400"), math.nan, -math.inf, True,
+                  pytest.param("4.1", id="str"), pytest.param(10**400, id="10**400")]
+    )
     def test_power_rule_needs_finite_alpha(self, alpha):
-        # T ** (1 / inf) is 1, so an infinite alpha would keep k_T = 1 at every T
+        # T ** (1 / inf) is 1, so an infinite alpha would keep k_T = 1 at
+        # every T; 1 / 10**400 overflows, and True and "4.1" are not numbers
         with pytest.raises(ValueError, match="finite alpha > 4"):
-            KtRule.power(alpha)
+            KtRule("power", alpha)
 
     def test_nondecreasing_in_T(self):
-        rule = KtRule.power(4.1)
+        rule = KtRule("power", 4.1)
         orders = [truncation_order(T, rule) for T in range(1, 3000, 7)]
         assert all(u <= v for u, v in zip(orders, orders[1:]))
 
     def test_exact_integer_powers_not_floored_away(self):
-        rule = KtRule.power(5.0)
-        assert truncation_order(2**5, rule) == 2
-        assert truncation_order(3**5, rule) == 3
+        for rule in (KtRule("power", 5.0), KtRule("power", 5), KtRule("power", np.float64(5))):
+            assert truncation_order(2**5, rule) == 2
+            assert truncation_order(3**5, rule) == 3
 
     def test_parse_kind_and_value(self):
-        for text, kind, value in (("fixed:5", "fixed", 5), ("power:4.1", "power", 4.1)):
+        # int() reads a count and float() an exponent, whitespace and all
+        for text, kind, value in (
+            ("fixed:5", "fixed", 5), ("fixed: 5", "fixed", 5), ("fixed:+5", "fixed", 5),
+            ("fixed:05", "fixed", 5), ("fixed:1_0", "fixed", 10), ("power:4.1", "power", 4.1),
+            ("power:5", "power", 5.0), ("power:1e1", "power", 10.0), ("power: 4.5 ", "power", 4.5),
+        ):
             rule = KtRule.parse(text)
-            assert (rule.kind, rule.value) == (kind, value)
+            assert (rule.kind, rule.value, type(rule.value)) == (kind, value, type(value))
+        for text in (
+            "fixed", "other:3", "Fixed:5", " power:5", "fixed:", "fixed:2.5", "fixed:inf",
+            "fixed:True", "fixed:0", "fixed:-1", "power:4", "power:nan", "power:inf",
+            "power:1e400", "power:abc",
+        ):
+            with pytest.raises(ValueError, match="truncation rule"):
+                KtRule.parse(text)
         with pytest.raises(ValueError):
-            KtRule.parse("fixed")
+            KtRule("fixed", 0)
         with pytest.raises(ValueError):
-            KtRule.parse("other:3")
-        with pytest.raises(ValueError):
-            KtRule.parse("fixed:2.5")
-        with pytest.raises(ValueError):
-            KtRule.fixed(0)
-        with pytest.raises(ValueError):
-            truncation_order(0, KtRule.fixed(5))
+            truncation_order(0, KtRule("fixed", 5))
 
 
 class TestBartlett:
