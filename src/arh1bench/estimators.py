@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simulator import Trajectory
-from .spectral_model import ModelRealization, PriorSpec, prior_shapes
+from .spectral_model import ModelRealization, PriorSpec, prior_shapes, truncate_realization
 
 # Slack for the internal shrinkage-bound verification in estimate_all;
 # covers independent rounding of the two estimators, nothing more.
@@ -224,16 +224,14 @@ def estimate_all(
     raises rather than contaminating downstream error summaries, as do
     sums that are not finite (RuntimeError) and a component with beta = 0
     (DegenerateTrajectoryError).  ``priors`` is unused: the prior is the
-    one rule of ``prior_params``, and the argument stays while perfbench
+    one rule of ``prior_shapes``, and the argument stays while perfbench
     passes it (ROADMAP item 4).
     """
     if traj.T < 1:
         raise ValueError("estimation needs at least one transition")
     if not 1 <= k_T <= traj.k:
         raise ValueError(f"k_T={k_T} out of range 1..{traj.k}")
-    if k_T > real.k:
-        raise ValueError(f"realization has {real.k} components, need {k_T}")
-    sigma2 = real.sigma2[:k_T]
+    sigma2 = truncate_realization(real, k_T).sigma2
     if not np.all(sigma2 > 0.0):
         raise ValueError(f"innovation variances must be positive, got {sigma2}")
     alpha, beta = lag_sums(traj.coeffs[:, :k_T])

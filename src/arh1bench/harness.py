@@ -64,7 +64,6 @@ from .spectral_model import (
     SpectralModelSpec,
     draw_rho,
     eigenvalues,
-    prior_params,
     prior_shapes,
     realize,
 )
@@ -159,8 +158,8 @@ def example_model(
         rho_mode=rho_mode,
         rho_values=rho_values,
     )
-    a, b = prior_params(spec.k_max)
-    if spec.rho_mode != "explicit" and b / a < RHO_CLAMP_EPS:
+    a, b = prior_shapes(spec.k_max)
+    if spec.rho_mode != "explicit" and b[-1] / a[-1] < RHO_CLAMP_EPS:
         raise ValueError(f"k_T={spec.k_max} at T={T_max} puts most prior draws within "
                          f"{RHO_CLAMP_EPS:g} of 1, where draw_rho's clamp rewrites them")
     return spec, rule

@@ -31,7 +31,8 @@ import numpy as np
 from .estimators import estimate_columns, fold_lag_terms
 from .simulator import ar1_steps, simulate
 from .spectral_model import (
-    EigenvalueLaw, ModelRealization, PriorSpec, eigenvalue, prior_mean_sq, prior_shapes
+    EigenvalueLaw, ModelRealization, PriorSpec, eigenvalues, prior_mean_sq, prior_shapes,
+    truncate_realization,
 )
 
 # Monte Carlo paths are generated in fixed-size batches; the constant is
@@ -98,9 +99,7 @@ def efmse_pred(inp: EfmseInput) -> float:
 
 def theory_param_limit(real, k_T: int) -> float:
     """Limit of T * efmse_param for a fixed realization: sum (1 - rho_j**2)."""
-    if not 1 <= k_T <= real.k:
-        raise ValueError(f"k_T={k_T} out of range 1..{real.k}")
-    return float(np.sum(1.0 - real.rho[:k_T] ** 2))
+    return float(np.sum(1.0 - truncate_realization(real, k_T).rho ** 2))
 
 
 def finite_t_param_reference(real, k_T: int, T: int) -> float:
@@ -114,20 +113,17 @@ def finite_t_param_reference(real, k_T: int, T: int) -> float:
     each component's crossover T*_j (see ``estimators``).  It holds where
     T * (1 - rho_j) is about 30 or more; below that it undershoots.
     """
-    if not 1 <= k_T <= real.k:
-        raise ValueError(f"k_T={k_T} out of range 1..{real.k}")
-    rho = real.rho[:k_T]
-    beta = T * real.C[:k_T]
-    hat, minus, _ = estimate_columns(rho * beta, beta, real.sigma2[:k_T], *prior_shapes(k_T))
+    real = truncate_realization(real, k_T)
+    rho, beta = real.rho, T * real.C
+    hat, minus, _ = estimate_columns(rho * beta, beta, real.sigma2, *prior_shapes(k_T))
     s = hat - minus
     return float(np.sum(1.0 - rho**2 + T * s**2 + 4.0 * rho * s))
 
 
 def theory_pred_limit(real, k_T: int) -> float:
     """Limit of T * efmse_pred for a fixed realization: sum C_j (1 - rho_j**2)."""
-    if not 1 <= k_T <= real.k:
-        raise ValueError(f"k_T={k_T} out of range 1..{real.k}")
-    return float(np.sum(real.C[:k_T] * (1.0 - real.rho[:k_T] ** 2)))
+    real = truncate_realization(real, k_T)
+    return float(np.sum(real.C * (1.0 - real.rho**2)))
 
 
 def prior_param_limit(prior: PriorSpec, k_T: int) -> float:
@@ -136,18 +132,15 @@ def prior_param_limit(prior: PriorSpec, k_T: int) -> float:
     Used as the comparison target when coefficients are redrawn per
     replication, where no single realization defines the limit.  ``prior``
     is unused, here and in ``prior_pred_limit``: the prior is the one rule
-    of ``prior_params``, and the argument stays while perfbench passes it
+    of ``prior_shapes``, and the argument stays while perfbench passes it
     (ROADMAP item 4).
     """
-    return math.fsum(1.0 - prior_mean_sq(j) for j in range(1, k_T + 1))
+    return math.fsum((1.0 - prior_mean_sq(k_T)).tolist())
 
 
 def prior_pred_limit(law: EigenvalueLaw, prior: PriorSpec, k_T: int) -> float:
     """Prior expectation of the prediction limit: sum C_j (1 - E rho_j**2)."""
-    return math.fsum(
-        eigenvalue(law, j) * (1.0 - prior_mean_sq(j))
-        for j in range(1, k_T + 1)
-    )
+    return math.fsum((eigenvalues(law, k_T) * (1.0 - prior_mean_sq(k_T))).tolist())
 
 
 @dataclass(frozen=True)

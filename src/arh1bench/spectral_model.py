@@ -29,23 +29,21 @@ RHO_CLAMP_EPS = 1e-12
 # a*(a+1) in prior_mean_sq overflows to inf and the prior limits turn nan.
 MAX_PRIOR_EXPONENT = 511
 
-DEFAULT_K_MAX = 64
-
 RHO_MODES = ("redraw", "fixed", "explicit")
 
 
 @dataclass(frozen=True)
 class EigenvalueLaw:
     """Power-law eigenvalues ``C_k = k**(-exponent)`` of the covariance
-    operator; ``exponent > 1`` makes the operator trace class."""
+    operator; a finite ``exponent > 1`` makes the operator trace class."""
 
     exponent: float
 
     def __post_init__(self):
-        if not self.exponent > 1.0:
+        if not 1.0 < self.exponent < math.inf:
             raise ValueError(
-                f"power-law exponent must exceed 1 for a trace-class "
-                f"operator, got {self.exponent}"
+                f"power-law exponent must be finite and exceed 1 for a "
+                f"trace-class operator, got {self.exponent}"
             )
 
     @classmethod
@@ -53,22 +51,19 @@ class EigenvalueLaw:
         return cls(exponent=float(exponent))
 
 
-def eigenvalue(law: EigenvalueLaw, k: int) -> float:
-    """Return the k-th eigenvalue C_k (components are 1-based)."""
-    if k < 1:
-        raise IndexError(f"component index must be >= 1, got {k}")
-    return float(k) ** (-law.exponent)
-
-
 def eigenvalues(law: EigenvalueLaw, k: int) -> np.ndarray:
-    """C_1..C_k as an array, each computed by ``eigenvalue``."""
-    return np.array([eigenvalue(law, j) for j in range(1, k + 1)])
+    """C_1..C_k = j**(-exponent) as an array, one Python float power each:
+    numpy's ``**`` rounds differently in the last bit at some j (j = 2 for
+    exponent 1.1, j = 31 for 2.0)."""
+    if k < 1:
+        raise ValueError(f"component count must be >= 1, got {k}")
+    return np.array([float(j) ** -law.exponent for j in range(1, k + 1)])
 
 
 @dataclass(frozen=True)
 class PriorSpec:
     """The componentwise Beta(a_k, b_k) prior on the autocorrelation
-    coefficients, a_k = 2**k and b_k = 1.01, as ``prior_params`` gives it.
+    coefficients, a_k = 2**k and b_k = 1.01, as ``prior_shapes`` gives it.
 
     Its mass moves toward one as k grows while the prior-variance series
     stays summable.  The package relies on b_k > 1, which makes
@@ -79,28 +74,22 @@ class PriorSpec:
     """
 
 
-def prior_params(k: int) -> tuple[float, float]:
-    """Return the Beta shapes (a_k, b_k) = (2**k, 1.01) of component k (1-based)."""
+def prior_shapes(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Beta shapes (a_j, b_j) = (2**j, 1.01) of components 1..k, as arrays."""
     if k < 1:
-        raise IndexError(f"component index must be >= 1, got {k}")
+        raise ValueError(f"component count must be >= 1, got {k}")
     if k > MAX_PRIOR_EXPONENT:
         raise OverflowError(
             f"prior shape 2**{k} has overflowing moments "
             f"(limit 2**{MAX_PRIOR_EXPONENT})"
         )
-    return math.ldexp(1.0, k), 1.01
+    return np.ldexp(1.0, np.arange(1, k + 1)), np.full(k, 1.01)
 
 
-def prior_mean_sq(k: int) -> float:
-    """Prior second moment E(rho_k**2) = a(a+1) / ((a+b)(a+b+1))."""
-    a, b = prior_params(k)
+def prior_mean_sq(k: int) -> np.ndarray:
+    """Prior second moments E(rho_j**2) = a(a+1) / ((a+b)(a+b+1)), j = 1..k."""
+    a, b = prior_shapes(k)
     return a * (a + 1.0) / ((a + b) * (a + b + 1.0))
-
-
-def prior_shapes(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Beta shapes of components 1..k as the pair of arrays (a, b)."""
-    a, b = zip(*(prior_params(j) for j in range(1, k + 1)))
-    return np.array(a), np.array(b)
 
 
 def draw_rho(a, b, rngs) -> np.ndarray:
@@ -129,19 +118,20 @@ class SpectralModelSpec:
     fresh prior sample per replication, ``fixed`` draws once and shares the
     draw across replications, ``explicit`` uses user-supplied values (which
     must lie strictly inside (0, 1)).  ``prior`` is unused, the prior being
-    the one rule of ``prior_params``; the field stays while perfbench
+    the one rule of ``prior_shapes``; the field stays while perfbench
     passes it (ROADMAP item 4).
     """
 
     law: EigenvalueLaw
+    k_max: int
     prior: PriorSpec = PriorSpec()
-    k_max: int = DEFAULT_K_MAX
     rho_mode: str = "redraw"
     rho_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError(f"component budget k_max must be >= 1, got {self.k_max}")
+        k = self.k_max
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"component budget k_max must be an integer >= 1, got {k!r}")
         if self.k_max > MAX_PRIOR_EXPONENT:
             raise ValueError(
                 f"the prior covers k_max <= {MAX_PRIOR_EXPONENT}, got {self.k_max}"
@@ -219,5 +209,5 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
 def truncate_realization(real: ModelRealization, k: int) -> ModelRealization:
     """Restrict a realization to its first k components."""
     if not 1 <= k <= real.k:
-        raise IndexError(f"cannot truncate realization of {real.k} components to {k}")
+        raise ValueError(f"cannot truncate realization of {real.k} components to {k}")
     return ModelRealization(C=real.C[:k], rho=real.rho[:k], sigma2=real.sigma2[:k])

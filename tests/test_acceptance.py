@@ -47,7 +47,7 @@ from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
     SpectralModelSpec,
-    prior_params,
+    prior_shapes,
     realize,
 )
 from conftest import bayes_estimate, cubic_score_solve
@@ -281,8 +281,8 @@ def test_c08_closed_form_matches_cubic(capsys):
 
 
 def test_c09_proximity_bound(fixed_draw_run, capsys):
-    shapes = [prior_params(j) for j in range(1, K_FIX + 1)]
-    ab_shift = np.array([a + b - 2.0 for a, b in shapes])
+    a, b = prior_shapes(K_FIX)
+    ab_shift = a + b - 2.0
     bound = np.sqrt(fixed_draw_run.real.sigma2 * ab_shift / fixed_draw_run.betas)
     gap = fixed_draw_run.est_classical - fixed_draw_run.est_bayes
     applicable = fixed_draw_run.est_classical <= 1.0

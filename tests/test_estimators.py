@@ -31,12 +31,18 @@ from arh1bench.spectral_model import (
     ModelRealization,
     PriorSpec,
     SpectralModelSpec,
-    prior_params,
     prior_shapes,
     realize,
     truncate_realization,
 )
 from conftest import bayes_estimate, cubic_score_solve, naive_sums, reference_ar1
+
+
+def _component_shapes(k):
+    """The prior's Beta shapes (a_k, b_k) of component k, as floats."""
+    a, b = prior_shapes(k)
+    return float(a[-1]), float(b[-1])
+
 
 # Beta shapes (a, b) with a + b >= 2: a spread of them, pairs with
 # a + b == 2 exactly, where the discriminant is the square (alpha - beta)**2,
@@ -46,7 +52,7 @@ _SHAPES = st.one_of(
         lambda p: (p[0], max(1.0, 2.0 - p[0]) + p[1])
     ),
     st.floats(0.2, 1.99).map(lambda a: (a, 2.0 - a)).filter(lambda p: sum(p) == 2.0),
-    st.integers(1, MAX_PRIOR_EXPONENT).map(prior_params),
+    st.integers(1, MAX_PRIOR_EXPONENT).map(_component_shapes),
 )
 
 
@@ -364,7 +370,7 @@ class TestBayes:
         j, rho, T, n = 27, 1.0 - 1e-8, 200, 400
         C = j**-1.5
         sigma2 = C * (1.0 - rho * rho)
-        a, b = prior_params(j)
+        a, b = _component_shapes(j)
         real = ModelRealization(C=[C] * n, rho=[rho] * n, sigma2=[sigma2] * n)
         x = simulate(real, T, np.random.default_rng(0)).coeffs
         alpha, beta = lag_sums(x)
@@ -407,7 +413,7 @@ class TestMinusRoot:
         alpha = ratio * beta
         assert np.all(np.sign(alpha + beta) == sign)
         sigma2 = rng.uniform(1e-4, 5.0, n)
-        a, b = prior_params(k)
+        a, b = _component_shapes(k)
         got = _minus_root(alpha, beta, sigma2, a, b)
         want = _three_way_minus(alpha, beta, sigma2, a, b)
         assert np.all(np.isfinite(got))
@@ -425,7 +431,7 @@ class TestShrink:
 
     def _shrink(self, j, factor):
         """rho_hat, s and c of the components j with the RHO at T = factor * T*."""
-        a, b = prior_params(j)
+        a, b = _component_shapes(j)
         rho, C = self.RHO, j**-1.5
         T = factor * 4.0 * (a + b - 2.0) * (1.0 + rho) / (1.0 - rho)
         beta, sigma2 = T * C, C * (1.0 - rho**2)
@@ -527,8 +533,7 @@ class TestEstimateAll:
         real = realize(spec, np.random.default_rng(21))
         traj = simulate(real, 2_000, np.random.default_rng(22))
         est = estimate_all(traj, real, 5, spec.prior)
-        for j in range(5):
-            a, b = prior_params(j + 1)
+        for j, (a, b) in enumerate(zip(*(v.tolist() for v in prior_shapes(5)))):
             sigma2 = float(real.sigma2[j])
             bound = math.sqrt(sigma2 * (a + b - 2.0) / est.beta[j])
             delta = est.rho_hat[j] - est.rho_tilde_minus[j]
@@ -615,6 +620,9 @@ class TestEstimateAll:
             estimate_all(traj, real, 2, PriorSpec())
         with pytest.raises(ValueError):
             estimate_all(Trajectory(coeffs=np.ones((1, 1))), real, 1, PriorSpec())
+        # a realization shorter than k_T is refused by truncate_realization
+        with pytest.raises(ValueError, match="realization of 1 components to 2"):
+            estimate_all(Trajectory(coeffs=np.ones((3, 2))), real, 2, PriorSpec())
         for sigma2 in (0.0, -1.0, math.nan):
             bad = ModelRealization(C=[1.0], rho=[0.5], sigma2=[sigma2])
             with pytest.raises(ValueError, match="innovation variances must be positive"):

@@ -33,8 +33,7 @@ from arh1bench.spectral_model import (
     EigenvalueLaw,
     ModelRealization,
     PriorSpec,
-    eigenvalue,
-    prior_mean_sq,
+    eigenvalues,
     realize,
     SpectralModelSpec,
 )
@@ -176,7 +175,7 @@ class TestTheoryLimits:
         assert excess[1] / excess[2] == pytest.approx(10.0, rel=0.01)
         # one component against the positive root of s**2 + (1 - rho) s = c
         single = ModelRealization(C=[1.0], rho=[0.5], sigma2=[0.75])
-        a, b = 2.0, 1.01  # prior_params(1)
+        a, b = 2.0, 1.01  # prior_shapes(1)
         T = 1000.0
         c = 0.75 * (a + b - 2.0) / T
         s = (-(1.0 - 0.5) + math.sqrt(0.25 + 4.0 * c)) / 2.0
@@ -192,18 +191,30 @@ class TestTheoryLimits:
         rng = np.random.default_rng(55)
         mc_param = 0.0
         mc_pred = 0.0
-        for k in range(1, 6):
+        for k, C_k in enumerate(eigenvalues(law, 5).tolist(), start=1):
             draws = rng.beta(2.0**k, 1.01, size=1_000_000)
             term = float(np.mean(1.0 - draws**2))
             mc_param += term
-            mc_pred += eigenvalue(law, k) * term
+            mc_pred += C_k * term
         assert prior_param_limit(prior, 5) == pytest.approx(mc_param, rel=5e-3)
         assert prior_pred_limit(law, prior, 5) == pytest.approx(mc_pred, rel=5e-3)
 
     def test_prior_limit_consistency_with_moments(self):
+        # the array rules against per-component scalar loops over the
+        # moments a(a+1) / ((a+b)(a+b+1)) of a = 2**j, b = 1.01: each term
+        # takes the same IEEE operations into the same fsum, so the bits agree
         prior = PriorSpec()
-        direct = math.fsum(1.0 - prior_mean_sq(k) for k in range(1, 8))
-        assert prior_param_limit(prior, 7) == pytest.approx(direct, rel=1e-15)
+        for exponent in (1.5, 1.1, 2.0):
+            law = EigenvalueLaw.power_law(exponent)
+            for k in (1, 5, 39, 511):
+                param, pred = [], []
+                for j in range(1, k + 1):
+                    a, b = 2.0**j, 1.01
+                    term = 1.0 - a * (a + 1.0) / ((a + b) * (a + b + 1.0))
+                    param.append(term)
+                    pred.append(float(j) ** -exponent * term)
+                assert prior_param_limit(prior, k) == math.fsum(param)
+                assert prior_pred_limit(law, prior, k) == math.fsum(pred)
 
     def test_prior_limits_finite_at_largest_default_shape(self):
         # 2**511 is the last prior shape whose moments stay finite; the

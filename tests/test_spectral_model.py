@@ -10,9 +10,8 @@ from arh1bench.spectral_model import (
     RHO_CLAMP_EPS,
     SpectralModelSpec,
     draw_rho,
-    eigenvalue,
+    eigenvalues,
     prior_mean_sq,
-    prior_params,
     prior_shapes,
     realize,
     truncate_realization,
@@ -21,14 +20,13 @@ from arh1bench.spectral_model import (
 
 class TestEigenvalueLaw:
     def test_power_law_values(self):
-        law = EigenvalueLaw.power_law(1.5)
-        assert eigenvalue(law, 1) == 1.0
-        assert eigenvalue(law, 4) == 0.125
-        assert eigenvalue(EigenvalueLaw.power_law(2.0), 3) == pytest.approx(1 / 9, rel=1e-15)
+        C = eigenvalues(EigenvalueLaw.power_law(1.5), 4)
+        assert C[0] == 1.0
+        assert C[3] == 0.125
+        assert eigenvalues(EigenvalueLaw.power_law(2.0), 3)[2] == pytest.approx(1 / 9, rel=1e-15)
 
     def test_power_law_strictly_decreasing(self):
-        law = EigenvalueLaw.power_law(1.1)
-        vals = [eigenvalue(law, k) for k in range(1, 31)]
+        vals = eigenvalues(EigenvalueLaw.power_law(1.1), 30).tolist()
         assert all(u > v for u, v in zip(vals, vals[1:]))
 
     def test_power_law_needs_trace_class_exponent(self):
@@ -36,10 +34,23 @@ class TestEigenvalueLaw:
             EigenvalueLaw.power_law(1.0)
         with pytest.raises(ValueError):
             EigenvalueLaw.power_law(0.5)
+        # an infinite exponent would give C = [1, 0, 0, ...] and zero
+        # innovation variances past the first component
+        with pytest.raises(ValueError, match="finite"):
+            EigenvalueLaw(exponent=math.inf)
+
+    @pytest.mark.parametrize("exponent", [1.5, 1.1, 2.0])
+    def test_eigenvalues_are_python_float_powers(self, exponent):
+        # the examples' exponents, bit for bit against float(j) ** -p; numpy's
+        # own array ** (numpy 2.4.6, x86-64) misses in the last bit at j = 58
+        # for 1.5, j = 2 and 59 for 1.1, and j = 31, 55, 62 and 63 for 2.0
+        got = eigenvalues(EigenvalueLaw.power_law(exponent), 64)
+        want = np.array([float(j) ** -exponent for j in range(1, 65)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_index_validation(self):
-        with pytest.raises(IndexError):
-            eigenvalue(EigenvalueLaw.power_law(1.5), 0)
+        with pytest.raises(ValueError):
+            eigenvalues(EigenvalueLaw.power_law(1.5), 0)
 
 
 # The k at which the prior's E(rho_k)**2 < E(rho_k**2) < E(rho_k) hold
@@ -50,33 +61,33 @@ _DISTINCT_MOMENTS = range(1, 27)
 
 class TestPrior:
     def test_default_rule(self):
-        assert prior_params(1) == (2.0, 1.01)
-        assert prior_params(3) == (8.0, 1.01)
-        assert prior_params(50) == (2.0**50, 1.01)
+        a, b = prior_shapes(50)
+        assert (a[0], a[2], a[49]) == (2.0, 8.0, 2.0**50)
+        assert np.all(b == 1.01)
 
     def test_default_rule_overflow(self):
-        assert prior_params(511) == (2.0**511, 1.01)
+        a, b = prior_shapes(511)
+        assert a.tolist() == [2.0**j for j in range(1, 512)]
+        assert b.tolist() == [1.01] * 511
         with pytest.raises(OverflowError):
-            prior_params(512)
+            prior_shapes(512)
         with pytest.raises(OverflowError):
-            prior_params(1030)
+            prior_shapes(1030)
 
     def test_index_validation(self):
-        with pytest.raises(IndexError):
-            prior_params(0)
+        with pytest.raises(ValueError):
+            prior_shapes(0)
 
     def test_moments_against_scipy(self):
-        for k in _DISTINCT_MOMENTS:
-            a, b = prior_params(k)
+        second = prior_mean_sq(_DISTINCT_MOMENTS[-1])
+        for j, a, b in zip(_DISTINCT_MOMENTS, *prior_shapes(_DISTINCT_MOMENTS[-1])):
             mean, var = sps.beta.stats(a, b, moments="mv")
-            assert prior_mean_sq(k) == pytest.approx(
-                float(var) + float(mean) ** 2, rel=1e-12
-            )
+            assert second[j - 1] == pytest.approx(float(var) + float(mean) ** 2, rel=1e-12)
 
     def test_summability_terms_decreasing(self):
         # the prior-variance series for the rule must stay summable:
         # positive, strictly decreasing terms with a finite partial sum
-        terms = [float(sps.beta.var(*prior_params(k))) for k in range(1, 61)]
+        terms = [float(sps.beta.var(a, b)) for a, b in zip(*prior_shapes(60))]
         assert all(t > 0.0 for t in terms)
         assert all(u > v for u, v in zip(terms, terms[1:]))
         assert math.fsum(terms) < 1.0
@@ -93,15 +104,15 @@ class TestPrior:
         # so every draw must land in (0.9, 1)
         assert sps.beta.cdf(0.9, 2.0**10, 1.01) < 1e-40
         rng = np.random.default_rng(7)
-        a, b = prior_params(10)
-        draws = draw_rho([a], [b], [rng] * 10_000)
+        a, b = prior_shapes(10)
+        draws = draw_rho(a[-1:], b[-1:], [rng] * 10_000)
         assert np.all((0.9 < draws) & (draws < 1.0))
 
     def test_draw_rho_distribution_matches_beta_cdf(self):
         # the gamma-ratio sampler against scipy's Beta distribution function
         rng = np.random.default_rng(5)
-        a, b = prior_params(3)
-        draws = draw_rho([a], [b], [rng] * 4_000)[:, 0]
+        a, b = prior_shapes(3)
+        draws = draw_rho(a[-1:], b[-1:], [rng] * 4_000)[:, 0]
         _, pvalue = sps.kstest(draws, sps.beta(8.0, 1.01).cdf)
         assert pvalue > 1e-3
 
@@ -149,9 +160,9 @@ class TestPrior:
 
     def test_moment_identity(self):
         # E(rho**2) = Var(rho) + E(rho)**2, and rho**2 < rho on (0, 1)
-        for k in _DISTINCT_MOMENTS:
-            a, b = prior_params(k)
-            second = prior_mean_sq(k)
+        seconds = prior_mean_sq(_DISTINCT_MOMENTS[-1]).tolist()
+        for a, b, second in zip(*prior_shapes(_DISTINCT_MOMENTS[-1]), seconds):
+            a, b = float(a), float(b)
             mean = a / (a + b)
             assert mean * mean < second < mean
             want = float(sps.beta.var(a, b)) + mean * mean
@@ -204,21 +215,26 @@ class TestRealize:
         cut = truncate_realization(real, 4)
         assert cut.k == 4
         assert np.array_equal(cut.rho, real.rho[:4])
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             truncate_realization(real, 7)
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError):
             truncate_realization(real, 0)
 
     def test_spec_validation(self):
         law = EigenvalueLaw.power_law(1.5)
-        with pytest.raises(ValueError):
-            SpectralModelSpec(law=law, k_max=0)
+        # True is not taken as 1 component, 2.5 is not left for realize to
+        # fail on, "3" is not a TypeError: each is refused as a ValueError
+        for k_max in (0, True, 2.5, "3"):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                SpectralModelSpec(law=law, k_max=k_max)
         with pytest.raises(ValueError, match="k_max <= 511"):
             SpectralModelSpec(law=law, k_max=512)
+        with pytest.raises(TypeError):
+            SpectralModelSpec(law=law)  # no default component count
         with pytest.raises(ValueError):
-            SpectralModelSpec(law=law, rho_mode="other")
+            SpectralModelSpec(law=law, k_max=3, rho_mode="other")
         with pytest.raises(ValueError):
-            SpectralModelSpec(law=law, rho_mode="explicit")
+            SpectralModelSpec(law=law, k_max=3, rho_mode="explicit")
         with pytest.raises(ValueError):
             SpectralModelSpec(law=law, k_max=3, rho_mode="explicit", rho_values=(0.5, 0.4))
         with pytest.raises(ValueError):
