@@ -257,14 +257,8 @@ def load_config(path) -> dict:
 def _partition(n: int, parts: int) -> list[tuple[int, int]]:
     """Split replications 1..n into contiguous half-open blocks [lo, hi)."""
     parts = max(1, min(parts, n))
-    base, extra = divmod(n, parts)
-    blocks = []
-    lo = 1
-    for i in range(parts):
-        hi = lo + base + (1 if i < extra else 0)
-        blocks.append((lo, hi))
-        lo = hi
-    return blocks
+    edges = [1 + n * i // parts for i in range(parts + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def _run_block(task):
@@ -511,11 +505,8 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=len(tasks))
-        try:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             results = list(pool.map(_run_block, tasks))
-        finally:
-            pool.shutdown()
 
     # every T's drops are counted and logged before the one verdict on them
     reports, aborted = [], 0

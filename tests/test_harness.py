@@ -189,18 +189,21 @@ class TestRunExperiment:
         assert multiprocessing.active_children() == []
 
     def test_pool_sized_to_blocks(self, monkeypatch):
-        asked, mapped = [], []
+        asked, mapped, exited = [], [], []
 
         class Recorder:
             def __init__(self, max_workers):
                 asked.append(max_workers)
 
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                exited.append(exc_info)
+
             def map(self, fn, tasks):
                 mapped.append(len(tasks))
                 return map(fn, tasks)
-
-            def shutdown(self):
-                pass
 
         # run_experiment imports the pool class only when it needs a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
@@ -209,6 +212,8 @@ class TestRunExperiment:
         # one task per block carries every T of the grid
         run_experiment(ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5), workers=2)
         assert asked == [2, 2] and mapped == [2, 2]
+        # each pool is left through its context, which shuts it down
+        assert exited == [(None, None, None)] * 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -403,10 +408,13 @@ class _InlinePool:
     def __init__(self, max_workers):
         pass
 
-    map = staticmethod(map)
+    def __enter__(self):
+        return self
 
-    def shutdown(self):
+    def __exit__(self, *exc_info):
         pass
+
+    map = staticmethod(map)
 
 
 class TestBlockKernel:
