@@ -255,7 +255,8 @@ def load_config(path) -> dict:
 
 
 def _partition(n: int, parts: int) -> list[tuple[int, int]]:
-    """Split replications 1..n into contiguous half-open blocks [lo, hi)."""
+    """Split replications 1..n into min(parts, n) contiguous half-open blocks
+    [lo, hi), from 1 to n + 1, whose sizes differ by at most one."""
     parts = max(1, min(parts, n))
     edges = [1 + n * i // parts for i in range(parts + 1)]
     return list(zip(edges, edges[1:]))

@@ -188,9 +188,13 @@ def truncation_order(T: int, rule: KtRule) -> int:
         raise ValueError(f"T must be >= 1, got {T}")
     if rule.kind == "fixed":
         return int(rule.value)
+    try:
+        root = T ** (1.0 / rule.value)
+    except OverflowError:  # an int T beyond float range; its digits, not its value
+        raise ValueError(f"T of {len(str(T))} digits is too large for a power rule") from None
     # Small upward nudge so exact integer powers are not floored away by
     # the rounding of T**(1/alpha).
-    return max(1, int(math.floor(T ** (1.0 / rule.value) + 1e-12)))
+    return max(1, int(math.floor(root + 1e-12)))
 
 
 def _ar1_rho_hat_samples(

@@ -155,8 +155,10 @@ class TestRunErrors:
         for grid, start in (
             ("a,b", "error: argument --T: expects comma-separated integers"),
             ("500,250", "error: T_grid must be strictly increasing"),
+            # example 3's power rule cannot raise a T beyond float range
+            ("1" + "0" * 400, "error: T of 401 digits is too large for a power rule"),
         ):
-            assert _run(["run", "--example", "1", "--T", grid, "--N", "2",
+            assert _run(["run", "--example", "3", "--T", grid, "--N", "2",
                          "--out", str(tmp_path)]) == 1
             err = capsys.readouterr().err
             assert err.startswith(start) and len(err.splitlines()) == 1

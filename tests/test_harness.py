@@ -215,6 +215,18 @@ class TestRunExperiment:
         # each pool is left through its context, which shuts it down
         assert exited == [(None, None, None)] * 2
 
+    def test_partition_contract(self):
+        # min(parts, n) contiguous blocks from 1 to n + 1, whose sizes
+        # differ by at most one; planned with no process started
+        for n in range(1, 41):
+            for parts in range(1, 9):
+                blocks = harness._partition(n, parts)
+                assert len(blocks) == min(parts, n)
+                assert blocks[0][0] == 1 and blocks[-1][1] == n + 1
+                assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+                sizes = [hi - lo for lo, hi in blocks]
+                assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "fields",
@@ -422,6 +434,17 @@ class TestBlockKernel:
     def test_matches_one_replication_at_a_time(self, fields):
         # the public calls, one replication each, are the reference, for one
         # T and for a grid whose streams share groups
+        for grid in ((300,), (15, 100, 300)):
+            task = _block_task(fields, grid, N=7)
+            _assert_block_equal(_run_block(task), _one_at_a_time(task))
+
+    @pytest.mark.parametrize("columns", [2048, 48, 5, 1])
+    @pytest.mark.parametrize("fields", BLOCK_FIELDS)
+    def test_group_packing_matches_one_replication(self, monkeypatch, fields, columns):
+        # groups as wide as the default, narrow ones that split a T's
+        # replications, and (at 5 and 1) one replication a group: packing
+        # changes which columns share a row chunk, never a bit
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", columns)
         for grid in ((300,), (15, 100, 300)):
             task = _block_task(fields, grid, N=7)
             _assert_block_equal(_run_block(task), _one_at_a_time(task))

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,20 @@ class TestTruncationOrder:
         rule = KtRule("power", 4.1)
         got = tuple(truncation_order(T, rule) for T in PAPER_T_GRID)
         assert got == (3, 4, 5, 5, 5, 5, 6, 6)
+
+    def test_power_rule_refuses_t_beyond_float_range(self):
+        # a ValueError that names T by its digit count, not an OverflowError
+        # that prints T, or 401 digits of it
+        rule = KtRule("power", 4.1)
+        with pytest.raises(ValueError, match=r"^T of 401 digits ") as exc:
+            truncation_order(10**400, rule)
+        assert "0" * 20 not in str(exc.value)
+        # the edge is the float conversion's own: the largest int that
+        # rounds to a finite float keeps its k_T, the next one is refused
+        edge = 2**1024 - 2**970
+        assert truncation_order(edge - 1, rule) == math.floor(sys.float_info.max ** (1 / 4.1))
+        with pytest.raises(ValueError, match=r"^T of 309 digits "):
+            truncation_order(edge, rule)
 
     def test_fixed_rule(self):
         for rule in (KtRule("fixed", 5), KtRule("fixed", np.int64(5))):
