@@ -190,7 +190,7 @@ def truncation_order(T: int, rule: KtRule) -> int:
         return int(rule.value)
     try:
         root = T ** (1.0 / rule.value)
-    except OverflowError:  # an int T beyond float range; its digits, not its value
+    except OverflowError:  # an int T beyond float range, too long to print in a message
         raise ValueError(f"T of {len(str(T))} digits is too large for a power rule") from None
     # Small upward nudge so exact integer powers are not floored away by
     # the rounding of T**(1/alpha).

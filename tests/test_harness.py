@@ -420,13 +420,13 @@ class _InlinePool:
     def __init__(self, max_workers):
         pass
 
+    map = staticmethod(map)
+
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         pass
-
-    map = staticmethod(map)
 
 
 class TestBlockKernel:
