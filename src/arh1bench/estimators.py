@@ -70,19 +70,6 @@ class ComplexRootError(ValueError):
     """No real roots, which needs a + b < 2; never raised: the prior has a + b >= 3.01."""
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    alpha: float
-    beta: float
-    T: int
-
-    def __post_init__(self):
-        if self.T < 1:
-            raise ValueError(f"sufficient statistics need T >= 1, got T={self.T}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta is a sum of squares and cannot be {self.beta}")
-
-
 def fold_rows(p, out=None) -> np.ndarray:
     """The left fold of the rows of ``p``, ((p[0] + p[1]) + p[2]) + ...,
     into ``out`` (a new array by default); ``p`` itself is not written.
@@ -118,12 +105,14 @@ def lag_sums(x) -> tuple[np.ndarray, np.ndarray]:
     return sums[0], sums[1]
 
 
-def sufficient_stats(traj: Trajectory, j: int) -> SufficientStats:
-    """Compute (alpha, beta) for component j (1-based) of a trajectory."""
+def sufficient_stats(traj: Trajectory, j: int) -> tuple[float, float]:
+    """(alpha, beta) of component j (1-based) of a trajectory, as floats."""
     if not 1 <= j <= traj.k:
         raise IndexError(f"component {j} out of range 1..{traj.k}")
+    if traj.T < 1:
+        raise ValueError(f"sufficient statistics need T >= 1, got T={traj.T}")
     alpha, beta = lag_sums(traj.coeffs[:, j - 1 : j])
-    return SufficientStats(alpha=float(alpha[0]), beta=float(beta[0]), T=traj.T)
+    return float(alpha[0]), float(beta[0])
 
 
 def _minus_root(alpha, beta, sigma2, a, b):
@@ -145,13 +134,10 @@ def _minus_root(alpha, beta, sigma2, a, b):
 
 @dataclass(frozen=True)
 class EstimateSet:
-    """Classical and Bayes estimates for components 1..k_T of one trajectory,
-    with the sufficient statistics (alpha, beta) of those components."""
+    """Classical and Bayes estimates for components 1..k_T of one trajectory."""
 
     rho_hat: np.ndarray
     rho_tilde_minus: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
 def estimate_columns(alpha, beta, sigma2, a, b):
@@ -240,5 +226,5 @@ def estimate_all(
     error = first_fault(fault, traj.T, alpha, beta, sigma2, a, b)
     if error is not None:
         raise error
-    return EstimateSet(rho_hat=rho_hat, rho_tilde_minus=rho_minus, alpha=alpha, beta=beta)
+    return EstimateSet(rho_hat=rho_hat, rho_tilde_minus=rho_minus)
 

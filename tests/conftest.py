@@ -63,20 +63,23 @@ def naive_sums(col) -> tuple[float, float]:
     return alpha, beta
 
 
-def bayes_estimate(stats, sigma2: float, a: float, b: float, root: str = "minus") -> float:
+def bayes_estimate(
+    alpha: float, beta: float, sigma2: float, a: float, b: float, root: str = "minus"
+) -> float:
     """The minus (or plus) root of the penalized quadratic for one component
-    with sums ``stats``, raising the error ``estimate_all`` would raise.  The
-    package solves only the minus root; the plus root is the larger of
+    with sums ``alpha`` and ``beta``, raising the error ``estimate_all``
+    would raise (its message gives T as None: the sums do not carry it).
+    The package solves only the minus root; the plus root is the larger of
     ``_real_quadratic_roots``."""
-    cols = [np.array([v], dtype=float) for v in (stats.alpha, stats.beta, sigma2, a, b)]
+    cols = [np.array([v], dtype=float) for v in (alpha, beta, sigma2, a, b)]
     _, minus, fault = estimate_columns(*cols)
-    error = first_fault(fault, stats.T, *cols)
+    error = first_fault(fault, None, *cols)
     if error is not None:
         raise error
     if root == "minus":
         return float(minus[0])
-    c0 = stats.alpha + sigma2 * (2.0 - (a + b))
-    return max(_real_quadratic_roots(stats.beta, -(stats.alpha + stats.beta), c0))
+    c0 = alpha + sigma2 * (2.0 - (a + b))
+    return max(_real_quadratic_roots(beta, -(alpha + beta), c0))
 
 
 def _real_quadratic_roots(c2: float, c1: float, c0: float):
@@ -95,7 +98,8 @@ def _real_quadratic_roots(c2: float, c1: float, c0: float):
 
 
 def cubic_score_solve(
-    stats,
+    alpha: float,
+    beta: float,
     sigma2: float,
     a: float,
     b: float,
@@ -115,16 +119,16 @@ def cubic_score_solve(
     independent oracle for ``bayes_estimate``.  The default bounds cover
     the autocorrelation range [0, 1]; widen them to inspect exterior roots.
     """
-    if stats.beta <= 0.0:
+    if beta <= 0.0:
         raise DegenerateTrajectoryError("cubic score equation needs beta > 0")
     if sigma2 <= 0.0:
         raise ValueError(f"innovation variance must be positive, got {sigma2}")
     lo, hi = float(bounds[0]), float(bounds[1])
     if not lo < hi:
         raise ValueError(f"bounds must satisfy lo < hi, got {bounds}")
-    c3 = stats.beta / sigma2
-    c2 = -(stats.alpha + stats.beta) / sigma2
-    c1 = stats.alpha / sigma2 + 2.0 - (a + b)
+    c3 = beta / sigma2
+    c2 = -(alpha + beta) / sigma2
+    c1 = alpha / sigma2 + 2.0 - (a + b)
 
     def poly(r):
         return ((c3 * r + c2) * r + c1) * r

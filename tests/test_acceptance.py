@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from arh1bench import cli, harness
-from arh1bench.estimators import SufficientStats, estimate_all
+from arh1bench.estimators import estimate_all, lag_sums
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
     EfmseInput,
@@ -93,7 +93,7 @@ def fixed_draw_run() -> FixedDrawRun:
         est_c[i] = est.rho_hat
         est_b[i] = est.rho_tilde_minus
         last[i] = traj.coeffs[-1]
-        betas[i] = est.beta
+        betas[i] = lag_sums(traj.coeffs)[1]
     truth = np.tile(real.rho, (N_FIX, 1))
     return FixedDrawRun(
         real=real, est_classical=est_c, est_bayes=est_b,
@@ -248,8 +248,7 @@ def test_c07_flat_prior_reduction(capsys):
         sigma2 = rng.uniform(0.1, 3.0)
         a = int(rng.integers(2**20, 2**21 + 1)) / 2**21  # dyadic, a+b == 2 exact
         b = 2.0 - a
-        st = SufficientStats(alpha=alpha, beta=beta, T=100)
-        got = bayes_estimate(st, sigma2, a, b, root="minus")
+        got = bayes_estimate(alpha, beta, sigma2, a, b, root="minus")
         want = alpha / beta
         err = abs(got - want) / max(abs(want), 1e-300)
         worst = max(worst, err)
@@ -267,12 +266,11 @@ def test_c08_closed_form_matches_cubic(capsys):
         sigma2 = rng.uniform(0.2, 2.0)
         a = rng.uniform(0.5, 4.0)
         b = rng.uniform(max(1.0, 2.0 - a), 6.0)
-        st = SufficientStats(alpha=alpha, beta=beta, T=50)
-        minus = bayes_estimate(st, sigma2, a, b, root="minus")
-        plus = bayes_estimate(st, sigma2, a, b, root="plus")
+        minus = bayes_estimate(alpha, beta, sigma2, a, b, root="minus")
+        plus = bayes_estimate(alpha, beta, sigma2, a, b, root="plus")
         lo = min(minus, plus, 0.0) - 0.5
         hi = max(minus, plus, 0.0) + 0.5
-        roots = cubic_score_solve(st, sigma2, a, b, bounds=(lo, hi))
+        roots = cubic_score_solve(alpha, beta, sigma2, a, b, bounds=(lo, hi))
         for want in (minus, plus):
             worst = max(worst, min(abs(r - want) for r in roots))
     ok = worst < 1e-9

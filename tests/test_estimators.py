@@ -11,7 +11,6 @@ from arh1bench.estimators import (
     ESCAPED,
     NON_FINITE,
     DegenerateTrajectoryError,
-    SufficientStats,
     _minus_root,
     deciding_component,
     estimate_all,
@@ -71,15 +70,11 @@ def _classical(values) -> float:
 
 class TestSufficientStats:
     def test_hand_sum(self):
-        st_ = sufficient_stats(_column_traj([1.0, 2.0, 3.0]), 1)
-        assert st_.alpha == 8.0
-        assert st_.beta == 5.0
-        assert st_.T == 2
+        assert sufficient_stats(_column_traj([1.0, 2.0, 3.0]), 1) == (8.0, 5.0)
 
     def test_zero_column(self):
         traj = _column_traj([0.0, 0.0, 0.0])
-        st_ = sufficient_stats(traj, 1)
-        assert (st_.alpha, st_.beta) == (0.0, 0.0)
+        assert sufficient_stats(traj, 1) == (0.0, 0.0)
         real = ModelRealization(C=[1.0], rho=[0.5], sigma2=[0.75])
         with pytest.raises(DegenerateTrajectoryError):
             estimate_all(traj, real, 1, PriorSpec())
@@ -87,19 +82,14 @@ class TestSufficientStats:
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
         col = rng.standard_normal(10_001) * np.logspace(0, 3, 10_001)
-        st_ = sufficient_stats(_column_traj(col), 1)
         # the same left fold, so the same bits
-        assert (st_.alpha, st_.beta) == naive_sums(col)
+        assert sufficient_stats(_column_traj(col), 1) == naive_sums(col)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sufficient statistics need T >= 1, got T=0$"):
             sufficient_stats(_column_traj([1.0]), 1)
         with pytest.raises(IndexError):
             sufficient_stats(_column_traj([1.0, 2.0]), 2)
-        with pytest.raises(ValueError):
-            SufficientStats(alpha=1.0, beta=-0.5, T=3)
-        with pytest.raises(ValueError):
-            SufficientStats(alpha=1.0, beta=0.5, T=0)
 
 
 def _spread(rng, shape) -> np.ndarray:
@@ -296,13 +286,11 @@ class TestClassical:
 
 class TestBayes:
     def test_flat_prior_reduces_to_classical(self):
-        st_ = SufficientStats(alpha=3.0, beta=5.0, T=10)
         for sigma2 in (0.1, 1.0, 7.0):
-            assert bayes_estimate(st_, sigma2, 1.0, 1.0) == 0.6
+            assert bayes_estimate(3.0, 5.0, sigma2, 1.0, 1.0) == 0.6
 
     def test_cap_at_one(self):
-        st_ = SufficientStats(alpha=8.0, beta=5.0, T=10)
-        assert bayes_estimate(st_, 1.0, 1.0, 1.0) == 1.0
+        assert bayes_estimate(8.0, 5.0, 1.0, 1.0, 1.0) == 1.0
 
     def test_cap_is_min_of_ratio_and_one(self):
         rng = np.random.default_rng(44)
@@ -311,33 +299,30 @@ class TestBayes:
             alpha = float(rng.uniform(-2.0, 2.0) * beta)
             a = float(rng.uniform(0.5, 1.0))
             b = 2.0 - a  # exact in binary64 for a in [0.5, 1]
-            st_ = SufficientStats(alpha=alpha, beta=beta, T=5)
-            got = bayes_estimate(st_, float(rng.uniform(0.01, 4.0)), a, b)
+            got = bayes_estimate(alpha, beta, float(rng.uniform(0.01, 4.0)), a, b)
             want = min(alpha / beta, 1.0)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_penalized_root_closed_form(self):
         # alpha=3, beta=5, sigma2=0.5, a=b=2: discriminant
         # (3-5)^2 - 4*5*0.5*(2-4) = 24, minus root (8 - sqrt(24))/10
-        st_ = SufficientStats(alpha=3.0, beta=5.0, T=10)
-        got = bayes_estimate(st_, 0.5, 2.0, 2.0)
+        got = bayes_estimate(3.0, 5.0, 0.5, 2.0, 2.0)
         assert got == pytest.approx((8.0 - math.sqrt(24.0)) / 10.0, abs=1e-14)
-        plus = bayes_estimate(st_, 0.5, 2.0, 2.0, root="plus")
+        plus = bayes_estimate(3.0, 5.0, 0.5, 2.0, 2.0, root="plus")
         assert plus == pytest.approx((8.0 + math.sqrt(24.0)) / 10.0, abs=1e-14)
 
     def test_root_product_identity(self):
         # Vieta: minus * plus = c0 / beta, minus + plus = (alpha+beta)/beta
-        st_ = SufficientStats(alpha=2.5, beta=4.0, T=10)
-        sigma2, a, b = 0.7, 3.0, 1.5
-        minus = bayes_estimate(st_, sigma2, a, b)
-        plus = bayes_estimate(st_, sigma2, a, b, root="plus")
-        c0 = st_.alpha + sigma2 * (2.0 - (a + b))
-        assert minus * plus == pytest.approx(c0 / st_.beta, rel=1e-12)
-        assert minus + plus == pytest.approx((st_.alpha + st_.beta) / st_.beta, rel=1e-12)
+        alpha, beta, sigma2, a, b = 2.5, 4.0, 0.7, 3.0, 1.5
+        minus = bayes_estimate(alpha, beta, sigma2, a, b)
+        plus = bayes_estimate(alpha, beta, sigma2, a, b, root="plus")
+        c0 = alpha + sigma2 * (2.0 - (a + b))
+        assert minus * plus == pytest.approx(c0 / beta, rel=1e-12)
+        assert minus + plus == pytest.approx((alpha + beta) / beta, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(DegenerateTrajectoryError):
-            bayes_estimate(SufficientStats(alpha=0.0, beta=0.0, T=5), 1.0, 2.0, 2.0)
+            bayes_estimate(0.0, 0.0, 1.0, 2.0, 2.0)
 
     @given(
         alpha=st.floats(min_value=-20.0, max_value=20.0),
@@ -354,9 +339,8 @@ class TestBayes:
         # for a negative one), and are at least |alpha-beta|/beta apart
         a, b = shapes
         assume(a + b >= 2.0)
-        st_ = SufficientStats(alpha=alpha, beta=beta, T=5)
-        minus = bayes_estimate(st_, sigma2, a, b)
-        plus = bayes_estimate(st_, sigma2, a, b, root="plus")
+        minus = bayes_estimate(alpha, beta, sigma2, a, b)
+        plus = bayes_estimate(alpha, beta, sigma2, a, b, root="plus")
         assert math.isfinite(minus) and math.isfinite(plus)
         spread = abs(alpha - beta) / beta
         assert plus - minus >= spread * (1.0 - 1e-9) - 1e-12
@@ -462,8 +446,7 @@ class TestShrink:
 class TestCubicScore:
     def test_flat_prior_factorization(self):
         # a=b=1, sigma2=1, alpha=3, beta=5: r(r-1)(5r-3) = 0
-        st_ = SufficientStats(alpha=3.0, beta=5.0, T=10)
-        roots = cubic_score_solve(st_, 1.0, 1.0, 1.0)
+        roots = cubic_score_solve(3.0, 5.0, 1.0, 1.0, 1.0)
         assert len(roots) == 3
         for want, got in zip((0.0, 0.6, 1.0), roots):
             assert got == pytest.approx(want, abs=1e-9)
@@ -471,20 +454,17 @@ class TestCubicScore:
     def test_zero_always_root(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            st_ = SufficientStats(
-                alpha=float(rng.uniform(-5, 5)), beta=float(rng.uniform(0.1, 5)), T=7
-            )
-            roots = cubic_score_solve(st_, float(rng.uniform(0.1, 2)), 1.0,
+            alpha, beta = float(rng.uniform(-5, 5)), float(rng.uniform(0.1, 5))
+            roots = cubic_score_solve(alpha, beta, float(rng.uniform(0.1, 2)), 1.0,
                                       float(rng.uniform(1.0, 4.0)), bounds=(-0.25, 0.25))
             assert min(abs(r) for r in roots) < 1e-12
 
     def test_contains_closed_form_roots(self):
-        st_ = SufficientStats(alpha=3.0, beta=5.0, T=10)
         minus = (8.0 - math.sqrt(24.0)) / 10.0
         plus = (8.0 + math.sqrt(24.0)) / 10.0
-        roots = cubic_score_solve(st_, 0.5, 2.0, 2.0)
+        roots = cubic_score_solve(3.0, 5.0, 0.5, 2.0, 2.0)
         assert min(abs(r - minus) for r in roots) < 1e-9
-        wide = cubic_score_solve(st_, 0.5, 2.0, 2.0, bounds=(-0.5, 2.0))
+        wide = cubic_score_solve(3.0, 5.0, 0.5, 2.0, 2.0, bounds=(-0.5, 2.0))
         assert min(abs(r - minus) for r in wide) < 1e-9
         assert min(abs(r - plus) for r in wide) < 1e-9
 
@@ -494,18 +474,16 @@ class TestCubicScore:
         # shift = 2-(a+b) = 1 -> c0 = 1, roots (4r^2 - 4r + 1) = (2r-1)^2.
         # The score never changes sign there, so only the stationary-point
         # scan can catch it.
-        st_ = SufficientStats(alpha=0.0, beta=4.0, T=5)
-        roots = cubic_score_solve(st_, 1.0, 0.5, 0.5, bounds=(0.2, 0.8))
+        roots = cubic_score_solve(0.0, 4.0, 1.0, 0.5, 0.5, bounds=(0.2, 0.8))
         assert min(abs(r - 0.5) for r in roots) < 1e-9
 
     def test_validation(self):
-        st_ = SufficientStats(alpha=1.0, beta=2.0, T=5)
         with pytest.raises(ValueError):
-            cubic_score_solve(st_, 0.0, 1.0, 1.0)
+            cubic_score_solve(1.0, 2.0, 0.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            cubic_score_solve(st_, 1.0, 1.0, 1.0, bounds=(1.0, 0.0))
+            cubic_score_solve(1.0, 2.0, 1.0, 1.0, 1.0, bounds=(1.0, 0.0))
         with pytest.raises(DegenerateTrajectoryError):
-            cubic_score_solve(SufficientStats(alpha=0.0, beta=0.0, T=5), 1.0, 1.0, 1.0)
+            cubic_score_solve(0.0, 0.0, 1.0, 1.0, 1.0)
 
 
 class TestEstimateAll:
@@ -533,21 +511,22 @@ class TestEstimateAll:
         real = realize(spec, np.random.default_rng(21))
         traj = simulate(real, 2_000, np.random.default_rng(22))
         est = estimate_all(traj, real, 5, spec.prior)
+        alphas, betas = lag_sums(traj.coeffs)
         for j, (a, b) in enumerate(zip(*(v.tolist() for v in prior_shapes(5)))):
             sigma2 = float(real.sigma2[j])
-            bound = math.sqrt(sigma2 * (a + b - 2.0) / est.beta[j])
+            bound = math.sqrt(sigma2 * (a + b - 2.0) / betas[j])
             delta = est.rho_hat[j] - est.rho_tilde_minus[j]
             if est.rho_hat[j] <= 1.0:
                 assert -1e-12 <= delta <= bound + 1e-12
-            stats = SufficientStats(alpha=float(est.alpha[j]), beta=float(est.beta[j]), T=traj.T)
-            plus = bayes_estimate(stats, sigma2, a, b, root="plus")
+            plus = bayes_estimate(float(alphas[j]), float(betas[j]), sigma2, a, b, root="plus")
             assert plus >= est.rho_tilde_minus[j]
 
     @pytest.mark.parametrize(
         "example, rho_mode, T", [(1, "redraw", 2_000), (3, "fixed", 2_000)]
     )
     def test_sums_match_sufficient_stats(self, example, rho_mode, T):
-        # estimate_all's alpha and beta are sufficient_stats' bit for bit
+        # sufficient_stats' two floats are lag_sums' columns bit for bit, and
+        # estimate_all's classical estimates are their ratios
         spec, rule = example_model(example, T, rho_mode=rho_mode)
         k_T = truncation_order(T, rule)
         rng = np.random.default_rng([0, 1, T, 1])
@@ -557,11 +536,15 @@ class TestEstimateAll:
         else:
             real = realize(spec, rng)
         traj = simulate(real, T, rng)
-        est = estimate_all(traj, real, k_T, spec.prior)
+        sums = lag_sums(traj.coeffs)
         for j in range(1, k_T + 1):
-            stats = sufficient_stats(traj, j)
-            assert np.float64(stats.alpha).view(np.int64) == est.alpha[j - 1].view(np.int64)
-            assert np.float64(stats.beta).view(np.int64) == est.beta[j - 1].view(np.int64)
+            got = sufficient_stats(traj, j)
+            assert all(type(v) is float for v in got)
+            assert np.array(got).view(np.int64).tolist() == [
+                col[j - 1].view(np.int64) for col in sums
+            ]
+        est = estimate_all(traj, real, k_T, spec.prior)
+        assert np.array_equal(est.rho_hat, sums[0][:k_T] / sums[1][:k_T])
 
     def test_non_finite_sums_raise(self):
         # finite states whose lag products overflow leave sums that are not
