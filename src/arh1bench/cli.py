@@ -155,14 +155,16 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run_command(args)
         return _diag_command(args)
-    except AbortedReplicationsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (RuntimeError, ValueError, OverflowError, OSError, MemoryError) as exc:
         # CliError and JSON decode errors are ValueErrors; numpy's
-        # MemoryError names the array it could not allocate, a bare one nothing
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+        # MemoryError names the array it could not allocate, a bare one nothing.
+        # A message past 240 characters (a flag value thousands of digits long)
+        # loses its middle: its start says what was wrong, its end Python's reason.
+        text = str(exc) or "out of memory"
+        if len(text) > 240:
+            text = f"{text[:160]} ... {text[-75:]}"
+        print(f"error: {text}", file=sys.stderr)
+        return 2 if isinstance(exc, AbortedReplicationsError) else 1
 
 
 def entry() -> None:

@@ -191,7 +191,9 @@ def truncation_order(T: int, rule: KtRule) -> int:
     try:
         root = T ** (1.0 / rule.value)
     except OverflowError:  # an int T beyond float range, too long to print in a message
-        raise ValueError(f"T of {len(str(T))} digits is too large for a power rule") from None
+        from decimal import Decimal  # counts digits with no str(T), capped at 4,300 digits
+        digits = Decimal(T).adjusted() + 1
+        raise ValueError(f"T of {digits} digits is too large for a power rule") from None
     # Small upward nudge so exact integer powers are not floored away by
     # the rounding of T**(1/alpha).
     return max(1, int(math.floor(root + 1e-12)))

@@ -150,9 +150,10 @@ class SpectralModelSpec:
                 raise ValueError(
                     f"explicit rho values must be a sequence of numbers, got {self.rho_values!r}"
                 )
-            vals = tuple(float(v) for v in self.rho_values)
-            if any(not 0.0 < v < 1.0 for v in vals):
+            # v before float(v), which overflows past float range and can round to 0 or 1
+            if any(not (0 < v < 1 and 0 < float(v) < 1) for v in self.rho_values):
                 raise ValueError("explicit rho values must lie strictly in (0, 1)")
+            vals = tuple(float(v) for v in self.rho_values)
             if len(vals) < self.k_max:
                 raise ValueError(
                     f"explicit rho values cover {len(vals)} components, "

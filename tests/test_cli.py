@@ -197,6 +197,20 @@ class TestRunErrors:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flag, prefix, digits", [
+        ("--T", "", 5001), ("--N", "", 5001), ("--seed", "", 5001),
+        ("--kT", "fixed:", 5001), ("--N", "", 4001),
+    ])
+    def test_long_flag_value_is_one_short_line(self, tmp_path, capsys, flag, prefix, digits):
+        # the message keeps its start and its end, and loses the digits between
+        value = prefix + "1" + "0" * (digits - 1)
+        assert _run(["run", "--example", "1", "--T", "20", "--N", "2",
+                     "--out", str(tmp_path / "out"), flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert len(err.rstrip("\n")) <= 250 and " ... " in err
+        assert not (tmp_path / "out").exists()
+
     def test_auto_workers_count_usable_cpus(self, monkeypatch):
         # resolved without starting any process
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
@@ -223,6 +237,18 @@ class TestRunErrors:
             "--rho-mode", f"explicit:{rho_file}", "--out", str(tmp_path),
         ]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_rho_file_beyond_float_range(self, tmp_path, capsys):
+        # the range check runs before float(), so no "int too large to convert"
+        rho_file = tmp_path / "rho.json"
+        rho_file.write_text(f"[{10**400}, 0.5, 0.4, 0.3, 0.2]")
+        assert _run([
+            "run", "--example", "1", "--T", "20", "--N", "2",
+            "--rho-mode", f"explicit:{rho_file}", "--out", str(tmp_path / "out"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: explicit rho values must lie strictly in (0, 1)\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "content", ["5", "{}", "[]", "null", '"abc"', '[0.5, "x"]', "[true, 0.5, 0.4, 0.3, 0.2]"]

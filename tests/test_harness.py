@@ -102,6 +102,8 @@ class TestConfig:
             ExperimentConfig(example=1, rho_mode="explicit")
         with pytest.raises(ValueError):
             ExperimentConfig(example=1, rho_values=(0.5,))
+        with pytest.raises(ValueError, match=r"^explicit rho values must lie strictly in"):
+            ExperimentConfig(example=1, rho_mode="explicit", rho_values=(10**400,) + (0.5,) * 4)
         cfg = ExperimentConfig(
             example=1, rho_mode="explicit", rho_values=(0.5, 0.4, 0.3, 0.2, 0.1)
         )

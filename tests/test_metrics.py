@@ -239,6 +239,9 @@ class TestTruncationOrder:
         with pytest.raises(ValueError, match=r"^T of 401 digits ") as exc:
             truncation_order(10**400, rule)
         assert "0" * 20 not in str(exc.value)
+        # past Python's 4,300-digit limit on int-to-str, the count still comes out
+        with pytest.raises(ValueError, match=r"^T of 5001 digits is too large for a power rule$"):
+            truncation_order(10**5000, rule)
         # the edge is the float conversion's own: the largest int that
         # rounds to a finite float keeps its k_T, the next one is refused
         edge = 2**1024 - 2**970

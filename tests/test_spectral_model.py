@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,5 +240,10 @@ class TestRealize:
             SpectralModelSpec(law=law, k_max=3, rho_mode="explicit", rho_values=(0.5, 0.4))
         with pytest.raises(ValueError):
             SpectralModelSpec(law=law, k_max=1, rho_mode="explicit", rho_values=(1.5,))
+        # a value beyond float range is out of (0, 1), not an OverflowError,
+        # and one inside it that rounds to 0.0 or 1.0 is refused as well
+        for bad in (10**400, -(10**400), Fraction(1, 10**400), Fraction(10**20 - 1, 10**20)):
+            with pytest.raises(ValueError, match=r"^explicit rho values must lie strictly in"):
+                SpectralModelSpec(law=law, k_max=2, rho_mode="explicit", rho_values=(0.5, bad))
         with pytest.raises(ValueError):
             SpectralModelSpec(law=law, k_max=3, rho_values=(0.5, 0.5, 0.5))
