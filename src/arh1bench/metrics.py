@@ -191,7 +191,7 @@ def truncation_order(T: int, rule: KtRule) -> int:
     try:
         root = T ** (1.0 / rule.value)
     except OverflowError:  # an int T beyond float range, too long to print in a message
-        from decimal import Decimal  # counts digits with no str(T), capped at 4,300 digits
+        from decimal import Decimal  # not str(T): Python refuses it past 4,300 digits
         digits = Decimal(T).adjusted() + 1
         raise ValueError(f"T of {digits} digits is too large for a power rule") from None
     # Small upward nudge so exact integer powers are not floored away by
