@@ -106,8 +106,9 @@ def _parse_rho_mode(text: str) -> dict:
 
 
 def _resolve_workers(value: str | None) -> int:
+    source = "--workers"
     if value is None:
-        value = os.environ.get("ARH1_BENCH_WORKERS") or "auto"
+        source, value = "ARH1_BENCH_WORKERS", os.environ.get("ARH1_BENCH_WORKERS") or "auto"
     if value == "auto":
         # the CPUs this process may run on, which taskset or a cpuset can
         # make fewer than the host's
@@ -117,7 +118,7 @@ def _resolve_workers(value: str | None) -> int:
     try:
         return int(value)
     except ValueError:
-        raise CliError(f"--workers expects an integer or 'auto', got {value!r}") from None
+        raise CliError(f"{source} expects an integer or 'auto', got {value!r}") from None
 
 
 def _run_command(args) -> int:

@@ -10,8 +10,9 @@ derives those generators a group at a time (``_replication_rngs``), with
 the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
-Each worker receives one contiguous replication block for the whole T
-grid and returns its groups' records as they ran.  ``run_experiment``
+The replications split into one contiguous block per worker, and each
+block into kernel groups (``_plan``); a pool takes one group a task, in
+plan order, and returns the records in that order.  ``run_experiment``
 merges each T's records once, from every group of every block in
 replication order, so every emitted byte depends only on (config, seed),
 never on the worker count or scheduling.  There, too, each replication's
@@ -262,16 +263,10 @@ def _partition(n: int, parts: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _run_block(task):
-    """Run one contiguous block of replications at every T of the grid.
-
-    The block's (T, omega) streams run longest T first, packed into groups
-    of at most GROUP_COLUMNS columns that share one scratch.  Returns the
-    groups' outputs (see ``_run_group``) in the order they ran, so each T's
-    records come in replication order.  Must stay a module-level function
-    so worker processes can unpickle it.
-    """
-    spec, levels, lo, hi, seed, fixed_real = task
+def _plan(levels, lo, hi) -> list[list[tuple]]:
+    """Replications [lo, hi) at every (T, k) of levels, longest T first, as
+    kernel groups of at most GROUP_COLUMNS columns: each a list of runs
+    (T, k, omegas), one per T, so each T's replications come in order."""
     groups, runs, width = [], [], 0
     for T, k in sorted(levels, reverse=True):
         omega = lo
@@ -288,6 +283,14 @@ def _run_block(task):
             runs.append((T, k, range(omega, omega + n)))
             width, omega = width + n * k, omega + n
     groups.append(runs)
+    return groups
+
+
+def _run_groups(spec, groups, seed, fixed_real):
+    """Run kernel groups, as ``_plan`` gives them, in order through one
+    scratch; returns their outputs (see ``_run_group``) in that order.
+    Must stay a module-level function so worker processes can unpickle it.
+    """
     work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in groups))
     return [_run_group(spec, runs, seed, fixed_real, work) for runs in groups]
 
@@ -496,22 +499,21 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         fixed_real = realize(spec)
 
     levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
-    tasks = [
-        (spec, levels, lo, hi, config.seed, fixed_real)
-        for lo, hi in _partition(config.N, workers)
-    ]
-    if len(tasks) == 1:
-        results = [_run_block(tasks[0])]
+    blocks = [_plan(levels, lo, hi) for lo, hi in _partition(config.N, workers)]
+    if len(blocks) == 1:
+        groups = _run_groups(spec, blocks[0], config.seed, fixed_real)
     else:
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            results = list(pool.map(_run_block, tasks))
+        # one task a group, in plan order: a worker that is done takes the
+        # next, and the last block's short T come last, so the tail is short
+        run = functools.partial(_run_groups, spec, seed=config.seed, fixed_real=fixed_real)
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            groups = [g for [g] in pool.map(run, ([g] for block in blocks for g in block))]
 
     # every T's drops are counted and logged before the one verdict on them
     reports, aborted = [], 0
-    groups = [group for block in results for group in block]
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
         *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))

@@ -177,7 +177,8 @@ def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
     for T in (2_000, 10_000, 30_000):
         levels = ((T, K_FIX),)
         [(est_c, est_b, truth, _, reason)] = stack_groups(
-            harness._run_block((spec, levels, 1, N_FIX + 1, SEED, real)), levels
+            harness._run_groups(spec, harness._plan(levels, 1, N_FIX + 1), SEED, real),
+            levels,
         )
         assert not reason.any()
         diff = np.sum((est_b - truth) ** 2 - (est_c - truth) ** 2, axis=1)

@@ -456,6 +456,21 @@ class TestWorkersEnv:
             "--out", str(tmp_path),
         ]) == 1
 
+    def test_bad_value_names_its_source(self, tmp_path, monkeypatch, capsys):
+        # the error names the variable where the value came from it, and the
+        # flag where the flag overrode it
+        monkeypatch.setenv("ARH1_BENCH_WORKERS", "abc")
+        args = ["run", "--example", "1", "--T", "20", "--N", "2", "--out", str(tmp_path)]
+        assert _run(args) == 1
+        assert capsys.readouterr().err == (
+            "error: ARH1_BENCH_WORKERS expects an integer or 'auto', got 'abc'\n"
+        )
+        assert _run(args + ["--workers", "soon"]) == 1
+        assert capsys.readouterr().err == (
+            "error: --workers expects an integer or 'auto', got 'soon'\n"
+        )
+        assert not any(tmp_path.iterdir())
+
 
 class TestDiagCommand:
     def test_bartlett(self, tmp_path, capsys):

@@ -6,9 +6,15 @@ that alters output bytes on purpose must update the hash here and say
 why in CHANGES.md.
 """
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from arh1bench import harness
 from arh1bench.harness import config_from_dict, emit_reports, run_diagnostics, run_experiment
 
 # The fields every run in GOLDEN_RUNS shares.
@@ -93,6 +99,31 @@ GOLDEN_DIAGNOSTICS = {
 }
 
 
+# numpy's x86-64 dispatch targets above its X86_V2 baseline (numpy 2.x);
+# a run with all of them switched off must write the same bytes.
+ABOVE_BASELINE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+# Checks that numpy really runs with the targets in argv[1] off, then runs
+# the config in argv[2] on 2 workers and writes its reports to argv[3].
+_BASELINE_RUN = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+on = [t for t in json.loads(sys.argv[1]) if __cpu_features__.get(t)]
+assert not on, f"dispatch targets still on: {on}"
+from arh1bench.harness import config_from_dict, emit_reports, run_experiment
+config = config_from_dict(json.loads(sys.argv[2]))
+emit_reports(run_experiment(config, workers=2), config.formats, sys.argv[3])
+"""
+
+
+def _dispatch_targets():
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__
+    return __cpu_dispatch__
+
+
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -137,3 +168,26 @@ def test_diagnostic_record_bytes(kind, tmp_path):
     params, want = GOLDEN_DIAGNOSTICS[kind]
     path = run_diagnostics(kind, params, 0, tmp_path)
     assert _sha256(path) == want
+
+
+@pytest.mark.skipif(
+    not set(ABOVE_BASELINE) <= set(_dispatch_targets()),
+    reason="numpy does not dispatch to these x86-64 targets",
+)
+def test_efmse_csv_bytes_on_baseline_simd(tmp_path):
+    # the ex1-redraw bytes, from a process whose numpy runs its baseline
+    # kernels only: no sum on the output path depends on SIMD dispatch
+    fields, want = GOLDEN_RUNS["ex1-redraw"]
+    src = Path(harness.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(ABOVE_BASELINE),
+        "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))),
+    }
+    config = json.dumps({**fields, **GOLDEN_RUN_FIELDS})
+    child = subprocess.run(
+        [sys.executable, "-c", _BASELINE_RUN, json.dumps(ABOVE_BASELINE), config, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stderr
+    assert _sha256(tmp_path / "efmse.csv") == want

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import os
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -191,7 +192,7 @@ class TestRunExperiment:
         assert multiprocessing.active_children() == []
 
     def test_pool_sized_to_blocks(self, monkeypatch):
-        asked, mapped, exited = [], [], []
+        asked, tasks, exited = [], [], []
 
         class Recorder:
             def __init__(self, max_workers):
@@ -203,19 +204,55 @@ class TestRunExperiment:
             def __exit__(self, *exc_info):
                 exited.append(exc_info)
 
-            def map(self, fn, tasks):
-                mapped.append(len(tasks))
-                return map(fn, tasks)
+            def map(self, fn, groups):
+                tasks.append(list(groups))
+                return map(fn, tasks[-1])
 
         # run_experiment imports the pool class only when it needs a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=2), workers=4)
         assert asked == [2]
-        # one task per block carries every T of the grid
-        run_experiment(ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5), workers=2)
-        assert asked == [2, 2] and mapped == [2, 2]
+        # narrow groups, so that each block plans several
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
+        config = ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5)
+        run_experiment(config, workers=2)
+        levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
+        blocks = [harness._plan(levels, lo, hi) for lo, hi in harness._partition(5, 2)]
+        # one task per planned group, in plan order: block by block, each
+        # longest T first
+        assert asked == [2, 2] and len(tasks[1]) > len(blocks) == 2
+        assert tasks[1] == [[group] for block in blocks for group in block]
+        for block in blocks:
+            firsts = [runs[0][0] for runs in block]
+            assert firsts == sorted(firsts, reverse=True)
+        # the tasks run each (T, omega) once, and each T's replications in order
+        streams = [(T, w) for [runs] in tasks[1] for T, _, omegas in runs for w in omegas]
+        assert len(streams) == len(set(streams)) == 15
+        for T in config.T_grid:
+            assert [w for t, w in streams if t == T] == [1, 2, 3, 4, 5]
         # each pool is left through its context, which shuts it down
         assert exited == [(None, None, None)] * 2
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the failing kernel reaches the workers only by fork",
+    )
+    def test_failed_group_raises_and_leaves_no_process(self, monkeypatch):
+        # one group raises in a worker: the run re-raises its error, and the
+        # pool is still shut down whole
+        run_group = harness._run_group
+
+        def failing(spec, runs, *rest):
+            if any(T == 40 and 3 in omegas for T, _, omegas in runs):
+                raise RuntimeError(f"group failed in process {os.getpid()}")
+            return run_group(spec, runs, *rest)
+
+        # the workers are forked inside run_experiment, so they inherit it
+        monkeypatch.setattr(harness, "_run_group", failing)
+        with pytest.raises(RuntimeError, match="^group failed in process") as exc:
+            run_experiment(ExperimentConfig(example=1, T_grid=(20, 40), N=4), workers=2)
+        assert str(exc.value) != f"group failed in process {os.getpid()}"
+        assert multiprocessing.active_children() == []
 
     def test_partition_contract(self):
         # min(parts, n) contiguous blocks from 1 to n + 1, whose sizes
@@ -339,7 +376,7 @@ BLOCK_FIELDS = [
 
 
 def stack_groups(groups, levels):
-    """Per T of levels, the records of groups (as _run_block returns them)
+    """Per T of levels, the records of groups (as _run_groups returns them)
     stacked and ranked as run_experiment does: the kept replications'
     estimates, truths and last states, then every replication's reason."""
     out = []
@@ -350,8 +387,15 @@ def stack_groups(groups, levels):
     return out
 
 
+def _block_groups(task):
+    """The outputs of a block task's planned groups, as run_experiment
+    computes them: in plan order, through one workspace."""
+    spec, levels, lo, hi, seed, shared = task
+    return harness._run_groups(spec, harness._plan(levels, lo, hi), seed, shared)
+
+
 def _run_block(task):
-    return stack_groups(harness._run_block(task), task[1])
+    return stack_groups(_block_groups(task), task[1])
 
 
 def _one_at_a_time(task):
@@ -496,7 +540,7 @@ class TestBlockKernel:
         # the kernel folds through fold_lag_terms, which calls fold_rows
         monkeypatch.setattr(estimators, "fold_rows", traced)
         blocks = [
-            harness._run_block((spec, levels, lo, hi, seed, shared))
+            _block_groups((spec, levels, lo, hi, seed, shared))
             for lo, hi in harness._partition(2, workers)
         ]
         got = stack_groups([group for block in blocks for group in block], levels)
@@ -657,7 +701,7 @@ class TestBlockKernel:
 
         monkeypatch.setattr(harness, "_run_group", traced)
         try:
-            got = harness._run_block(task)
+            got = _block_groups(task)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,7 +725,7 @@ class TestBlockKernel:
         monkeypatch.setattr(harness, "_workspace", short_x)
         task = _block_task(BLOCK_FIELDS[1], (15, 100, 300), N=7)
         with pytest.raises(ValueError, match="reshape"):
-            harness._run_block(task)
+            _block_groups(task)
 
     def test_rerun_memory_bounded(self):
         # a group of many row chunks, run again in its workspace, holds less
