@@ -25,6 +25,7 @@ from .harness import (
     load_config,
     run_diagnostics,
     run_experiment,
+    usable_cpus,
 )
 
 CI_SCALE_N = 200
@@ -110,11 +111,7 @@ def _resolve_workers(value: str | None) -> int:
     if value is None:
         source, value = "ARH1_BENCH_WORKERS", os.environ.get("ARH1_BENCH_WORKERS") or "auto"
     if value == "auto":
-        # the CPUs this process may run on, which taskset or a cpuset can
-        # make fewer than the host's
-        if hasattr(os, "sched_getaffinity"):
-            return len(os.sched_getaffinity(0)) or 1
-        return os.cpu_count() or 1
+        return usable_cpus()
     try:
         return int(value)
     except ValueError:

@@ -11,13 +11,14 @@ the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
 The replications split into one contiguous block per worker, and each
-block into kernel groups (``_plan``); a pool takes one group a task, in
-plan order, and returns the records in that order.  ``run_experiment``
-merges each T's records once, from every group of every block in
-replication order, so every emitted byte depends only on (config, seed),
-never on the worker count or scheduling.  There, too, each replication's
-fault is ranked, and bad replications are dropped, counted and logged per T
-and reason; past ABORT_THRESHOLD, or where a T keeps none, the run fails.
+block into kernel groups (``_plan``); a pool of at most ``usable_cpus()``
+processes takes one group a task, in plan order.  ``collect`` runs them,
+and ``_merge`` stacks each T's records once, from every group of every
+block in replication order, ranks each replication's fault and drops the
+bad ones, which ``collect`` logs per T and reason before it fails a run
+past ABORT_THRESHOLD or with a T that keeps none.  ``build_reports`` makes
+the reports from what ``collect`` returns, so every emitted byte depends
+only on (config, seed), never on the worker count or scheduling.
 
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
@@ -431,7 +432,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
 
     Returns, by T, the estimates, true coefficients, last states and fault
     codes of the run's m replications, each (m, k); the faults are ranked
-    and the faulty replications dropped by ``run_experiment``.
+    and the faulty replications dropped by ``_merge``.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -480,12 +481,47 @@ def _run_group(spec, runs, seed, fixed_real, work):
     return out
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[EfmseReport]:
-    """Run the full Monte Carlo study and return one report per (T, estimator).
+def usable_cpus() -> int:
+    """The CPUs this process may run on, which taskset or a cpuset can make
+    fewer than the host's: the ``auto`` worker count and the pool's cap."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
-    ``workers`` is the process count, an int >= 1 (None or 1 runs inline).
-    Results are identical for any worker count; see the module docstring.
-    """
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """One T's replications as ``collect`` keeps them: the kept ones' (m, kT)
+    arrays in replication order, and the dropped ones' numbers by fault name."""
+
+    T: int
+    kT: int
+    est_c: np.ndarray
+    est_b: np.ndarray
+    truth: np.ndarray
+    last: np.ndarray
+    dropped: dict[str, list[int]]
+
+
+def _merge(groups, levels) -> list[Records]:
+    """Per T of levels, ``Records`` stacked from the outputs of ``_run_groups``
+    in replication order, each fault ranked and the faulty replications dropped."""
+    merged = []
+    for T, k_T in levels:
+        # the groups run on from replication 1: row j is replication j + 1's
+        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
+        reason = fault[np.arange(len(fault)), deciding_component(fault)]
+        dropped = {name: bad for code, name in FAULT_NAMES.items()
+                   if (bad := (np.flatnonzero(reason == code) + 1).tolist())}
+        merged.append(Records(T, k_T, *(r[reason == 0] for r in records), dropped))
+    return merged
+
+
+def collect(config: ExperimentConfig, workers: int | None = None):
+    """Run the Monte Carlo study: its shared realization (None in redraw
+    mode) and one ``Records`` per T, in grid order, the same for any count
+    of ``workers``, an int >= 1 (None or 1 runs inline).  Every T's drops
+    are logged before the one verdict on them."""
     if workers is None:
         workers = 1
     elif not _is_int(workers) or workers < 1:
@@ -509,56 +545,50 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list
         # one task a group, in plan order: a worker that is done takes the
         # next, and the last block's short T come last, so the tail is short
         run = functools.partial(_run_groups, spec, seed=config.seed, fixed_real=fixed_real)
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(blocks), usable_cpus())) as pool:
             groups = [g for [g] in pool.map(run, ([g] for block in blocks for g in block))]
 
-    # every T's drops are counted and logged before the one verdict on them
-    reports, aborted = [], 0
-    for T, k_T in levels:
-        # the groups run on from replication 1: row j is replication j + 1's
-        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
-        reason = fault[np.arange(len(fault)), deciding_component(fault)]
-        for code, name in FAULT_NAMES.items():
-            bad = (np.flatnonzero(reason == code) + 1).tolist()
+    records = _merge(groups, levels)
+    aborted = 0
+    for r in records:
+        for name, bad in r.dropped.items():
             aborted += len(bad)
-            if bad:
-                logger.warning(f"T=%d: aborted %d {name} replications: %s", T, len(bad), bad)
-        if reason.all():
-            continue
-        est_c, est_b, truth, last = (r[reason == 0] for r in records)
-
-        if fixed_real is None:
-            param_limit = prior_param_limit(spec.prior, k_T)
-            pred_limit = prior_pred_limit(spec.law, spec.prior, k_T)
-        else:
-            param_limit = theory_param_limit(fixed_real, k_T)
-            pred_limit = theory_pred_limit(fixed_real, k_T)
-
-        for name, est in (("classical", est_c), ("bayes", est_b)):
-            inp = EfmseInput(estimates=est, truth=truth, last_coeffs=last)
-            ep = efmse_param(inp)
-            reports.append(
-                EfmseReport(
-                    example=config.label,
-                    T=T,
-                    N=config.N,
-                    kT=k_T,
-                    estimator=name,
-                    efmse_param=ep,
-                    efmse_pred=efmse_pred(inp),
-                    t_efmse_param=T * ep,
-                    theory_param_limit=param_limit,
-                    theory_pred_limit=pred_limit,
-                    ref_one_over_T=1.0 / T,
-                )
-            )
-
+            logger.warning(f"T=%d: aborted %d {name} replications: %s", r.T, len(bad), bad)
     # a T that kept nothing fails the run even on a grid long enough to
     # hold its N drops under the threshold
     total = len(levels) * config.N
-    if aborted > ABORT_THRESHOLD * total or len(reports) < 2 * len(levels):
+    if aborted > ABORT_THRESHOLD * total or not all(len(r.est_c) for r in records):
         raise AbortedReplicationsError(aborted, total)
+    return fixed_real, records
+
+
+def build_reports(config: ExperimentConfig, fixed_real, records) -> list[EfmseReport]:
+    """One report per (T, estimator), classical first, in the order of
+    ``records``: each T's EFMSEs over its kept replications, beside the
+    limits of ``fixed_real``, or of the prior where it is None."""
+    spec, reports = config.spec, []
+    for r in records:
+        if fixed_real is None:
+            limits = (prior_param_limit(spec.prior, r.kT),
+                      prior_pred_limit(spec.law, spec.prior, r.kT))
+        else:
+            limits = theory_param_limit(fixed_real, r.kT), theory_pred_limit(fixed_real, r.kT)
+        for name, est in (("classical", r.est_c), ("bayes", r.est_b)):
+            inp = EfmseInput(estimates=est, truth=r.truth, last_coeffs=r.last)
+            ep = efmse_param(inp)
+            reports.append(EfmseReport(
+                example=config.label, T=r.T, N=inp.N, kT=r.kT, estimator=name,
+                efmse_param=ep, efmse_pred=efmse_pred(inp), t_efmse_param=r.T * ep,
+                theory_param_limit=limits[0], theory_pred_limit=limits[1],
+                ref_one_over_T=1.0 / r.T,
+            ))
     return reports
+
+
+def run_experiment(config: ExperimentConfig, workers: int | None = None) -> list[EfmseReport]:
+    """Run the full Monte Carlo study and return one report per (T, estimator):
+    ``build_reports`` on what ``collect`` returns, with its arguments."""
+    return build_reports(config, *collect(config, workers))
 
 
 def _csv_text(header: str, rows) -> str:

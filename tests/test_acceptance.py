@@ -5,11 +5,13 @@ the criteria state.
 Each test prints a single ``criterion NN: PASS/FAIL`` line (visible even
 without -s) before asserting, so a full run reads as a checklist.
 
-Criteria 3, 4 and 9 share one fixed-draw Monte Carlo fixture (Example-1
-model, seed 0, T=2000, N=500, five components) whose replication streams
-mirror the harness exactly: the shared model draw comes from
+Criteria 3, 4 and 9 share one fixed-draw run (Example-1 model, seed 0,
+T=2000, N=500, five components) whose records come from
+``harness.collect``: the shared model draw comes from
 ``default_rng([seed, 2])`` and replication omega from
-``default_rng([seed, 1, T, omega])``.
+``default_rng([seed, 1, T, omega])``.  Criterion 9 also reads each
+replication's beta, which no report needs, so it simulates the same
+streams again through ``simulate`` and ``lag_sums``.
 
 Known shortfall: the Bayes branch of criterion 3 does not reach its
 asymptotic limit at T=2000 with the Beta(2**j, 1.01) prior (the pull on the
@@ -20,14 +22,13 @@ criterion pass.  Beside it, the Bayes-minus-classical gap on the same
 replications is checked against the finite-T reference that accounts for
 the shrink, at T=2000 and across T = 2e3, 1e4 and 3e4 on the same draw.
 """
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from arh1bench import cli, harness
-from arh1bench.estimators import estimate_all, lag_sums
+from arh1bench.estimators import lag_sums
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
     EfmseInput,
@@ -43,15 +44,8 @@ from arh1bench.metrics import (
     truncation_order,
 )
 from arh1bench.simulator import simulate
-from arh1bench.spectral_model import (
-    EigenvalueLaw,
-    ModelRealization,
-    SpectralModelSpec,
-    prior_shapes,
-    realize,
-)
+from arh1bench.spectral_model import prior_shapes
 from conftest import bayes_estimate, cubic_score_solve
-from test_harness import stack_groups
 
 SEED = 0
 T_FIX = 2000
@@ -64,41 +58,18 @@ def _report(num: int, ok: bool, detail: str, capsys) -> None:
         print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-@dataclasses.dataclass(frozen=True)
-class FixedDrawRun:
-    real: ModelRealization
-    est_classical: np.ndarray
-    est_bayes: np.ndarray
-    truth: np.ndarray
-    last: np.ndarray
-    betas: np.ndarray
+def _collect_fixed_draw(T_grid):
+    """The shared draw of criterion 3 and the records of its replications at
+    each T of T_grid, from the harness."""
+    config = ExperimentConfig(example=1, T_grid=T_grid, N=N_FIX, rho_mode="fixed", seed=SEED)
+    return harness.collect(config)
 
 
 @pytest.fixture(scope="module")
-def fixed_draw_run() -> FixedDrawRun:
-    spec = SpectralModelSpec(
-        law=EigenvalueLaw.power_law(1.5),
-        k_max=K_FIX,
-        rho_mode="fixed",
-    )
-    real = realize(spec, np.random.default_rng([SEED, 2]))
-    est_c = np.empty((N_FIX, K_FIX))
-    est_b = np.empty((N_FIX, K_FIX))
-    last = np.empty((N_FIX, K_FIX))
-    betas = np.empty((N_FIX, K_FIX))
-    for i, omega in enumerate(range(1, N_FIX + 1)):
-        rng = np.random.default_rng([SEED, 1, T_FIX, omega])
-        traj = simulate(real, T_FIX, rng)
-        est = estimate_all(traj, real, K_FIX, spec.prior)
-        est_c[i] = est.rho_hat
-        est_b[i] = est.rho_tilde_minus
-        last[i] = traj.coeffs[-1]
-        betas[i] = lag_sums(traj.coeffs)[1]
-    truth = np.tile(real.rho, (N_FIX, 1))
-    return FixedDrawRun(
-        real=real, est_classical=est_c, est_bayes=est_b,
-        truth=truth, last=last, betas=betas,
-    )
+def fixed_draw_run():
+    real, [records] = _collect_fixed_draw((T_FIX,))
+    assert records.kT == K_FIX and len(records.est_c) == N_FIX
+    return real, records
 
 
 @pytest.fixture(scope="module")
@@ -124,11 +95,11 @@ def test_c02_score_normality(capsys):
 
 
 def test_c03_parameter_error_limit(fixed_draw_run, capsys):
-    limit = theory_param_limit(fixed_draw_run.real, K_FIX)
+    real, run = fixed_draw_run
+    limit = theory_param_limit(real, K_FIX)
     ratios = {}
-    for name, est in (("classical", fixed_draw_run.est_classical),
-                      ("bayes", fixed_draw_run.est_bayes)):
-        inp = EfmseInput(est, fixed_draw_run.truth, fixed_draw_run.last)
+    for name, est in (("classical", run.est_c), ("bayes", run.est_b)):
+        inp = EfmseInput(est, run.truth, run.last)
         ratios[name] = T_FIX * efmse_param(inp) / limit
     ok = all(abs(r - 1.0) <= 0.20 for r in ratios.values())
     _report(
@@ -147,14 +118,14 @@ def test_c03_bayes_gap_finite_t_reference(fixed_draw_run, capsys):
     # cancels, against its deterministic reference sum_j (T s_j**2 +
     # 4 rho_j s_j) / limit; 3 paired standard errors from the
     # per-replication differences
-    run = fixed_draw_run
-    limit = theory_param_limit(run.real, K_FIX)
-    want = (finite_t_param_reference(run.real, K_FIX, T_FIX) - limit) / limit
+    real, run = fixed_draw_run
+    limit = theory_param_limit(real, K_FIX)
+    want = (finite_t_param_reference(real, K_FIX, T_FIX) - limit) / limit
     efmse = {}
-    for name, est in (("classical", run.est_classical), ("bayes", run.est_bayes)):
+    for name, est in (("classical", run.est_c), ("bayes", run.est_b)):
         efmse[name] = efmse_param(EfmseInput(est, run.truth, run.last))
     gap = T_FIX * (efmse["bayes"] - efmse["classical"]) / limit
-    diff = np.sum((run.est_bayes - run.truth) ** 2 - (run.est_classical - run.truth) ** 2, axis=1)
+    diff = np.sum((run.est_b - run.truth) ** 2 - (run.est_c - run.truth) ** 2, axis=1)
     se = T_FIX * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
     ok = abs(gap - want) <= 3.0 * se
     _report(
@@ -170,24 +141,18 @@ def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
     # the same paired gap on criterion 3's draw at three T, each within 3
     # paired standard errors of its finite-T reference, and falling as T
     # grows: the shrink's share of the error is a finite-T effect
-    real = fixed_draw_run.real
-    spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=K_FIX, rho_mode="fixed")
+    real, records = _collect_fixed_draw((2_000, 10_000, 30_000))
+    assert np.array_equal(real.rho, fixed_draw_run[0].rho)
     limit = theory_param_limit(real, K_FIX)
     gaps, ok, detail = [], True, []
-    for T in (2_000, 10_000, 30_000):
-        levels = ((T, K_FIX),)
-        [(est_c, est_b, truth, _, reason)] = stack_groups(
-            harness._run_groups(spec, harness._plan(levels, 1, N_FIX + 1), SEED, real),
-            levels,
-        )
-        assert not reason.any()
-        diff = np.sum((est_b - truth) ** 2 - (est_c - truth) ** 2, axis=1)
-        gap = T * float(np.mean(diff)) / limit
-        se = T * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
-        want = (finite_t_param_reference(real, K_FIX, T) - limit) / limit
+    for r in records:
+        diff = np.sum((r.est_b - r.truth) ** 2 - (r.est_c - r.truth) ** 2, axis=1)
+        gap = r.T * float(np.mean(diff)) / limit
+        se = r.T * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
+        want = (finite_t_param_reference(real, K_FIX, r.T) - limit) / limit
         ok &= abs(gap - want) <= 3.0 * se
         gaps.append(gap)
-        detail.append(f"T={T}: {gap:.3f} +/- {se:.3f} vs {want:.3f}")
+        detail.append(f"T={r.T}: {gap:.3f} +/- {se:.3f} vs {want:.3f}")
     ok &= all(b < a for a, b in zip(gaps, gaps[1:]))
     _report(
         3, ok,
@@ -198,11 +163,11 @@ def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
 
 
 def test_c04_prediction_error_limit(fixed_draw_run, capsys):
-    limit = theory_pred_limit(fixed_draw_run.real, K_FIX)
+    real, run = fixed_draw_run
+    limit = theory_pred_limit(real, K_FIX)
     ratios = {}
-    for name, est in (("classical", fixed_draw_run.est_classical),
-                      ("bayes", fixed_draw_run.est_bayes)):
-        inp = EfmseInput(est, fixed_draw_run.truth, fixed_draw_run.last)
+    for name, est in (("classical", run.est_c), ("bayes", run.est_b)):
+        inp = EfmseInput(est, run.truth, run.last)
         ratios[name] = T_FIX * efmse_pred(inp) / limit
     ok = all(abs(r - 1.0) <= 0.25 for r in ratios.values())
     _report(
@@ -280,11 +245,16 @@ def test_c08_closed_form_matches_cubic(capsys):
 
 
 def test_c09_proximity_bound(fixed_draw_run, capsys):
+    real, run = fixed_draw_run
+    betas = np.array([
+        lag_sums(simulate(real, T_FIX, np.random.default_rng([SEED, 1, T_FIX, omega])).coeffs)[1]
+        for omega in range(1, N_FIX + 1)
+    ])
     a, b = prior_shapes(K_FIX)
     ab_shift = a + b - 2.0
-    bound = np.sqrt(fixed_draw_run.real.sigma2 * ab_shift / fixed_draw_run.betas)
-    gap = fixed_draw_run.est_classical - fixed_draw_run.est_bayes
-    applicable = fixed_draw_run.est_classical <= 1.0
+    bound = np.sqrt(real.sigma2 * ab_shift / betas)
+    gap = run.est_c - run.est_b
+    applicable = run.est_c <= 1.0
     violations = int(np.count_nonzero(applicable & ((gap < 0.0) | (gap > bound))))
     checked = int(np.count_nonzero(applicable))
     ok = violations == 0

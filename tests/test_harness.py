@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arh1bench import estimators, harness
-from arh1bench.estimators import DEGENERATE, ESCAPED, NON_FINITE, estimate_all
+from arh1bench.estimators import DEGENERATE, ESCAPED, estimate_all
 from arh1bench.harness import (
     AbortedReplicationsError,
     CSV_HEADER,
@@ -31,6 +31,8 @@ from arh1bench.metrics import (
     KtRule,
     efmse_param,
     efmse_pred,
+    prior_param_limit,
+    prior_pred_limit,
     theory_param_limit,
     theory_pred_limit,
     truncation_order,
@@ -191,27 +193,36 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=4), workers=2)
         assert multiprocessing.active_children() == []
 
-    def test_pool_sized_to_blocks(self, monkeypatch):
-        asked, tasks, exited = [], [], []
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A process pool stand-in that runs each task in this process and
+        records the size asked for, the tasks and how it was left."""
 
         class Recorder:
+            asked, tasks, exited = [], [], []
+
             def __init__(self, max_workers):
-                asked.append(max_workers)
+                self.asked.append(max_workers)
 
             def __enter__(self):
                 return self
 
             def __exit__(self, *exc_info):
-                exited.append(exc_info)
+                self.exited.append(exc_info)
 
             def map(self, fn, groups):
-                tasks.append(list(groups))
-                return map(fn, tasks[-1])
+                self.tasks.append(list(groups))
+                return map(fn, self.tasks[-1])
 
         # run_experiment imports the pool class only when it needs a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        return Recorder
+
+    def test_pool_sized_to_blocks(self, monkeypatch, pool):
+        # with a CPU for every block, whatever the host has
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 4)
         run_experiment(ExperimentConfig(example=1, T_grid=(20,), N=2), workers=4)
-        assert asked == [2]
+        assert pool.asked == [2]
         # narrow groups, so that each block plans several
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         config = ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5)
@@ -220,18 +231,27 @@ class TestRunExperiment:
         blocks = [harness._plan(levels, lo, hi) for lo, hi in harness._partition(5, 2)]
         # one task per planned group, in plan order: block by block, each
         # longest T first
-        assert asked == [2, 2] and len(tasks[1]) > len(blocks) == 2
-        assert tasks[1] == [[group] for block in blocks for group in block]
+        assert pool.asked == [2, 2] and len(pool.tasks[1]) > len(blocks) == 2
+        assert pool.tasks[1] == [[group] for block in blocks for group in block]
         for block in blocks:
             firsts = [runs[0][0] for runs in block]
             assert firsts == sorted(firsts, reverse=True)
         # the tasks run each (T, omega) once, and each T's replications in order
-        streams = [(T, w) for [runs] in tasks[1] for T, _, omegas in runs for w in omegas]
+        streams = [(T, w) for [runs] in pool.tasks[1] for T, _, omegas in runs for w in omegas]
         assert len(streams) == len(set(streams)) == 15
         for T in config.T_grid:
             assert [w for t, w in streams if t == T] == [1, 2, 3, 4, 5]
         # each pool is left through its context, which shuts it down
-        assert exited == [(None, None, None)] * 2
+        assert pool.exited == [(None, None, None)] * 2
+
+    def test_pool_capped_at_usable_cpus(self, monkeypatch, pool):
+        # 64 blocks ask for no more processes than the 2 CPUs this process
+        # may run on, while the plan, and so every byte, follows workers
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = ExperimentConfig(example=1, T_grid=(20,), N=64, seed=3)
+        capped = run_experiment(config, workers=64)
+        assert pool.asked == [2] and len(pool.tasks[0]) == 64
+        assert capped == run_experiment(config, workers=1)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -342,8 +362,6 @@ class TestRunExperiment:
     def test_redraw_mode_reports_prior_limit(self):
         cfg = ExperimentConfig(example=1, T_grid=(60,), N=2, seed=8)
         reports = run_experiment(cfg)
-        from arh1bench.metrics import prior_param_limit
-
         assert reports[0].theory_param_limit == pytest.approx(
             prior_param_limit(PriorSpec(), 5), rel=1e-15
         )
@@ -353,6 +371,46 @@ class TestRunExperiment:
         assert err.aborted == 3
         assert err.total == 1000
         assert "3 of 1000" in str(err)
+
+
+def _records(T, rows, k, seed):
+    """A hand-built T's records: rows kept replications of k components."""
+    est_c, est_b, truth, last = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, rows, k))
+    return harness.Records(T, k, est_c, est_b, truth, last, {})
+
+
+class TestBuildReports:
+    # the report step, fed hand-built records: no replication is simulated
+    config = ExperimentConfig(example=1, T_grid=(30, 50), N=5)
+    records = (_records(30, 5, 2, seed=1), _records(50, 3, 3, seed=2))
+
+    def test_efmse_over_the_rows(self):
+        reports = harness.build_reports(self.config, None, self.records)
+        assert [(r.T, r.kT, r.estimator) for r in reports] == [
+            (30, 2, "classical"), (30, 2, "bayes"), (50, 3, "classical"), (50, 3, "bayes"),
+        ]
+        ests = [(rec, est) for rec in self.records for est in (rec.est_c, rec.est_b)]
+        for report, (rec, est) in zip(reports, ests, strict=True):
+            inp = EfmseInput(estimates=est, truth=rec.truth, last_coeffs=rec.last)
+            # N counts the rows averaged over, not the config's N
+            assert report.N == len(est) == inp.N
+            assert report.efmse_param == efmse_param(inp)
+            assert report.efmse_pred == efmse_pred(inp)
+            assert report.t_efmse_param == rec.T * report.efmse_param
+            assert report.ref_one_over_T == 1.0 / rec.T
+            assert report.example == "1"
+
+    def test_limits_of_the_realization_else_of_the_prior(self):
+        spec = self.config.spec
+        real = realize(dataclasses.replace(
+            spec, rho_mode="explicit", rho_values=(0.9, 0.7, 0.5, 0.3, 0.1)
+        ))
+        for r in harness.build_reports(self.config, real, self.records):
+            assert r.theory_param_limit == theory_param_limit(real, r.kT)
+            assert r.theory_pred_limit == theory_pred_limit(real, r.kT)
+        for r in harness.build_reports(self.config, None, self.records):
+            assert r.theory_param_limit == prior_param_limit(spec.prior, r.kT)
+            assert r.theory_pred_limit == prior_pred_limit(spec.law, spec.prior, r.kT)
 
 
 def _float_bits(report):
@@ -375,18 +433,6 @@ BLOCK_FIELDS = [
 ]
 
 
-def stack_groups(groups, levels):
-    """Per T of levels, the records of groups (as _run_groups returns them)
-    stacked and ranked as run_experiment does: the kept replications'
-    estimates, truths and last states, then every replication's reason."""
-    out = []
-    for T, _ in levels:
-        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
-        reason = fault[np.arange(len(fault)), estimators.deciding_component(fault)]
-        out.append((*(r[reason == 0] for r in records), reason))
-    return out
-
-
 def _block_groups(task):
     """The outputs of a block task's planned groups, as run_experiment
     computes them: in plan order, through one workspace."""
@@ -395,7 +441,7 @@ def _block_groups(task):
 
 
 def _run_block(task):
-    return stack_groups(_block_groups(task), task[1])
+    return harness._merge(_block_groups(task), task[1])
 
 
 def _one_at_a_time(task):
@@ -425,12 +471,16 @@ def _assert_bits_equal(got, want):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
 
 
+def _kept(records):
+    return records.est_c, records.est_b, records.truth, records.last
+
+
 def _assert_block_equal(got, want):
     # got is what _run_block returns, want what _one_at_a_time does
     assert len(got) == len(want)
     for records, rows in zip(got, want):
-        assert not records[4].any()  # no replication dropped
-        _assert_bits_equal(records[:4], rows)
+        assert records.dropped == {}
+        _assert_bits_equal(_kept(records), rows)
 
 
 def _alpha(task, T, omega, j):
@@ -503,8 +553,8 @@ class TestBlockKernel:
         for chunk in (harness.CHUNK_ELEMENTS, 4000, 1):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
             [got] = _run_block(task)
-            assert not got[4].any() and not want[4].any()
-            _assert_bits_equal(got[:4], want[:4])
+            assert got.dropped == want.dropped == {}
+            _assert_bits_equal(_kept(got), _kept(want))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -543,7 +593,7 @@ class TestBlockKernel:
             _block_groups((spec, levels, lo, hi, seed, shared))
             for lo, hi in harness._partition(2, workers)
         ]
-        got = stack_groups([group for block in blocks for group in block], levels)
+        got = harness._merge([group for block in blocks for group in block], levels)
         assert (1 in widths) == (workers == 2)
         _assert_block_equal(got, _one_at_a_time(task))
 
@@ -559,9 +609,9 @@ class TestBlockKernel:
         assert x.base is terms.base and x.base.size == 2 * slab
 
     def test_reason_per_replication(self, monkeypatch):
-        # each replication gets the code of its first faulty component, or
-        # NON_FINITE where its sums are not, and only those with code 0 are
-        # kept, with the public path's bits
+        # each replication is dropped under the fault of its first faulty
+        # component, or as non-finite where its sums are not, and the rest
+        # are kept, with the public path's bits
         task = _block_task({"example": 1}, (40,), N=6)
         [want] = _one_at_a_time(task)
         alpha = {(omega, j): _alpha(task, 40, omega, j) for omega in (1, 2, 5) for j in (1, 4)}
@@ -572,13 +622,14 @@ class TestBlockKernel:
             alpha[5, 4]: ESCAPED,
         }
 
-        def check(reasons):
-            [(*records, reason)] = _run_block(task)
-            assert reason.tolist() == reasons
-            _assert_bits_equal(records, [w[reason == 0] for w in want])
+        def check(dropped):
+            [got] = _run_block(task)
+            assert got.dropped == dropped
+            kept = [omega not in sum(dropped.values(), []) for omega in range(1, 7)]
+            _assert_bits_equal(_kept(got), [w[kept] for w in want])
 
         _inject_faults(monkeypatch, faults)
-        check([ESCAPED, DEGENERATE, 0, 0, ESCAPED, 0])
+        check({"degenerate": [2], "escaped": [1, 5]})
         # replication 3's states are not finite, in one row chunk or many:
         # it is dropped with the others, which keep their codes
         coefficients = harness._coefficients
@@ -594,7 +645,7 @@ class TestBlockKernel:
             for chunk in (harness.CHUNK_ELEMENTS, 64):
                 monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
                 with np.errstate(invalid="ignore"):
-                    check([ESCAPED, DEGENERATE, NON_FINITE, 0, ESCAPED, 0])
+                    check({"degenerate": [2], "escaped": [1, 5], "non-finite": [3]})
 
     def test_reasons_across_the_grid_logged(self, monkeypatch, caplog):
         # two blocks (inline, so the injected faults reach them) of groups of
@@ -678,7 +729,7 @@ class TestBlockKernel:
         kept = np.arange(1001) != 6
         for report, est in zip(reports, (est_c, est_b), strict=True):
             inp = EfmseInput(estimates=est[kept], truth=truth[kept], last_coeffs=last[kept])
-            assert inp.N == 1000
+            assert inp.N == report.N == 1000
             assert report.efmse_param == efmse_param(inp)
             assert report.efmse_pred == efmse_pred(inp)
 
@@ -710,7 +761,7 @@ class TestBlockKernel:
         ]
         rows = harness.CHUNK_ELEMENTS // (2 * 48)
         assert rows < 3000 and peak < rows * 48
-        _assert_block_equal(stack_groups(got, task[1]), _one_at_a_time(task))
+        _assert_block_equal(harness._merge(got, task[1]), _one_at_a_time(task))
 
     def test_x_planned_without_carry_row_raises(self, monkeypatch):
         # x must hold a row chunk and the row that carries the states into
