@@ -504,12 +504,12 @@ class Records:
 
 
 def _merge(groups, levels) -> list[Records]:
-    """Per T of levels, ``Records`` stacked from the outputs of ``_run_groups``
-    in replication order, each fault ranked and the faulty replications dropped."""
+    """Per T of levels, ``Records`` stacked in replication order from the outputs
+    of ``_run_groups``, popped as stacked; each fault ranked, the faulty dropped."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
-        *records, fault = map(np.concatenate, zip(*(g[T] for g in groups if T in g)))
+        *records, fault = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}

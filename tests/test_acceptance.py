@@ -146,6 +146,7 @@ def test_c03_bayes_gap_sweep_across_t(fixed_draw_run, capsys):
     limit = theory_param_limit(real, K_FIX)
     gaps, ok, detail = [], True, []
     for r in records:
+        assert r.kT == K_FIX and not r.dropped and len(r.est_c) == N_FIX
         diff = np.sum((r.est_b - r.truth) ** 2 - (r.est_c - r.truth) ** 2, axis=1)
         gap = r.T * float(np.mean(diff)) / limit
         se = r.T * float(np.std(diff, ddof=1)) / math.sqrt(N_FIX) / limit
