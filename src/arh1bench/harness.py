@@ -11,14 +11,15 @@ the same PCG64 states as ``default_rng`` gives each one.  A shared
 coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
 The replications split into one contiguous block per worker, and each
-block into kernel groups (``_plan``); a pool of at most ``usable_cpus()``
-processes takes one group a task, in plan order.  ``collect`` runs them,
-and ``_merge`` stacks each T's records once, from every group of every
-block in replication order, ranks each replication's fault and drops the
-bad ones, which ``collect`` logs per T and reason before it fails a run
-past ABORT_THRESHOLD or with a T that keeps none.  ``build_reports`` makes
-the reports from what ``collect`` returns, so every emitted byte depends
-only on (config, seed), never on the worker count or scheduling.
+block into kernel groups (``_plan``), which line up as one plan.
+``collect`` maps ``_run_group`` over the plan, in plan order: inline
+through one scratch for one block, else one group a task on a pool of at
+most ``usable_cpus()`` processes.  ``_merge`` stacks each T's records once,
+from every group in replication order, ranks each replication's fault and
+drops the bad ones, which ``collect`` logs per T and reason before it
+fails a run past ABORT_THRESHOLD or with a T that keeps none.
+``build_reports`` makes the reports from what ``collect`` returns, so each
+emitted byte depends only on (config, seed), not on workers or scheduling.
 
 Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
@@ -61,6 +62,7 @@ from .metrics import (
 )
 from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
+    MAX_CLAMPED_SHARE,
     RHO_CLAMP_EPS,
     EigenvalueLaw,
     SpectralModelSpec,
@@ -145,11 +147,9 @@ def example_model(
 
     ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
     components that rule keeps at sample size ``T_max``, which covers every
-    smaller T because k_T never decreases in T.  Drawn coefficients are
-    refused where component k_T's prior has b / a < RHO_CLAMP_EPS (k_T >=
-    40): its median draw would then lie where ``draw_rho``'s clamp rewrites
-    it.  The rule marks only the median: at k_T = 39 about 42% of
-    component 39's draws are still clamped to 1 - RHO_CLAMP_EPS.
+    smaller T because k_T never decreases in T.  Drawn coefficients are refused
+    where ``draw_rho``'s clamp rewrites over MAX_CLAMPED_SHARE of component k_T's
+    draws, about a_kT * RHO_CLAMP_EPS of them (0.81% at k_T = 33, 1.6% at 34).
     """
     if not _is_int(example) or example not in EXAMPLE_EXPONENTS:
         raise ValueError(f"example must be 1, 2 or 3, got {example!r}")
@@ -160,10 +160,10 @@ def example_model(
         rho_mode=rho_mode,
         rho_values=rho_values,
     )
-    a, b = prior_shapes(spec.k_max)
-    if spec.rho_mode != "explicit" and b[-1] / a[-1] < RHO_CLAMP_EPS:
-        raise ValueError(f"k_T={spec.k_max} at T={T_max} puts most prior draws within "
-                         f"{RHO_CLAMP_EPS:g} of 1, where draw_rho's clamp rewrites them")
+    a, _ = prior_shapes(spec.k_max)
+    if spec.rho_mode != "explicit" and a[-1] * RHO_CLAMP_EPS > MAX_CLAMPED_SHARE:
+        raise ValueError(f"k_T={spec.k_max} at T={T_max}: draw_rho's clamp would rewrite over "
+                         f"{MAX_CLAMPED_SHARE:.0%} of its prior draws to 1 - {RHO_CLAMP_EPS:g}")
     return spec, rule
 
 
@@ -287,15 +287,6 @@ def _plan(levels, lo, hi) -> list[list[tuple]]:
     return groups
 
 
-def _run_groups(spec, groups, seed, fixed_real):
-    """Run kernel groups, as ``_plan`` gives them, in order through one
-    scratch; returns their outputs (see ``_run_group``) in that order.
-    Must stay a module-level function so worker processes can unpickle it.
-    """
-    work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in groups))
-    return [_run_group(spec, runs, seed, fixed_real, work) for runs in groups]
-
-
 def _workspace(c: int):
     """Flat scratch (x, terms) for the row chunks of groups of at most c
     columns, two equal slabs of one allocation.
@@ -412,7 +403,7 @@ def _coefficients(spec, k, rngs, fixed_real):
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
-def _run_group(spec, runs, seed, fixed_real, work):
+def _run_group(spec, runs, seed, fixed_real, work=None):
     """Simulate and estimate the streams of ``runs`` together.
 
     A run (T, k, omegas) is replications omegas at sample size T, k columns
@@ -423,7 +414,8 @@ def _run_group(spec, runs, seed, fixed_real, work):
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS alpha and beta terms.  Every array the size of a
-    row chunk is a view into ``work``, the two slabs ``_workspace`` plans.
+    row chunk is a view into ``work``, the two slabs ``_workspace`` plans
+    (for this group's width alone when ``work`` is None).
     ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
     onto their running sums through the terms slab.
 
@@ -441,7 +433,7 @@ def _run_group(spec, runs, seed, fixed_real, work):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, terms_part = work
+    x_part, terms_part = _workspace(edges[-1]) if work is None else work
     sums = np.zeros((2, edges[-1]))
     done = 0
     out = {}
@@ -504,8 +496,8 @@ class Records:
 
 
 def _merge(groups, levels) -> list[Records]:
-    """Per T of levels, ``Records`` stacked in replication order from the outputs
-    of ``_run_groups``, popped as stacked; each fault ranked, the faulty dropped."""
+    """Per T of levels, ``Records`` stacked in replication order from the plan's
+    ``_run_group`` outputs, popped as stacked; each fault ranked, the faulty dropped."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
@@ -535,18 +527,22 @@ def collect(config: ExperimentConfig, workers: int | None = None):
         fixed_real = realize(spec)
 
     levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
-    blocks = [_plan(levels, lo, hi) for lo, hi in _partition(config.N, workers)]
+    blocks = _partition(config.N, workers)
+    plan = [g for lo, hi in blocks for g in _plan(levels, lo, hi)]
+    run = functools.partial(_run_group, spec, seed=config.seed, fixed_real=fixed_real)
     if len(blocks) == 1:
-        groups = _run_groups(spec, blocks[0], config.seed, fixed_real)
+        # every group runs through one scratch, freed before _merge stacks the records
+        work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in plan))
+        groups = [run(g, work=work) for g in plan]
+        del work
     else:
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         # one task a group, in plan order: a worker that is done takes the
         # next, and the last block's short T come last, so the tail is short
-        run = functools.partial(_run_groups, spec, seed=config.seed, fixed_real=fixed_real)
         with ProcessPoolExecutor(max_workers=min(len(blocks), usable_cpus())) as pool:
-            groups = [g for [g] in pool.map(run, ([g] for block in blocks for g in block))]
+            groups = list(pool.map(run, plan))
 
     records = _merge(groups, levels)
     aborted = 0

@@ -24,6 +24,8 @@ import numpy as np
 
 # Open-interval clamp for Beta draws: keeps sigma2 > 0 and |rho| < 1.
 RHO_CLAMP_EPS = 1e-12
+# Largest share of a drawn component's draws the clamp may rewrite.
+MAX_CLAMPED_SHARE = 0.01
 
 # Largest k for the shape a_k = 2**k: beyond it the product
 # a*(a+1) in prior_mean_sq overflows to inf and the prior limits turn nan.

@@ -186,7 +186,7 @@ class TestRunErrors:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
-        "flags", [["--rho-mode", "bogus"], ["--rho-mode", "explicit"], ["--kT", "fixed:40"]]
+        "flags", [["--rho-mode", "bogus"], ["--rho-mode", "explicit"], ["--kT", "fixed:34"]]
     )
     def test_bad_model_flags(self, tmp_path, capsys, flags):
         # the rho mode goes on to the model spec and the prior to

@@ -4,7 +4,9 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -114,14 +116,14 @@ class TestConfig:
 
     @pytest.mark.parametrize("rho_mode", ["redraw", "fixed"])
     def test_drawn_prior_past_clamp_rejected(self, rho_mode):
-        # Beta(2**k, 1.01) has b / a = 1.84e-12 at k = 39 and 9.19e-13 at
-        # k = 40, below RHO_CLAMP_EPS; power:4.1 reaches k_T = 40 between
-        # T = 3.6e6 and 3.8e6
-        for T, rule in ((3_600_000, None), (20, KtRule("fixed", 39))):
+        # the clamp rewrites 0.81% of Beta(2**33, 1.01) draws and 1.63% of
+        # Beta(2**34, 1.01) draws; power:4.1 reaches k_T = 34 between
+        # T = 1.8e6 and 2.0e6
+        for T, rule in ((1_800_000, None), (20, KtRule("fixed", 33))):
             cfg = ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
-            assert cfg.spec.k_max == 39
-        for T, rule in ((3_800_000, None), (20, KtRule("fixed", 40))):
-            with pytest.raises(ValueError, match="k_T=40 .* clamp") as exc:
+            assert cfg.spec.k_max == 33
+        for T, rule in ((2_000_000, None), (20, KtRule("fixed", 34))):
+            with pytest.raises(ValueError, match="k_T=34 .* clamp") as exc:
                 ExperimentConfig(example=3, T_grid=(T,), kT_rule=rule, rho_mode=rho_mode)
             assert "\n" not in str(exc.value)
 
@@ -232,17 +234,44 @@ class TestRunExperiment:
         # one task per planned group, in plan order: block by block, each
         # longest T first
         assert pool.asked == [2, 2] and len(pool.tasks[1]) > len(blocks) == 2
-        assert pool.tasks[1] == [[group] for block in blocks for group in block]
+        assert pool.tasks[1] == [group for block in blocks for group in block]
         for block in blocks:
             firsts = [runs[0][0] for runs in block]
             assert firsts == sorted(firsts, reverse=True)
         # the tasks run each (T, omega) once, and each T's replications in order
-        streams = [(T, w) for [runs] in pool.tasks[1] for T, _, omegas in runs for w in omegas]
+        streams = [(T, w) for runs in pool.tasks[1] for T, _, omegas in runs for w in omegas]
         assert len(streams) == len(set(streams)) == 15
         for T in config.T_grid:
             assert [w for t, w in streams if t == T] == [1, 2, 3, 4, 5]
         # each pool is left through its context, which shuts it down
         assert pool.exited == [(None, None, None)] * 2
+
+    def test_workspace_per_run_inline_per_group_pooled(self, monkeypatch, pool):
+        # inline, collect plans one workspace for the whole run; pooled, it
+        # plans none itself, and each task plans one for its own group;
+        # either way no workspace is left when the records are stacked
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
+        workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
+
+        def traced(c):
+            calls.append((sys._getframe(1).f_code.co_name, c))
+            work = workspace(c)
+            buffers.append(weakref.ref(work[0].base))
+            return work
+
+        def merged(groups, levels):
+            assert buffers and all(buf() is None for buf in buffers)
+            return merge(groups, levels)
+
+        monkeypatch.setattr(harness, "_workspace", traced)
+        monkeypatch.setattr(harness, "_merge", merged)
+        config = ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5)
+        run_experiment(config, workers=1)
+        assert calls == [("collect", 4)] and pool.asked == []
+        calls.clear()
+        run_experiment(config, workers=2)
+        widths = [sum(len(o) * k for _, k, o in runs) for runs in pool.tasks[0]]
+        assert calls == [("_run_group", c) for c in widths]
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch, pool):
         # 64 blocks ask for no more processes than the 2 CPUs this process
@@ -260,15 +289,16 @@ class TestRunExperiment:
     def test_failed_group_raises_and_leaves_no_process(self, monkeypatch):
         # one group raises in a worker: the run re-raises its error, and the
         # pool is still shut down whole
-        run_group = harness._run_group
+        replication_rngs = harness._replication_rngs
 
-        def failing(spec, runs, *rest):
-            if any(T == 40 and 3 in omegas for T, _, omegas in runs):
+        def failing(seed, T, omegas):
+            if T == 40 and 3 in omegas:
                 raise RuntimeError(f"group failed in process {os.getpid()}")
-            return run_group(spec, runs, *rest)
+            return replication_rngs(seed, T, omegas)
 
-        # the workers are forked inside run_experiment, so they inherit it
-        monkeypatch.setattr(harness, "_run_group", failing)
+        # the workers are forked inside run_experiment, so they inherit it;
+        # the pool pickles harness._run_group itself, which looks this up
+        monkeypatch.setattr(harness, "_replication_rngs", failing)
         with pytest.raises(RuntimeError, match="^group failed in process") as exc:
             run_experiment(ExperimentConfig(example=1, T_grid=(20, 40), N=4), workers=2)
         assert str(exc.value) != f"group failed in process {os.getpid()}"
@@ -434,10 +464,12 @@ BLOCK_FIELDS = [
 
 
 def _block_groups(task):
-    """The outputs of a block task's planned groups, as run_experiment
-    computes them: in plan order, through one workspace."""
+    """The outputs of a block task's planned groups, as collect computes
+    them inline: in plan order, through one workspace."""
     spec, levels, lo, hi, seed, shared = task
-    return harness._run_groups(spec, harness._plan(levels, lo, hi), seed, shared)
+    plan = harness._plan(levels, lo, hi)
+    work = harness._workspace(max(sum(len(o) * k for _, k, o in g) for g in plan))
+    return [harness._run_group(spec, runs, seed, shared, work) for runs in plan]
 
 
 def _run_block(task):
@@ -782,7 +814,7 @@ class TestBlockKernel:
         # a group of many row chunks, run again in its workspace, holds less
         # than a replication's trajectory and its lag products
         spec, [(T, k)], lo, hi, seed, _ = _block_task(
-            {"example": 1, "kT_rule": "fixed:39"}, (4000,), N=2
+            {"example": 1, "kT_rule": "fixed:33"}, (4000,), N=2
         )
         runs = [(T, k, range(lo, hi))]
         work = harness._workspace(2 * k)
