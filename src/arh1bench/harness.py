@@ -12,10 +12,10 @@ coefficient draw for ``rho_mode == "fixed"`` comes from
 ``default_rng([seed, 2])`` and diagnostics use ``[seed, 3, ...]`` streams.
 The replications split into one contiguous block per worker, and each
 block into kernel groups (``_plan``), which line up as one plan.
-``collect`` maps ``_run_group`` over the plan, in plan order: inline
-through one scratch for one block, else one group a task on a pool of at
-most ``usable_cpus()`` processes.  ``_merge`` stacks each T's records once,
-from every group in replication order, ranks each replication's fault and
+``collect`` maps ``_run_group`` over the plan, in plan order: inline for
+one block, else one group a task on a pool of at most ``usable_cpus()``
+processes.  ``_merge`` stacks each T's sums once, from every group in
+replication order, estimates them, ranks each replication's fault and
 drops the bad ones, which ``collect`` logs per T and reason before it
 fails a run past ABORT_THRESHOLD or with a T that keeps none.
 ``build_reports`` makes the reports from what ``collect`` returns, so each
@@ -25,10 +25,10 @@ Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
-beta's through one slab of scratch, and elementwise estimators, the same
-arithmetic that ``simulate``, ``sufficient_stats`` and
-``estimate_all`` run for a single replication, so both routes give the same
-bits.
+beta's through one slab of the group's own scratch.  ``_merge`` runs the
+elementwise estimators on them.  That is the arithmetic that ``simulate``,
+``sufficient_stats`` and ``estimate_all`` run for a single replication, so
+both routes give the same bits.
 """
 from __future__ import annotations
 
@@ -288,8 +288,8 @@ def _plan(levels, lo, hi) -> list[list[tuple]]:
 
 
 def _workspace(c: int):
-    """Flat scratch (x, terms) for the row chunks of groups of at most c
-    columns, two equal slabs of one allocation.
+    """Flat scratch (x, terms) for the row chunks of a group of c columns,
+    two equal slabs of one allocation, which ``_run_group`` plans and frees.
 
     A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
     values a slab (see ``_run_group``), so no size depends on T or on how
@@ -403,8 +403,8 @@ def _coefficients(spec, k, rngs, fixed_real):
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
-def _run_group(spec, runs, seed, fixed_real, work=None):
-    """Simulate and estimate the streams of ``runs`` together.
+def _run_group(spec, runs, seed, fixed_real):
+    """Simulate the streams of ``runs`` together into their sufficient statistics.
 
     A run (T, k, omegas) is replications omegas at sample size T, k columns
     each; the runs come longest T first, one per T.  Each replication seeds
@@ -414,17 +414,16 @@ def _run_group(spec, runs, seed, fixed_real, work=None):
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS alpha and beta terms.  Every array the size of a
-    row chunk is a view into ``work``, the two slabs ``_workspace`` plans
-    (for this group's width alone when ``work`` is None).
-    ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
-    onto their running sums through the terms slab.
+    row chunk is a view into the two slabs ``_workspace`` plans for this
+    group's width.  ``fold_lag_terms`` folds each chunk's alpha terms, then
+    its beta terms, onto their running sums through the terms slab.
 
     Every state enters a lag product of its column, so a non-finite state
     leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
 
-    Returns, by T, the estimates, true coefficients, last states and fault
-    codes of the run's m replications, each (m, k); the faults are ranked
-    and the faulty replications dropped by ``_merge``.
+    Returns, by T, copies of the alpha and beta sums, sigma2, true
+    coefficients and last states of the run's m replications, each (m, k),
+    which ``_merge`` estimates and judges.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -433,7 +432,7 @@ def _run_group(spec, runs, seed, fixed_real, work=None):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, terms_part = _workspace(edges[-1]) if work is None else work
+    x_part, terms_part = _workspace(edges[-1])
     sums = np.zeros((2, edges[-1]))
     done = 0
     out = {}
@@ -464,12 +463,9 @@ def _run_group(spec, runs, seed, fixed_real, work=None):
             x[0] = x[n]
             done += n
 
-        # the run ends here: settle and estimate it before its columns go
+        # the run ends here: copy out its columns before they go
         m, cols = len(omegas), slice(edges[end - 1], ca)
-        alpha, beta = sums[:, cols].reshape(2, m, k)
-        sig, truth, last = (v[cols].reshape(m, k) for v in (sigma2, rho, x[0]))
-        est_c, est_b, fault = estimate_columns(alpha, beta, sig, *prior_shapes(k))
-        out[T] = (est_c, est_b, truth, last.copy(), fault)
+        out[T] = tuple(v[cols].reshape(m, k).copy() for v in (*sums, sigma2, rho, x[0]))
     return out
 
 
@@ -496,16 +492,18 @@ class Records:
 
 
 def _merge(groups, levels) -> list[Records]:
-    """Per T of levels, ``Records`` stacked in replication order from the plan's
-    ``_run_group`` outputs, popped as stacked; each fault ranked, the faulty dropped."""
+    """Per T of levels, ``Records`` from the plan's ``_run_group`` outputs:
+    stacked in replication order, popped as stacked, and estimated in one
+    call; each fault ranked, the faulty dropped."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
-        *records, fault = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
+        alpha, beta, sigma2, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
+        est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}
-        merged.append(Records(T, k_T, *(r[reason == 0] for r in records), dropped))
+        merged.append(Records(T, k_T, *(r[reason == 0] for r in (est_c, est_b, *kept)), dropped))
     return merged
 
 
@@ -531,10 +529,7 @@ def collect(config: ExperimentConfig, workers: int | None = None):
     plan = [g for lo, hi in blocks for g in _plan(levels, lo, hi)]
     run = functools.partial(_run_group, spec, seed=config.seed, fixed_real=fixed_real)
     if len(blocks) == 1:
-        # every group runs through one scratch, freed before _merge stacks the records
-        work = _workspace(max(sum(len(o) * k for _, k, o in g) for g in plan))
-        groups = [run(g, work=work) for g in plan]
-        del work
+        groups = list(map(run, plan))
     else:
         # imported here, so that importing the package loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor

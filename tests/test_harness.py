@@ -246,10 +246,10 @@ class TestRunExperiment:
         # each pool is left through its context, which shuts it down
         assert pool.exited == [(None, None, None)] * 2
 
-    def test_workspace_per_run_inline_per_group_pooled(self, monkeypatch, pool):
-        # inline, collect plans one workspace for the whole run; pooled, it
-        # plans none itself, and each task plans one for its own group;
-        # either way no workspace is left when the records are stacked
+    def test_workspace_per_group_inline_and_pooled(self, monkeypatch, pool):
+        # inline and pooled alike, each group of the plan plans one workspace
+        # of its own width, and collect plans none; no workspace is left
+        # when the sums are stacked
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
 
@@ -266,12 +266,15 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "_workspace", traced)
         monkeypatch.setattr(harness, "_merge", merged)
         config = ExperimentConfig(example=3, T_grid=(15, 100, 400), N=5)
-        run_experiment(config, workers=1)
-        assert calls == [("collect", 4)] and pool.asked == []
-        calls.clear()
-        run_experiment(config, workers=2)
-        widths = [sum(len(o) * k for _, k, o in runs) for runs in pool.tasks[0]]
-        assert calls == [("_run_group", c) for c in widths]
+        levels = tuple((T, truncation_order(T, config.kT_rule)) for T in config.T_grid)
+        for workers in (1, 2):
+            calls.clear()
+            run_experiment(config, workers=workers)
+            plan = [g for lo, hi in harness._partition(5, workers)
+                    for g in harness._plan(levels, lo, hi)]
+            assert calls == [("_run_group", sum(len(o) * k for _, k, o in g)) for g in plan]
+        # only the pooled run used the pool, with the same plan
+        assert pool.tasks == [plan]
 
     def test_pool_capped_at_usable_cpus(self, monkeypatch, pool):
         # 64 blocks ask for no more processes than the 2 CPUs this process
@@ -465,11 +468,9 @@ BLOCK_FIELDS = [
 
 def _block_groups(task):
     """The outputs of a block task's planned groups, as collect computes
-    them inline: in plan order, through one workspace."""
+    them inline: in plan order."""
     spec, levels, lo, hi, seed, shared = task
-    plan = harness._plan(levels, lo, hi)
-    work = harness._workspace(max(sum(len(o) * k for _, k, o in g) for g in plan))
-    return [harness._run_group(spec, runs, seed, shared, work) for runs in plan]
+    return [harness._run_group(spec, runs, seed, shared) for runs in harness._plan(levels, lo, hi)]
 
 
 def _run_block(task):
@@ -540,21 +541,6 @@ def _inject_faults(monkeypatch, faults):
         return hat, minus, fault
 
     monkeypatch.setattr(harness, "estimate_columns", faulty)
-
-
-class _InlinePool:
-    """A process pool stand-in that runs each task in this process."""
-
-    def __init__(self, max_workers):
-        pass
-
-    map = staticmethod(map)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        pass
 
 
 class TestBlockKernel:
@@ -680,11 +666,11 @@ class TestBlockKernel:
                     check({"degenerate": [2], "escaped": [1, 5], "non-finite": [3]})
 
     def test_reasons_across_the_grid_logged(self, monkeypatch, caplog):
-        # two blocks (inline, so the injected faults reach them) of groups of
-        # two replications: every bad replication at every T is counted, and
-        # the warnings are those of runs that take the grid one T at a time,
-        # one line per (T, reason), in grid order
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+        # two blocks on a pool of two processes, of groups of two
+        # replications; the faults are injected where the sums are
+        # estimated, in this process: every bad replication at every T is
+        # counted, and the warnings are those of runs that take the grid one
+        # T at a time, one line per (T, reason), in grid order
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 10)
         fields, grid = {"example": 1, "rho_mode": "redraw"}, (20, 40, 60)
         task = _block_task(fields, grid, N=6)
@@ -765,34 +751,35 @@ class TestBlockKernel:
             assert report.efmse_param == efmse_param(inp)
             assert report.efmse_pred == efmse_pred(inp)
 
-    def test_second_group_reuses_workspace(self, monkeypatch):
-        # every array the size of a row chunk lives in the block's one
-        # workspace, so once the first group is done, the later ones, whose
-        # runs end at other T and lay out narrower chunks of more rows,
-        # allocate less than a byte per value of one chunk
+    def test_group_memory_within_its_workspace(self, monkeypatch):
+        # every array the size of a row chunk lives in the group's own
+        # workspace, so a group allocates little past it: numpy's ufunc
+        # buffer and at most 1 KiB a column.  The bound is the same for the
+        # groups that run to T = 4500 as for those that end at 1500, a
+        # trajectory of whose 48 columns alone would take 1.7 MB
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 48)
         task = _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8)
         run_group = harness._run_group
-        widths = []
+        widths, peaks = [], []
 
         def traced(spec, runs, *rest):
             widths.append([(T, len(omegas) * k) for T, k, omegas in runs])
+            tracemalloc.start()
             try:
                 return run_group(spec, runs, *rest)
             finally:
-                tracemalloc.start()  # from the end of the first group on
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
 
         monkeypatch.setattr(harness, "_run_group", traced)
-        try:
-            got = _block_groups(task)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got = _block_groups(task)
         assert widths == [
             [(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]
         ]
-        rows = harness.CHUNK_ELEMENTS // (2 * 48)
-        assert rows < 3000 and peak < rows * 48
+        for runs, peak in zip(widths, peaks, strict=True):
+            c = sum(w for _, w in runs)
+            planned = sum(slab.nbytes for slab in harness._workspace(c))
+            assert peak < planned + 8 * np.getbufsize() + 1024 * c
         _assert_block_equal(harness._merge(got, task[1]), _one_at_a_time(task))
 
     def test_x_planned_without_carry_row_raises(self, monkeypatch):
@@ -811,24 +798,23 @@ class TestBlockKernel:
             _block_groups(task)
 
     def test_rerun_memory_bounded(self):
-        # a group of many row chunks, run again in its workspace, holds less
-        # than a replication's trajectory and its lag products
+        # a group of many row chunks, run again, holds its own workspace and
+        # less than a replication's trajectory and its lag products
         spec, [(T, k)], lo, hi, seed, _ = _block_task(
             {"example": 1, "kT_rule": "fixed:33"}, (4000,), N=2
         )
         runs = [(T, k, range(lo, hi))]
-        work = harness._workspace(2 * k)
-        first = harness._run_group(spec, runs, seed, None, work)
+        first = harness._run_group(spec, runs, seed, None)
         tracemalloc.start()
         try:
-            second = harness._run_group(spec, runs, seed, None, work)
+            second = harness._run_group(spec, runs, seed, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         step = harness.CHUNK_ELEMENTS // (2 * k)
         one_replication = 8 * ((T + 1) * k + T * 2 * k)
         assert step < T and peak < one_replication
-        for a, b in zip(first[T][:5], second[T][:5], strict=True):
+        for a, b in zip(first[T], second[T], strict=True):
             assert np.array_equal(a, b)
 
 
