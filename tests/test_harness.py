@@ -666,11 +666,11 @@ class TestBlockKernel:
                     check({"degenerate": [2], "escaped": [1, 5], "non-finite": [3]})
 
     def test_reasons_across_the_grid_logged(self, monkeypatch, caplog):
-        # two blocks on a pool of two processes, of groups of two
-        # replications; the faults are injected where the sums are
-        # estimated, in this process: every bad replication at every T is
-        # counted, and the warnings are those of runs that take the grid one
-        # T at a time, one line per (T, reason), in grid order
+        # two blocks on a real process pool, of groups of two replications;
+        # the faults are injected where the sums are estimated, in this
+        # process: every bad replication at every T is counted, and the
+        # warnings are those of runs that take the grid one T at a time,
+        # one line per (T, reason), in grid order
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 10)
         fields, grid = {"example": 1, "rho_mode": "redraw"}, (20, 40, 60)
         task = _block_task(fields, grid, N=6)
