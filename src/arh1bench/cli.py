@@ -130,6 +130,11 @@ def _run_command(args) -> int:
     }
     config = config_from_dict(data)
     workers = _resolve_workers(args.workers)
+    # refused before the study runs: the nearest existing path must be a directory
+    out = config.output_dir
+    found = next((p for p in (out, *out.parents) if p.exists()), None)
+    if found is not None and not found.is_dir():
+        raise CliError(f"output directory {out} cannot be made: {found} is not a directory")
     reports = run_experiment(config, workers=workers)
     for path in emit_reports(reports, config.formats, config.output_dir):
         print(f"wrote {path}")

@@ -25,10 +25,11 @@ Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
-beta's through one slab of the group's own scratch.  ``_merge`` runs the
-elementwise estimators on them.  That is the arithmetic that ``simulate``,
-``sufficient_stats`` and ``estimate_all`` run for a single replication, so
-both routes give the same bits.
+beta's through one slab of the group's own scratch, sized to its width and
+to its longest T.  ``_merge`` runs the elementwise estimators on them.
+That is the arithmetic that ``simulate``, ``sufficient_stats`` and
+``estimate_all`` run for a single replication, so both routes give the
+same bits.
 """
 from __future__ import annotations
 
@@ -287,16 +288,19 @@ def _plan(levels, lo, hi) -> list[list[tuple]]:
     return groups
 
 
-def _workspace(c: int):
-    """Flat scratch (x, terms) for the row chunks of a group of c columns,
-    two equal slabs of one allocation, which ``_run_group`` plans and frees.
+def _workspace(c: int, T: int):
+    """Flat scratch (x, terms) for the row chunks of a group of c columns
+    whose longest T is T, two equal slabs of one allocation, which
+    ``_run_group`` plans and frees.
 
-    A chunk of any width holds at most e = max(CHUNK_ELEMENTS // 2, c)
-    values a slab (see ``_run_group``), so no size depends on T or on how
-    many columns are still running; each slab holds c more for its leading
-    row, which carries the states in x and a running sum in terms.
+    A chunk of ca <= c columns has at most max(1, CHUNK_ELEMENTS // (2 * ca))
+    rows and no more than its segment's T <= T (see ``_run_group``), so it
+    holds at most e = max(min(CHUNK_ELEMENTS // 2, T * c), c) values a slab:
+    a group shorter than a full chunk plans only the rows it runs.  Each
+    slab holds c more for its leading row, which carries the states in x
+    and a running sum in terms.
     """
-    e = max(CHUNK_ELEMENTS // 2, c)
+    e = max(min(CHUNK_ELEMENTS // 2, T * c), c)
     buf = np.empty(2 * (e + c))
     return buf[: e + c], buf[e + c :]
 
@@ -413,10 +417,11 @@ def _run_group(spec, runs, seed, fixed_real):
     The rows run in segments, each ending at a run's T, where that run's
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
-    fill CHUNK_ELEMENTS alpha and beta terms.  Every array the size of a
-    row chunk is a view into the two slabs ``_workspace`` plans for this
-    group's width.  ``fold_lag_terms`` folds each chunk's alpha terms, then
-    its beta terms, onto their running sums through the terms slab.
+    fill CHUNK_ELEMENTS alpha and beta terms, but no more than the
+    segment's T.  Every array the size of a row chunk is a view into the
+    two slabs ``_workspace`` plans for this group's width and longest T.
+    ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
+    onto their running sums through the terms slab.
 
     Every state enters a lag product of its column, so a non-finite state
     leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
@@ -432,14 +437,15 @@ def _run_group(spec, runs, seed, fixed_real):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
-    x_part, terms_part = _workspace(edges[-1])
+    x_part, terms_part = _workspace(edges[-1], runs[0][0])
     sums = np.zeros((2, edges[-1]))
     done = 0
     out = {}
     for end in range(len(runs), 0, -1):
         T, k, omegas = runs[end - 1]
         ca = edges[end]
-        rows = max(1, CHUNK_ELEMENTS // (2 * ca))
+        # no chunk runs past T, so a cap at T moves no chunk boundary
+        rows = max(1, min(T, CHUNK_ELEMENTS // (2 * ca)))
         # row 0 carries the states on: the front of the same buffer, which
         # _view never regrows (it raises), so _workspace plans x for every width
         x = _view(x_part, (rows + 1, ca))

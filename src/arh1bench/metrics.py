@@ -102,22 +102,47 @@ def theory_param_limit(real, k_T: int) -> float:
     return float(np.sum(1.0 - truncate_realization(real, k_T).rho ** 2))
 
 
+def _finite_t_shrink(real, k_T: int, T: int):
+    """The first k_T components of a fixed realization and each one's shrink
+    s_j = rho_hat - rho_tilde_minus of the minus root at the sums the
+    component has on average, beta = T * C_j and alpha = rho_j * beta."""
+    real = truncate_realization(real, k_T)
+    beta = T * real.C
+    hat, minus, _ = estimate_columns(real.rho * beta, beta, real.sigma2, *prior_shapes(k_T))
+    return real, hat - minus
+
+
 def finite_t_param_reference(real, k_T: int, T: int) -> float:
     """Reference for T * efmse_param of the Bayes estimator at sample size T
     for a fixed realization: sum (1 - rho_j**2) + T * s_j**2 + 4 * rho_j * s_j.
 
-    s_j is the shrink rho_hat - rho_tilde_minus of the minus root at the
-    sums the component has on average, beta = T * C_j and alpha = rho_j *
-    beta; 4 * rho_j * s_j is -2T * s_j times the classical bias -2 rho_j / T
-    (Marriott and Pope, 1954; White, 1961).  The added terms vanish past
-    each component's crossover T*_j (see ``estimators``).  It holds where
-    T * (1 - rho_j) is about 30 or more; below that it undershoots.
+    s_j is the shrink of ``_finite_t_shrink``; 4 * rho_j * s_j is -2T * s_j
+    times the classical bias -2 rho_j / T (Marriott and Pope, 1954; White,
+    1961).  The added terms vanish past each component's crossover T*_j
+    (see ``estimators``).  It holds where T * (1 - rho_j) is about 30 or
+    more; below that it undershoots.
     """
-    real = truncate_realization(real, k_T)
-    rho, beta = real.rho, T * real.C
-    hat, minus, _ = estimate_columns(rho * beta, beta, real.sigma2, *prior_shapes(k_T))
-    s = hat - minus
+    real, s = _finite_t_shrink(real, k_T, T)
+    rho = real.rho
     return float(np.sum(1.0 - rho**2 + T * s**2 + 4.0 * rho * s))
+
+
+def finite_t_pred_reference(real, k_T: int, T: int) -> float:
+    """Reference for T * efmse_pred of the Bayes estimator at sample size T
+    for a fixed realization: sum C_j * (1 - rho_j**2 + T * s_j**2), with the
+    shrink s_j of ``finite_t_param_reference``.
+
+    There is no cross term: weighted by the last state X_{T,j}**2, the
+    classical error e_c = rho_hat - rho has no bias to first order.
+    E[e_c * X_T**2] takes -2 rho_j C_j / T from the ratio's bias, as without
+    the weight, and +2 rho_j C_j / T from the covariance of the numerator
+    sum eps_i x_{i-1} with X_T**2; so the C_j-weighted 4 * rho_j * s_j of
+    the parameter reference does not appear (Phillips, 1979; Fuller and
+    Hasza, 1981, on forecast error and the last observation).  It holds
+    where the parameter reference does.
+    """
+    real, s = _finite_t_shrink(real, k_T, T)
+    return float(np.sum(real.C * (1.0 - real.rho**2 + T * s**2)))
 
 
 def theory_pred_limit(real, k_T: int) -> float:

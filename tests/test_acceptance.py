@@ -1,7 +1,7 @@
 """End-to-end acceptance checks.
 
-One test per shipping criterion, three for criterion 3, run at the sizes
-the criteria state.
+One test per shipping criterion, three for criterion 3 and two for
+criterion 4, run at the sizes the criteria state.
 Each test prints a single ``criterion NN: PASS/FAIL`` line (visible even
 without -s) before asserting, so a full run reads as a checklist.
 
@@ -20,14 +20,17 @@ sampling error the limit describes), so that test fails honestly rather
 than with a loosened tolerance.  The classical branch and every other
 criterion pass.  Beside it, the Bayes-minus-classical gap on the same
 replications is checked against the finite-T reference that accounts for
-the shrink, at T=2000 and across T = 2e3, 1e4 and 3e4 on the same draw.
+the shrink, at T=2000 and across T = 2e3, 1e4 and 3e4 on the same draw;
+beside criterion 4, the prediction gap on the same draw's first 2000
+replications at T=2000 is checked against the predictor's finite-T
+reference.
 """
 import math
 
 import numpy as np
 import pytest
 
-from arh1bench import cli, harness
+from arh1bench import cli, harness, metrics
 from arh1bench.estimators import lag_sums
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
@@ -38,6 +41,7 @@ from arh1bench.metrics import (
     efmse_pred,
     ergodic_check,
     finite_t_param_reference,
+    finite_t_pred_reference,
     normality_check,
     theory_param_limit,
     theory_pred_limit,
@@ -58,10 +62,10 @@ def _report(num: int, ok: bool, detail: str, capsys) -> None:
         print(f"criterion {num:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _collect_fixed_draw(T_grid):
-    """The shared draw of criterion 3 and the records of its replications at
-    each T of T_grid, from the harness."""
-    config = ExperimentConfig(example=1, T_grid=T_grid, N=N_FIX, rho_mode="fixed", seed=SEED)
+def _collect_fixed_draw(T_grid, N=N_FIX):
+    """The shared draw of criterion 3 and the records of its first N
+    replications at each T of T_grid, from the harness."""
+    config = ExperimentConfig(example=1, T_grid=T_grid, N=N, rho_mode="fixed", seed=SEED)
     return harness.collect(config)
 
 
@@ -175,6 +179,38 @@ def test_c04_prediction_error_limit(fixed_draw_run, capsys):
         4, ok,
         f"T*EFMSE_pred/limit: classical {ratios['classical']:.3f}, "
         f"bayes {ratios['bayes']:.3f} (each must be within 25% of 1)",
+        capsys,
+    )
+    assert ok
+
+
+def test_c04_prediction_gap_finite_t_reference(capsys):
+    # the paired prediction gap T (EFMSE_pred,bayes - EFMSE_pred,classical)
+    # / limit on criterion 3's draw at T=2000, N=2000, against its finite-T
+    # reference sum_j C_j T s_j**2 / limit, within 3 paired standard errors.
+    # The parameter reference's terms weighted by C_j, sum_j C_j (T s_j**2 +
+    # 4 rho_j s_j) / limit, read 0.292 here, 5.1 standard errors above the
+    # measured 0.243 +/- 0.010: weighted by the last state X_T**2 the
+    # classical error has no first-order bias, so its cross term 4 rho_j s_j
+    # has no counterpart (see metrics.finite_t_pred_reference)
+    N = 2000
+    real, [r] = _collect_fixed_draw((T_FIX,), N)
+    assert r.kT == K_FIX and not r.dropped and len(r.est_c) == N
+    limit = theory_pred_limit(real, K_FIX)
+    want = (finite_t_pred_reference(real, K_FIX, T_FIX) - limit) / limit
+    efmse = {name: efmse_pred(EfmseInput(est, r.truth, r.last))
+             for name, est in (("classical", r.est_c), ("bayes", r.est_b))}
+    gap = T_FIX * (efmse["bayes"] - efmse["classical"]) / limit
+    diff = np.sum(((r.est_b - r.truth) ** 2 - (r.est_c - r.truth) ** 2) * r.last**2, axis=1)
+    se = T_FIX * float(np.std(diff, ddof=1)) / math.sqrt(N) / limit
+    part, s = metrics._finite_t_shrink(real, K_FIX, T_FIX)
+    c_weighted = want + float(np.sum(part.C * 4.0 * part.rho * s)) / limit
+    ok = abs(gap - want) <= 3.0 * se < abs(gap - c_weighted)
+    _report(
+        4, ok,
+        f"paired prediction gap T*(EFMSE_pred_bayes - EFMSE_pred_classical)/limit "
+        f"{gap:.3f} +/- {se:.3f} vs finite-T reference {want:.3f} (within 3 standard errors; "
+        f"not the C-weighted parameter terms, {c_weighted:.3f})",
         capsys,
     )
     assert ok

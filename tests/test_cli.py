@@ -315,6 +315,24 @@ class TestRunErrors:
         assert capsys.readouterr().err == "error: out of memory\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["file", "file/sub/dir"])
+    def test_unusable_out_refused_before_the_study(self, tmp_path, monkeypatch, capsys, out):
+        # an --out that is a file, or lies under one, exits 1 with one line
+        # before the study starts, not once it is done; the file is left as it was
+        (tmp_path / "file").write_text("kept\n")
+        started = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kw: started.append(args))
+        code = _run([
+            "run", "--example", "1", "--T", "20", "--N", "2",
+            "--out", str(tmp_path / out), "--workers", "1",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1 and started == []
+        assert err == (f"error: output directory {tmp_path / out} cannot be made: "
+                       f"{tmp_path / 'file'} is not a directory\n")
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "file"]
+        assert (tmp_path / "file").read_text() == "kept\n"
+
     def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys, caplog):
         # an escaped replication is dropped and counted; one of three is
         # past the abort threshold

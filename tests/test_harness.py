@@ -248,14 +248,14 @@ class TestRunExperiment:
 
     def test_workspace_per_group_inline_and_pooled(self, monkeypatch, pool):
         # inline and pooled alike, each group of the plan plans one workspace
-        # of its own width, and collect plans none; no workspace is left
+        # of its own width and longest T, and collect plans none; no workspace is left
         # when the sums are stacked
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
 
-        def traced(c):
-            calls.append((sys._getframe(1).f_code.co_name, c))
-            work = workspace(c)
+        def traced(c, T):
+            calls.append((sys._getframe(1).f_code.co_name, c, T))
+            work = workspace(c, T)
             buffers.append(weakref.ref(work[0].base))
             return work
 
@@ -272,7 +272,8 @@ class TestRunExperiment:
             run_experiment(config, workers=workers)
             plan = [g for lo, hi in harness._partition(5, workers)
                     for g in harness._plan(levels, lo, hi)]
-            assert calls == [("_run_group", sum(len(o) * k for _, k, o in g)) for g in plan]
+            assert calls == [("_run_group", sum(len(o) * k for _, k, o in g), g[0][0])
+                             for g in plan]
         # only the pooled run used the pool, with the same plan
         assert pool.tasks == [plan]
 
@@ -616,15 +617,79 @@ class TestBlockKernel:
         _assert_block_equal(got, _one_at_a_time(task))
 
     @pytest.mark.parametrize(
-        "c", [1, 48, harness.GROUP_COLUMNS, harness.CHUNK_ELEMENTS // 2 + 1]
+        "c", [1, 48, 2045, harness.GROUP_COLUMNS, harness.CHUNK_ELEMENTS // 2 + 1]
     )
     def test_workspace_is_two_slabs(self, c):
-        # x and terms are equal slabs of one allocation, each a chunk of at
-        # most max(CHUNK_ELEMENTS // 2, c) values and its leading row
-        x, terms = harness._workspace(c)
-        slab = max(harness.CHUNK_ELEMENTS // 2, c) + c
-        assert x.size == terms.size == slab
-        assert x.base is terms.base and x.base.size == 2 * slab
+        # x and terms are equal slabs of one allocation, each a chunk and its
+        # leading row: a group whose longest T is at most a full chunk's rows
+        # plans T + 1 rows, a longer one max(CHUNK_ELEMENTS // 2, c) + c values
+        rows = max(1, harness.CHUNK_ELEMENTS // (2 * c))
+        for T in sorted({1, max(1, rows - 1), rows, rows + 1, 10**6}):
+            x, terms = harness._workspace(c, T)
+            slab = (T + 1) * c if T <= rows else max(harness.CHUNK_ELEMENTS // 2, c) + c
+            assert x.size == terms.size == slab
+            assert x.base is terms.base and x.base.size == 2 * slab
+
+    @pytest.mark.parametrize("chunk", [harness.CHUNK_ELEMENTS, 4000])
+    def test_normal_calls_follow_the_uncapped_chunks(self, monkeypatch, chunk):
+        # capping a segment's chunk rows at its T moves no chunk boundary:
+        # every stream draws its normals in the calls of the uncapped rule,
+        # max(1, CHUNK_ELEMENTS // (2 * columns)) rows a chunk, the first
+        # with the leading row.  Segments end at 15, 100 and 300, below the
+        # chunk rows at the default size and past them (19 to 57) at 4000
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+        replication_rngs, calls = harness._replication_rngs, {}
+
+        class Recording:
+            def __init__(self, rng, key):
+                self.rng, self.key = rng, key
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def standard_normal(self, out):
+                calls.setdefault(self.key, []).append(out.size)
+                return self.rng.standard_normal(out=out)
+
+        def recording(seed, T, omegas):
+            rngs = replication_rngs(seed, T, omegas)
+            return [Recording(rng, (T, w)) for rng, w in zip(rngs, omegas)]
+
+        monkeypatch.setattr(harness, "_replication_rngs", recording)
+        task = _block_task(BLOCK_FIELDS[0], (15, 100, 300), N=7)
+        [runs] = harness._plan(*task[1:4])
+        want, done = {}, 0
+        for end in range(len(runs), 0, -1):
+            T, width = runs[end - 1][0], sum(len(o) * k for _, k, o in runs[:end])
+            rows = max(1, chunk // (2 * width))
+            while done < T:
+                n = min(rows, T - done)
+                for t, k, omegas in runs[:end]:
+                    for w in omegas:
+                        want.setdefault((t, w), []).append((n + (done == 0)) * k)
+                done += n
+        _assert_block_equal(_run_block(task), _one_at_a_time(task))
+        assert calls == want
+        assert len(want[(300, 1)]) == {2**18: 3, 4000: 9}[chunk]
+
+    def test_short_group_memory_below_a_full_chunk(self):
+        # a T = 20 group of 2,045 columns, short-T-ex1's widest, plans its
+        # 21 rows: its peak stays below the two full-chunk slabs,
+        # 2 * (CHUNK_ELEMENTS // 2 + c) floats, that it planned before
+        spec, [(T, k)], lo, hi, seed, _ = _block_task(BLOCK_FIELDS[0], (20,), N=409)
+        runs = [(T, k, range(lo, hi))]
+        c = len(runs[0][2]) * k
+        assert c == 2045 and T < harness.CHUNK_ELEMENTS // (2 * c)
+        first = harness._run_group(spec, runs, seed, None)
+        tracemalloc.start()
+        try:
+            second = harness._run_group(spec, runs, seed, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 * (harness.CHUNK_ELEMENTS // 2 + c)
+        for a, b in zip(first[T], second[T], strict=True):
+            assert np.array_equal(a, b)
 
     def test_reason_per_replication(self, monkeypatch):
         # each replication is dropped under the fault of its first faulty
@@ -778,24 +843,28 @@ class TestBlockKernel:
         ]
         for runs, peak in zip(widths, peaks, strict=True):
             c = sum(w for _, w in runs)
-            planned = sum(slab.nbytes for slab in harness._workspace(c))
+            planned = sum(slab.nbytes for slab in harness._workspace(c, runs[0][0]))
             assert peak < planned + 8 * np.getbufsize() + 1024 * c
         _assert_block_equal(harness._merge(got, task[1]), _one_at_a_time(task))
 
     def test_x_planned_without_carry_row_raises(self, monkeypatch):
         # x must hold a row chunk and the row that carries the states into
         # the next: planned one row short, the kernel raises rather than
-        # regrowing x and returning records from a lost carried row
+        # regrowing x and returning records from a lost carried row, for a
+        # group shorter than a full chunk (300 rows of 28 columns) and for
+        # one longer (71 rows a chunk at 4000)
         workspace = harness._workspace
 
-        def short_x(c):
-            x, *rest = workspace(c)
-            return (x[: max(harness.CHUNK_ELEMENTS // 2, c)], *rest)
+        def short_x(c, T):
+            x, *rest = workspace(c, T)
+            return (x[: x.size - c], *rest)
 
         monkeypatch.setattr(harness, "_workspace", short_x)
-        task = _block_task(BLOCK_FIELDS[1], (15, 100, 300), N=7)
-        with pytest.raises(ValueError, match="reshape"):
-            _block_groups(task)
+        task = _block_task(BLOCK_FIELDS[1], (300,), N=7)
+        for chunk in (harness.CHUNK_ELEMENTS, 4000):
+            monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+            with pytest.raises(ValueError, match="reshape"):
+                _block_groups(task)
 
     def test_rerun_memory_bounded(self):
         # a group of many row chunks, run again, holds its own workspace and

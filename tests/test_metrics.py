@@ -19,6 +19,7 @@ from arh1bench.metrics import (
     ergodic_check,
     ergodic_estimates,
     finite_t_param_reference,
+    finite_t_pred_reference,
     ks_distance_to_normal,
     normality_check,
     prior_param_limit,
@@ -184,6 +185,29 @@ class TestTheoryLimits:
         assert finite_t_param_reference(single, 1, T) == pytest.approx(want, rel=1e-9)
         with pytest.raises(ValueError):
             finite_t_param_reference(real, 3, 100)
+
+    def test_finite_t_pred_reference(self):
+        # the prediction limit plus C_j * T * s_j**2 per component, with the
+        # parameter reference's shrink and no cross term: above the limit,
+        # falling to it like 1/T past the crossovers
+        real = ModelRealization(C=[1.0, 0.5], rho=[0.9, 0.6], sigma2=[0.19, 0.32])
+        limit = theory_pred_limit(real, 2)
+        excess = [finite_t_pred_reference(real, 2, T) - limit for T in (1e3, 1e6, 1e7)]
+        assert 0.0 < excess[2] < excess[1] < excess[0]
+        assert excess[1] / excess[2] == pytest.approx(10.0, rel=0.01)
+        # one component with C = 2: s solves s**2 + (1 - rho) s = c at beta = T C
+        single = ModelRealization(C=[2.0], rho=[0.5], sigma2=[1.5])
+        a, b = 2.0, 1.01  # prior_shapes(1)
+        T = 1000.0
+        c = 1.5 * (a + b - 2.0) / (T * 2.0)
+        s = (-(1.0 - 0.5) + math.sqrt(0.25 + 4.0 * c)) / 2.0
+        want = 2.0 * (0.75 + T * s * s)
+        assert finite_t_pred_reference(single, 1, T) == pytest.approx(want, rel=1e-9)
+        # the same shrink as the parameter reference's, without 4 rho s
+        param = finite_t_param_reference(single, 1, T)
+        assert param - 4.0 * 0.5 * s == pytest.approx(want / 2.0, rel=1e-9)
+        with pytest.raises(ValueError):
+            finite_t_pred_reference(real, 3, 100)
 
     def test_prior_limits_against_monte_carlo(self):
         # closed-form Beta second moments vs numpy's own beta sampler
