@@ -426,9 +426,10 @@ def _run_group(spec, runs, seed, fixed_real):
     Every state enters a lag product of its column, so a non-finite state
     leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
 
-    Returns, by T, copies of the alpha and beta sums, sigma2, true
-    coefficients and last states of the run's m replications, each (m, k),
-    which ``_merge`` estimates and judges.
+    Returns, by T, the alpha and beta sums, sigma2, true coefficients and
+    last states of the run's m replications, each (m, k), which ``_merge``
+    estimates and judges: views of the group's sums, sigma2, rho and last
+    states, allocated before its scratch and not written once the run ends.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -437,8 +438,10 @@ def _run_group(spec, runs, seed, fixed_real):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
+    # what the group returns is allocated before its scratch, so nothing it
+    # keeps lies past the scratch, whose memory the next group reuses whole
+    sums, last = np.zeros((2, edges[-1])), np.empty(edges[-1])
     x_part, terms_part = _workspace(edges[-1], runs[0][0])
-    sums = np.zeros((2, edges[-1]))
     done = 0
     out = {}
     for end in range(len(runs), 0, -1):
@@ -469,9 +472,10 @@ def _run_group(spec, runs, seed, fixed_real):
             x[0] = x[n]
             done += n
 
-        # the run ends here: copy out its columns before they go
+        # the run ends here: its last states leave the scratch before they go
         m, cols = len(omegas), slice(edges[end - 1], ca)
-        out[T] = tuple(v[cols].reshape(m, k).copy() for v in (*sums, sigma2, rho, x[0]))
+        last[cols] = x[0, cols]
+        out[T] = tuple(v[cols].reshape(m, k) for v in (*sums, sigma2, rho, last))
     return out
 
 

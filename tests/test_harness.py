@@ -847,6 +847,34 @@ class TestBlockKernel:
             assert peak < planned + 8 * np.getbufsize() + 1024 * c
         _assert_block_equal(harness._merge(got, task[1]), _one_at_a_time(task))
 
+    def test_group_keeps_nothing_allocated_past_its_scratch(self, monkeypatch):
+        # what a group returns is allocated before its scratch: of what the
+        # kernel allocates once _workspace has returned, the returned group
+        # holds a few objects, not a float a column, so nothing it keeps lies
+        # past the freed scratch and the next group can reuse it whole
+        spec, levels, lo, hi, seed, _ = _block_task(BLOCK_FIELDS[0], (20, 40), N=600)
+        runs = harness._plan(levels, lo, hi)[1]
+        assert [T for T, _, _ in runs] == [40, 20]
+        c = sum(len(o) * k for _, k, o in runs)
+        workspace, snapshots = harness._workspace, []
+
+        def traced(*args):
+            work = workspace(*args)
+            snapshots.append(tracemalloc.take_snapshot())
+            return work
+
+        monkeypatch.setattr(harness, "_workspace", traced)
+        tracemalloc.start()
+        try:
+            out = harness._run_group(spec, runs, seed, None)
+            held = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        kernel = [tracemalloc.Filter(True, harness.__file__)]
+        diffs = held.filter_traces(kernel).compare_to(snapshots[0].filter_traces(kernel), "lineno")
+        assert sorted(out) == [20, 40]
+        assert sum(d.size_diff for d in diffs if d.size_diff > 0) < 8 * c
+
     def test_x_planned_without_carry_row_raises(self, monkeypatch):
         # x must hold a row chunk and the row that carries the states into
         # the next: planned one row short, the kernel raises rather than
