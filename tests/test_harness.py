@@ -248,8 +248,8 @@ class TestRunExperiment:
 
     def test_workspace_per_group_inline_and_pooled(self, monkeypatch, pool):
         # inline and pooled alike, each group of the plan plans one workspace
-        # of its own width and longest T, and collect plans none; no workspace is left
-        # when the sums are stacked
+        # of its own width and longest T, and collect plans none; no
+        # workspace is left when the sums are stacked
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
 
