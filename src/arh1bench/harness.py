@@ -25,8 +25,8 @@ Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
-beta's through one slab of the group's own scratch, sized to its width and
-to its longest T.  ``_merge`` runs the elementwise estimators on them.
+beta's through one slab of the group's own scratch, sized to its width,
+longest T and chunk rows.  ``_merge`` runs the elementwise estimators on them.
 That is the arithmetic that ``simulate``, ``sufficient_stats`` and
 ``estimate_all`` run for a single replication, so both routes give the
 same bits.
@@ -69,6 +69,7 @@ from .spectral_model import (
     SpectralModelSpec,
     draw_rho,
     eigenvalues,
+    innovation_variance,
     prior_shapes,
     realize,
 )
@@ -293,14 +294,13 @@ def _workspace(c: int, T: int):
     whose longest T is T, two equal slabs of one allocation, which
     ``_run_group`` plans and frees.
 
-    A chunk of ca <= c columns has at most max(1, CHUNK_ELEMENTS // (2 * ca))
-    rows and no more than its segment's T <= T (see ``_run_group``), so it
-    holds at most e = max(min(CHUNK_ELEMENTS // 2, T * c), c) values a slab:
-    a group shorter than a full chunk plans only the rows it runs.  Each
-    slab holds c more for its leading row, which carries the states in x
-    and a running sum in terms.
+    A chunk of ca <= c columns has at most
+    max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS))) rows (see
+    ``_run_group``), so a slab holds e = max(min(CHUNK_ELEMENTS // 2, T * c,
+    CHUNK_ELEMENTS // GROUP_COLUMNS * c), c) values, and c more for its
+    leading row, which carries the states in x and a running sum in terms.
     """
-    e = max(min(CHUNK_ELEMENTS // 2, T * c), c)
+    e = max(min(CHUNK_ELEMENTS // 2, T * c, CHUNK_ELEMENTS // GROUP_COLUMNS * c), c)
     buf = np.empty(2 * (e + c))
     return buf[: e + c], buf[e + c :]
 
@@ -403,7 +403,7 @@ def _coefficients(spec, k, rngs, fixed_real):
     if fixed_real is None:
         C = eigenvalues(spec.law, k)
         rho = draw_rho(*prior_shapes(k), rngs)
-        return np.tile(C, m), rho.ravel(), (C * (1.0 - rho**2)).ravel()
+        return np.tile(C, m), rho.ravel(), innovation_variance(C, rho).ravel()
     return tuple(np.tile(v[:k], m) for v in (fixed_real.C, fixed_real.rho, fixed_real.sigma2))
 
 
@@ -417,19 +417,20 @@ def _run_group(spec, runs, seed, fixed_real):
     The rows run in segments, each ending at a run's T, where that run's
     columns, the last ones, drop out; the columns still running are laid
     out again at the front of the scratch, in chunks of as many rows as
-    fill CHUNK_ELEMENTS alpha and beta terms, but no more than the
-    segment's T.  Every array the size of a row chunk is a view into the
-    two slabs ``_workspace`` plans for this group's width and longest T.
-    ``fold_lag_terms`` folds each chunk's alpha terms, then its beta terms,
-    onto their running sums through the terms slab.
+    fill CHUNK_ELEMENTS alpha and beta terms, or a half-full group's where
+    fewer columns run, but no more than the segment's T.  Every array the
+    size of a row chunk is a view into the two slabs ``_workspace`` plans
+    for this group's width and longest T.  ``fold_lag_terms`` folds each
+    chunk's alpha terms, then its beta terms, onto their running sums
+    through the terms slab.
 
     Every state enters a lag product of its column, so a non-finite state
     leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
 
-    Returns, by T, the alpha and beta sums, sigma2, true coefficients and
-    last states of the run's m replications, each (m, k), which ``_merge``
-    estimates and judges: views of the group's sums, sigma2, rho and last
-    states, allocated before its scratch and not written once the run ends.
+    Returns, by T, the alpha and beta sums, true coefficients and last
+    states of the run's m replications, each (m, k), which ``_merge``
+    estimates and judges: views of the group's sums, rho and last states,
+    allocated before its scratch and not written once the run ends.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
@@ -447,8 +448,9 @@ def _run_group(spec, runs, seed, fixed_real):
     for end in range(len(runs), 0, -1):
         T, k, omegas = runs[end - 1]
         ca = edges[end]
-        # no chunk runs past T, so a cap at T moves no chunk boundary
-        rows = max(1, min(T, CHUNK_ELEMENTS // (2 * ca)))
+        # a segment under half of GROUP_COLUMNS wide takes the rows of a
+        # half-full one; no chunk runs past T, so a cap at T moves no boundary
+        rows = max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS)))
         # row 0 carries the states on: the front of the same buffer, which
         # _view never regrows (it raises), so _workspace plans x for every width
         x = _view(x_part, (rows + 1, ca))
@@ -475,7 +477,7 @@ def _run_group(spec, runs, seed, fixed_real):
         # the run ends here: its last states leave the scratch before they go
         m, cols = len(omegas), slice(edges[end - 1], ca)
         last[cols] = x[0, cols]
-        out[T] = tuple(v[cols].reshape(m, k) for v in (*sums, sigma2, rho, last))
+        out[T] = tuple(v[cols].reshape(m, k) for v in (*sums, rho, last))
     return out
 
 
@@ -501,19 +503,22 @@ class Records:
     dropped: dict[str, list[int]]
 
 
-def _merge(groups, levels) -> list[Records]:
+def _merge(groups, levels, law) -> list[Records]:
     """Per T of levels, ``Records`` from the plan's ``_run_group`` outputs:
     stacked in replication order, popped as stacked, and estimated in one
-    call; each fault ranked, the faulty dropped."""
+    call with sigma2 recomputed from the truths and ``law``; each fault
+    ranked, the faulty dropped."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
-        alpha, beta, sigma2, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
+        alpha, beta, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
+        sigma2 = innovation_variance(eigenvalues(law, k_T), kept[0])
         est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}
-        merged.append(Records(T, k_T, *(r[reason == 0] for r in (est_c, est_b, *kept)), dropped))
+        keep = reason == 0 if reason.any() else slice(None)  # a slice copies nothing
+        merged.append(Records(T, k_T, *(r[keep] for r in (est_c, est_b, *kept)), dropped))
     return merged
 
 
@@ -549,7 +554,7 @@ def collect(config: ExperimentConfig, workers: int | None = None):
         with ProcessPoolExecutor(max_workers=min(len(blocks), usable_cpus())) as pool:
             groups = list(pool.map(run, plan))
 
-    records = _merge(groups, levels)
+    records = _merge(groups, levels, spec.law)
     aborted = 0
     for r in records:
         for name, bad in r.dropped.items():

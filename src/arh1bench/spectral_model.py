@@ -166,6 +166,11 @@ class SpectralModelSpec:
             raise ValueError("rho_values only apply to explicit rho_mode")
 
 
+def innovation_variance(C, rho):
+    """sigma2 = C * (1 - rho**2) elementwise, the stationary variance identity."""
+    return C * (1.0 - rho**2)
+
+
 @dataclass(frozen=True)
 class ModelRealization:
     """Concrete per-component triples (C_k, rho_k, sigma2_k)."""
@@ -194,9 +199,8 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
 
     Coefficients are drawn (or copied) in increasing component order, so two
     specs differing only in k_max agree on their common prefix when given
-    identical streams.  The innovation variances are computed as
-    ``sigma2 = C * (1 - rho**2)``, making the stationary identity hold to
-    machine precision by construction.
+    identical streams.  The innovation variances are ``innovation_variance``'s,
+    so the stationary identity holds to machine precision by construction.
     """
     C = eigenvalues(spec.law, spec.k_max)
     if spec.rho_mode == "explicit":
@@ -205,8 +209,7 @@ def realize(spec: SpectralModelSpec, rng: np.random.Generator | None = None) -> 
         if rng is None:
             raise ValueError(f"rho_mode {spec.rho_mode!r} requires a random stream")
         rho = draw_rho(*prior_shapes(spec.k_max), [rng])[0]
-    sigma2 = C * (1.0 - rho**2)
-    return ModelRealization(C=C, rho=rho, sigma2=sigma2)
+    return ModelRealization(C=C, rho=rho, sigma2=innovation_variance(C, rho))
 
 
 def truncate_realization(real: ModelRealization, k: int) -> ModelRealization:

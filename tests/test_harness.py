@@ -24,6 +24,7 @@ from arh1bench.harness import (
     ExperimentConfig,
     config_from_dict,
     emit_reports,
+    collect,
     load_config,
     run_diagnostics,
     run_experiment,
@@ -259,9 +260,9 @@ class TestRunExperiment:
             buffers.append(weakref.ref(work[0].base))
             return work
 
-        def merged(groups, levels):
+        def merged(groups, levels, law):
             assert buffers and all(buf() is None for buf in buffers)
-            return merge(groups, levels)
+            return merge(groups, levels, law)
 
         monkeypatch.setattr(harness, "_workspace", traced)
         monkeypatch.setattr(harness, "_merge", merged)
@@ -475,7 +476,7 @@ def _block_groups(task):
 
 
 def _run_block(task):
-    return harness._merge(_block_groups(task), task[1])
+    return harness._merge(_block_groups(task), task[1], task[0].law)
 
 
 def _one_at_a_time(task):
@@ -542,6 +543,56 @@ def _inject_faults(monkeypatch, faults):
         return hat, minus, fault
 
     monkeypatch.setattr(harness, "estimate_columns", faulty)
+
+
+def _long_t_task(scale=100):
+    """long-T-ex3-fixed's block, 8 replications at T 25,000, 50,000 and
+    100,000 divided by scale, keeping their k_T of 11, 13 and 16."""
+    config = config_from_dict({"example": 3, "kT_rule": "power:4.1", "rho_mode": "fixed",
+                               "T_grid": [25_000, 50_000, 100_000], "N": 8, "seed": 0})
+    levels = tuple((T // scale, truncation_order(T, config.kT_rule)) for T in config.T_grid)
+    assert [k for _, k in levels] == [11, 13, 16]
+    return (config.spec, levels, 1, 9, 0, realize(config.spec, np.random.default_rng([0, 2])))
+
+
+def _record_normal_calls(monkeypatch):
+    """The sizes of the standard_normal calls of each (T, omega) stream the
+    kernel seeds from here on, by stream, in call order."""
+    replication_rngs, calls = harness._replication_rngs, {}
+
+    class Recording:
+        def __init__(self, rng, key):
+            self.rng, self.key = rng, key
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, out):
+            calls.setdefault(self.key, []).append(out.size)
+            return self.rng.standard_normal(out=out)
+
+    def recording(seed, T, omegas):
+        rngs = replication_rngs(seed, T, omegas)
+        return [Recording(rng, (T, w)) for rng, w in zip(rngs, omegas)]
+
+    monkeypatch.setattr(harness, "_replication_rngs", recording)
+    return calls
+
+
+def _planned_calls(runs, rows_of):
+    """The normal-draw sizes each stream of a group's runs takes when a
+    segment of c columns runs rows_of(c) rows a chunk, the first chunk
+    with the leading row."""
+    want, done = {}, 0
+    for end in range(len(runs), 0, -1):
+        T, width = runs[end - 1][0], sum(len(o) * k for _, k, o in runs[:end])
+        while done < T:
+            n = min(rows_of(width), T - done)
+            for t, k, omegas in runs[:end]:
+                for w in omegas:
+                    want.setdefault((t, w), []).append((n + (done == 0)) * k)
+            done += n
+    return want
 
 
 class TestBlockKernel:
@@ -612,7 +663,7 @@ class TestBlockKernel:
             _block_groups((spec, levels, lo, hi, seed, shared))
             for lo, hi in harness._partition(2, workers)
         ]
-        got = harness._merge([group for block in blocks for group in block], levels)
+        got = harness._merge([group for block in blocks for group in block], levels, spec.law)
         assert (1 in widths) == (workers == 2)
         _assert_block_equal(got, _one_at_a_time(task))
 
@@ -621,56 +672,68 @@ class TestBlockKernel:
     )
     def test_workspace_is_two_slabs(self, c):
         # x and terms are equal slabs of one allocation, each a chunk and its
-        # leading row: a group whose longest T is at most a full chunk's rows
-        # plans T + 1 rows, a longer one max(CHUNK_ELEMENTS // 2, c) + c values
-        rows = max(1, harness.CHUNK_ELEMENTS // (2 * c))
+        # leading row: a group whose longest T is at most a chunk's rows
+        # plans T + 1 rows; a longer one max(CHUNK_ELEMENTS // 2, c) + c
+        # values, or the rows of a half-full group where c is narrower
+        chunk, half_full = harness.CHUNK_ELEMENTS, harness.GROUP_COLUMNS // 2
+        rows = max(1, chunk // (2 * max(c, half_full)))
         for T in sorted({1, max(1, rows - 1), rows, rows + 1, 10**6}):
             x, terms = harness._workspace(c, T)
-            slab = (T + 1) * c if T <= rows else max(harness.CHUNK_ELEMENTS // 2, c) + c
+            if T <= rows:
+                slab = (T + 1) * c
+            else:
+                slab = (rows + 1) * c if c < half_full else max(chunk // 2, c) + c
             assert x.size == terms.size == slab
             assert x.base is terms.base and x.base.size == 2 * slab
 
     @pytest.mark.parametrize("chunk", [harness.CHUNK_ELEMENTS, 4000])
     def test_normal_calls_follow_the_uncapped_chunks(self, monkeypatch, chunk):
         # capping a segment's chunk rows at its T moves no chunk boundary:
-        # every stream draws its normals in the calls of the uncapped rule,
-        # max(1, CHUNK_ELEMENTS // (2 * columns)) rows a chunk, the first
-        # with the leading row.  Segments end at 15, 100 and 300, below the
-        # chunk rows at the default size and past them (19 to 57) at 4000
+        # every stream draws its normals in the calls of the rule without
+        # that cap, max(1, CHUNK_ELEMENTS // max(2 * columns, GROUP_COLUMNS))
+        # rows a chunk, the first with the leading row.  The segments, 35 to
+        # 105 columns, take a half-full group's rows: 128 at the default
+        # size, past the segments' ends at 15 and 100, and 1 at 4000
         monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
-        replication_rngs, calls = harness._replication_rngs, {}
-
-        class Recording:
-            def __init__(self, rng, key):
-                self.rng, self.key = rng, key
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-            def standard_normal(self, out):
-                calls.setdefault(self.key, []).append(out.size)
-                return self.rng.standard_normal(out=out)
-
-        def recording(seed, T, omegas):
-            rngs = replication_rngs(seed, T, omegas)
-            return [Recording(rng, (T, w)) for rng, w in zip(rngs, omegas)]
-
-        monkeypatch.setattr(harness, "_replication_rngs", recording)
+        calls = _record_normal_calls(monkeypatch)
         task = _block_task(BLOCK_FIELDS[0], (15, 100, 300), N=7)
         [runs] = harness._plan(*task[1:4])
-        want, done = {}, 0
-        for end in range(len(runs), 0, -1):
-            T, width = runs[end - 1][0], sum(len(o) * k for _, k, o in runs[:end])
-            rows = max(1, chunk // (2 * width))
-            while done < T:
-                n = min(rows, T - done)
-                for t, k, omegas in runs[:end]:
-                    for w in omegas:
-                        want.setdefault((t, w), []).append((n + (done == 0)) * k)
-                done += n
+        want = _planned_calls(runs, lambda c: max(1, chunk // max(2 * c, harness.GROUP_COLUMNS)))
         _assert_block_equal(_run_block(task), _one_at_a_time(task))
         assert calls == want
-        assert len(want[(300, 1)]) == {2**18: 3, 4000: 9}[chunk]
+        assert len(want[(300, 1)]) == {2**18: 4, 4000: 300}[chunk]
+
+    def test_half_full_group_keeps_its_rows(self, monkeypatch):
+        # a group at least GROUP_COLUMNS / 2 wide, 205 replications of 5
+        # components, draws its normals in the calls of the rows rule before
+        # narrow groups were capped, CHUNK_ELEMENTS // (2 * columns) rows
+        calls = _record_normal_calls(monkeypatch)
+        task = _block_task(BLOCK_FIELDS[0], (300,), N=205)
+        [runs] = harness._plan(*task[1:4])
+        assert 2 * runs[0][1] * len(runs[0][2]) >= harness.GROUP_COLUMNS
+        want = _planned_calls(runs, lambda c: harness.CHUNK_ELEMENTS // (2 * c))
+        _assert_block_equal(_run_block(task), _one_at_a_time(task))
+        assert calls == want
+        assert len(want[(300, 1)]) == 3
+
+    def test_narrow_long_t_group_plans_half_full_rows(self, monkeypatch):
+        # long-T-ex3-fixed's one group, T scaled down: its slabs hold a
+        # half-full group's rows of its 320 columns and the carry row, not
+        # a full chunk, and its bits are the public path's
+        task = _long_t_task()
+        [runs] = harness._plan(*task[1:4])
+        c = sum(len(o) * k for _, k, o in runs)
+        workspace, slabs = harness._workspace, []
+
+        def traced(*args):
+            work = workspace(*args)
+            slabs.append(work[0].size)
+            return work
+
+        monkeypatch.setattr(harness, "_workspace", traced)
+        got = _run_block(task)
+        assert c == 320 and slabs == [(harness.CHUNK_ELEMENTS // harness.GROUP_COLUMNS + 1) * c]
+        _assert_block_equal(got, _one_at_a_time(task))
 
     def test_short_group_memory_below_a_full_chunk(self):
         # a T = 20 group of 2,045 columns, short-T-ex1's widest, plans its
@@ -690,6 +753,34 @@ class TestBlockKernel:
         assert peak < 8 * 2 * (harness.CHUNK_ELEMENTS // 2 + c)
         for a, b in zip(first[T], second[T], strict=True):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("fields", [
+        *BLOCK_FIELDS, {"example": 1, "rho_mode": "explicit", "rho_values": (0.9, 0.7, 0.5, 0.3, 0.1)}
+    ])
+    def test_merge_recomputes_the_kernels_sigma2(self, monkeypatch, fields):
+        # groups return no sigma2: _merge recomputes it from the truths and
+        # the law, the bits the kernel scaled its innovations by, in every
+        # rho mode and across groups of one or two replications
+        monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
+        coefficients, estimate_columns, kernel, merged = (
+            harness._coefficients, harness.estimate_columns, [], [])
+
+        def kernels(*args):
+            C, rho, sigma2 = coefficients(*args)
+            kernel.append(sigma2)
+            return C, rho, sigma2
+
+        def merges(alpha, beta, sigma2, a, b):
+            merged.append(sigma2)
+            return estimate_columns(alpha, beta, sigma2, a, b)
+
+        monkeypatch.setattr(harness, "_coefficients", kernels)
+        monkeypatch.setattr(harness, "estimate_columns", merges)
+        config = config_from_dict({**fields, "T_grid": [40], "N": 5, "seed": 0})
+        collect(config)
+        [sigma2] = merged
+        assert len(kernel) > 1 and len(sigma2) == 5
+        _assert_bits_equal([sigma2.ravel()], [np.concatenate(kernel)])
 
     def test_reason_per_replication(self, monkeypatch):
         # each replication is dropped under the fault of its first faulty
@@ -821,9 +912,8 @@ class TestBlockKernel:
         # workspace, so a group allocates little past it: numpy's ufunc
         # buffer and at most 1 KiB a column.  The bound is the same for the
         # groups that run to T = 4500 as for those that end at 1500, a
-        # trajectory of whose 48 columns alone would take 1.7 MB
-        monkeypatch.setattr(harness, "GROUP_COLUMNS", 48)
-        task = _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8)
+        # trajectory of whose 48 columns alone would take 1.7 MB, and holds
+        # for long-T-ex3-fixed's narrow group of three segments
         run_group = harness._run_group
         widths, peaks = [], []
 
@@ -837,15 +927,21 @@ class TestBlockKernel:
                 tracemalloc.stop()
 
         monkeypatch.setattr(harness, "_run_group", traced)
-        got = _block_groups(task)
-        assert widths == [
-            [(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]
-        ]
-        for runs, peak in zip(widths, peaks, strict=True):
-            c = sum(w for _, w in runs)
-            planned = sum(slab.nbytes for slab in harness._workspace(c, runs[0][0]))
-            assert peak < planned + 8 * np.getbufsize() + 1024 * c
-        _assert_block_equal(harness._merge(got, task[1]), _one_at_a_time(task))
+        for columns, task, planned_widths in (
+            (48, _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8),
+             [[(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]]),
+            (harness.GROUP_COLUMNS, _long_t_task(), [[(1000, 128), (500, 104), (250, 88)]]),
+        ):
+            monkeypatch.setattr(harness, "GROUP_COLUMNS", columns)
+            widths.clear()
+            peaks.clear()
+            got = _block_groups(task)
+            assert widths == planned_widths
+            for runs, peak in zip(widths, peaks, strict=True):
+                c = sum(w for _, w in runs)
+                planned = sum(slab.nbytes for slab in harness._workspace(c, runs[0][0]))
+                assert peak < planned + 8 * np.getbufsize() + 1024 * c
+            _assert_block_equal(harness._merge(got, task[1], task[0].law), _one_at_a_time(task))
 
     def test_group_keeps_nothing_allocated_past_its_scratch(self, monkeypatch):
         # what a group returns is allocated before its scratch: of what the
