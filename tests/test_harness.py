@@ -22,9 +22,9 @@ from arh1bench.harness import (
     CSV_HEADER,
     DEFAULT_T_GRID,
     ExperimentConfig,
+    collect,
     config_from_dict,
     emit_reports,
-    collect,
     load_config,
     run_diagnostics,
     run_experiment,
@@ -545,12 +545,12 @@ def _inject_faults(monkeypatch, faults):
     monkeypatch.setattr(harness, "estimate_columns", faulty)
 
 
-def _long_t_task(scale=100):
+def _long_t_task():
     """long-T-ex3-fixed's block, 8 replications at T 25,000, 50,000 and
-    100,000 divided by scale, keeping their k_T of 11, 13 and 16."""
+    100,000 divided by 100, keeping their k_T of 11, 13 and 16."""
     config = config_from_dict({"example": 3, "kT_rule": "power:4.1", "rho_mode": "fixed",
                                "T_grid": [25_000, 50_000, 100_000], "N": 8, "seed": 0})
-    levels = tuple((T // scale, truncation_order(T, config.kT_rule)) for T in config.T_grid)
+    levels = tuple((T // 100, truncation_order(T, config.kT_rule)) for T in config.T_grid)
     assert [k for _, k in levels] == [11, 13, 16]
     return (config.spec, levels, 1, 9, 0, realize(config.spec, np.random.default_rng([0, 2])))
 
