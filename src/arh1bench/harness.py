@@ -15,9 +15,10 @@ block into kernel groups (``_plan``), which line up as one plan.
 ``collect`` maps ``_run_group`` over the plan, in plan order: inline for
 one block, else one group a task on a pool of at most ``usable_cpus()``
 processes.  ``_merge`` stacks each T's sums once, from every group in
-replication order, estimates them, ranks each replication's fault and
-drops the bad ones, which ``collect`` logs per T and reason before it
-fails a run past ABORT_THRESHOLD or with a T that keeps none.
+replication order, estimates them, ranks each replication's fault, keeps
+the good ones' sums and drops the bad ones, which ``collect`` logs per T
+and reason before it fails a run past ABORT_THRESHOLD or with a T that
+keeps none.
 ``build_reports`` makes the reports from what ``collect`` returns, so each
 emitted byte depends only on (config, seed), not on workers or scheduling.
 
@@ -25,8 +26,8 @@ Within a block, the (T, omega) streams run longest T first, packed into
 groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
-beta's through one slab of the group's own scratch, sized to its width,
-longest T and chunk rows.  ``_merge`` runs the elementwise estimators on them.
+beta's through one slab of the group's own scratch, sized to its largest
+chunk and carry row.  ``_merge`` runs the elementwise estimators on them.
 That is the arithmetic that ``simulate``, ``sufficient_stats`` and
 ``estimate_all`` run for a single replication, so both routes give the
 same bits.
@@ -289,20 +290,12 @@ def _plan(levels, lo, hi) -> list[list[tuple]]:
     return groups
 
 
-def _workspace(c: int, T: int):
-    """Flat scratch (x, terms) for the row chunks of a group of c columns
-    whose longest T is T, two equal slabs of one allocation, which
-    ``_run_group`` plans and frees.
-
-    A chunk of ca <= c columns has at most
-    max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS))) rows (see
-    ``_run_group``), so a slab holds e = max(min(CHUNK_ELEMENTS // 2, T * c,
-    CHUNK_ELEMENTS // GROUP_COLUMNS * c), c) values, and c more for its
-    leading row, which carries the states in x and a running sum in terms.
-    """
-    e = max(min(CHUNK_ELEMENTS // 2, T * c, CHUNK_ELEMENTS // GROUP_COLUMNS * c), c)
-    buf = np.empty(2 * (e + c))
-    return buf[: e + c], buf[e + c :]
+def _workspace(e: int):
+    """Flat scratch (x, terms) of a group, two slabs of e values in one
+    allocation, which ``_run_group`` sizes to its largest chunk and the
+    leading row that carries the states in x and a running sum in terms."""
+    buf = np.empty(2 * e)
+    return buf[:e], buf[e:]
 
 
 def _view(buf: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -419,10 +412,10 @@ def _run_group(spec, runs, seed, fixed_real):
     out again at the front of the scratch, in chunks of as many rows as
     fill CHUNK_ELEMENTS alpha and beta terms, or a half-full group's where
     fewer columns run, but no more than the segment's T.  Every array the
-    size of a row chunk is a view into the two slabs ``_workspace`` plans
-    for this group's width and longest T.  ``fold_lag_terms`` folds each
-    chunk's alpha terms, then its beta terms, onto their running sums
-    through the terms slab.
+    size of a row chunk is a view into the two slabs of ``_workspace``,
+    each the group's largest chunk and its leading row.  ``fold_lag_terms``
+    folds each chunk's alpha terms, then its beta terms, onto their running
+    sums through the terms slab.
 
     Every state enters a lag product of its column, so a non-finite state
     leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
@@ -439,20 +432,21 @@ def _run_group(spec, runs, seed, fixed_real):
     )
     sd = np.sqrt(sigma2)
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
+    # the chunk rows of the segment ending at each run's T: one under half of
+    # GROUP_COLUMNS wide takes a half-full one's; a cap at T moves no boundary
+    steps = [max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS)))
+             for (T, _, _), ca in zip(runs, edges[1:])]
     # what the group returns is allocated before its scratch, so nothing it
     # keeps lies past the scratch, whose memory the next group reuses whole
     sums, last = np.zeros((2, edges[-1])), np.empty(edges[-1])
-    x_part, terms_part = _workspace(edges[-1], runs[0][0])
+    x_part, terms_part = _workspace(max((r + 1) * ca for r, ca in zip(steps, edges[1:])))
     done = 0
     out = {}
     for end in range(len(runs), 0, -1):
         T, k, omegas = runs[end - 1]
-        ca = edges[end]
-        # a segment under half of GROUP_COLUMNS wide takes the rows of a
-        # half-full one; no chunk runs past T, so a cap at T moves no boundary
-        rows = max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS)))
+        ca, rows = edges[end], steps[end - 1]
         # row 0 carries the states on: the front of the same buffer, which
-        # _view never regrows (it raises), so _workspace plans x for every width
+        # _view never regrows (it raises)
         x = _view(x_part, (rows + 1, ca))
         while done < T:
             n = min(rows, T - done)
@@ -492,33 +486,39 @@ def usable_cpus() -> int:
 @dataclass(frozen=True, eq=False)
 class Records:
     """One T's replications as ``collect`` keeps them: the kept ones' (m, kT)
-    arrays in replication order, and the dropped ones' numbers by fault name."""
+    arrays in replication order, and the dropped ones' numbers by fault name.
+    ``est_c`` is derived from the sums alpha and beta, as ``estimate_columns``."""
 
     T: int
     kT: int
-    est_c: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
     est_b: np.ndarray
     truth: np.ndarray
     last: np.ndarray
     dropped: dict[str, list[int]]
+
+    @property
+    def est_c(self) -> np.ndarray:
+        return self.alpha / self.beta
 
 
 def _merge(groups, levels, law) -> list[Records]:
     """Per T of levels, ``Records`` from the plan's ``_run_group`` outputs:
     stacked in replication order, popped as stacked, and estimated in one
     call with sigma2 recomputed from the truths and ``law``; each fault
-    ranked, the faulty dropped."""
+    ranked, the faulty dropped; the rest keep their sums, not est_c."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
         alpha, beta, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
         sigma2 = innovation_variance(eigenvalues(law, k_T), kept[0])
-        est_c, est_b, fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))
+        _, est_b, fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}
         keep = reason == 0 if reason.any() else slice(None)  # a slice copies nothing
-        merged.append(Records(T, k_T, *(r[keep] for r in (est_c, est_b, *kept)), dropped))
+        merged.append(Records(T, k_T, *(r[keep] for r in (alpha, beta, est_b, *kept)), dropped))
     return merged
 
 
@@ -563,7 +563,7 @@ def collect(config: ExperimentConfig, workers: int | None = None):
     # a T that kept nothing fails the run even on a grid long enough to
     # hold its N drops under the threshold
     total = len(levels) * config.N
-    if aborted > ABORT_THRESHOLD * total or not all(len(r.est_c) for r in records):
+    if aborted > ABORT_THRESHOLD * total or not all(len(r.beta) for r in records):
         raise AbortedReplicationsError(aborted, total)
     return fixed_real, records
 

@@ -10,8 +10,8 @@ T=2000, N=500, five components) whose records come from
 ``harness.collect``: the shared model draw comes from
 ``default_rng([seed, 2])`` and replication omega from
 ``default_rng([seed, 1, T, omega])``.  Criterion 9 also reads each
-replication's beta, which no report needs, so it simulates the same
-streams again through ``simulate`` and ``lag_sums``.
+replication's beta, which no report needs, from the same records, which
+keep every replication's sums.
 
 Known shortfall: the Bayes branch of criterion 3 does not reach its
 asymptotic limit at T=2000 with the Beta(2**j, 1.01) prior (the pull on the
@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from arh1bench import cli, harness, metrics
-from arh1bench.estimators import lag_sums
 from arh1bench.harness import DEFAULT_T_GRID, ExperimentConfig, run_experiment
 from arh1bench.metrics import (
     EfmseInput,
@@ -47,7 +46,6 @@ from arh1bench.metrics import (
     theory_pred_limit,
     truncation_order,
 )
-from arh1bench.simulator import simulate
 from arh1bench.spectral_model import prior_shapes
 from conftest import bayes_estimate, cubic_score_solve
 
@@ -283,13 +281,9 @@ def test_c08_closed_form_matches_cubic(capsys):
 
 def test_c09_proximity_bound(fixed_draw_run, capsys):
     real, run = fixed_draw_run
-    betas = np.array([
-        lag_sums(simulate(real, T_FIX, np.random.default_rng([SEED, 1, T_FIX, omega])).coeffs)[1]
-        for omega in range(1, N_FIX + 1)
-    ])
     a, b = prior_shapes(K_FIX)
     ab_shift = a + b - 2.0
-    bound = np.sqrt(real.sigma2 * ab_shift / betas)
+    bound = np.sqrt(real.sigma2 * ab_shift / run.beta)
     gap = run.est_c - run.est_b
     applicable = run.est_c <= 1.0
     violations = int(np.count_nonzero(applicable & ((gap < 0.0) | (gap > bound))))

@@ -249,14 +249,14 @@ class TestRunExperiment:
 
     def test_workspace_per_group_inline_and_pooled(self, monkeypatch, pool):
         # inline and pooled alike, each group of the plan plans one workspace
-        # of its own width and longest T, and collect plans none; no
+        # of its own largest chunk and carry row, and collect plans none; no
         # workspace is left when the sums are stacked
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
 
-        def traced(c, T):
-            calls.append((sys._getframe(1).f_code.co_name, c, T))
-            work = workspace(c, T)
+        def traced(e):
+            calls.append((sys._getframe(1).f_code.co_name, e))
+            work = workspace(e)
             buffers.append(weakref.ref(work[0].base))
             return work
 
@@ -273,8 +273,7 @@ class TestRunExperiment:
             run_experiment(config, workers=workers)
             plan = [g for lo, hi in harness._partition(5, workers)
                     for g in harness._plan(levels, lo, hi)]
-            assert calls == [("_run_group", sum(len(o) * k for _, k, o in g), g[0][0])
-                             for g in plan]
+            assert calls == [("_run_group", _slab(g)) for g in plan]
         # only the pooled run used the pool, with the same plan
         assert pool.tasks == [plan]
 
@@ -410,8 +409,10 @@ class TestRunExperiment:
 
 def _records(T, rows, k, seed):
     """A hand-built T's records: rows kept replications of k components."""
-    est_c, est_b, truth, last = np.random.default_rng(seed).uniform(-1.0, 1.0, (4, rows, k))
-    return harness.Records(T, k, est_c, est_b, truth, last, {})
+    rng = np.random.default_rng(seed)
+    alpha, est_b, truth, last = rng.uniform(-1.0, 1.0, (4, rows, k))
+    return harness.Records(T=T, kT=k, alpha=alpha, beta=rng.uniform(1.0, 2.0, (rows, k)),
+                           est_b=est_b, truth=truth, last=last, dropped={})
 
 
 class TestBuildReports:
@@ -481,7 +482,7 @@ def _run_block(task):
 
 def _one_at_a_time(task):
     """What the public calls give each replication of a block task, one
-    replication at a time: per T, the rows of _run_block's estimates,
+    replication at a time: per T, the rows of _run_block's sums, estimates,
     truths and last states."""
     spec, levels, lo, hi, seed, shared = task
     per_T = []
@@ -495,7 +496,8 @@ def _one_at_a_time(task):
                 real = truncate_realization(shared, k_T)
             traj = simulate(real, T, rng)
             est = estimate_all(traj, real, k_T, spec.prior)
-            rows.append((est.rho_hat, est.rho_tilde_minus, real.rho, traj.coeffs[-1]))
+            rows.append((*estimators.lag_sums(traj.coeffs), est.rho_hat, est.rho_tilde_minus,
+                         real.rho, traj.coeffs[-1]))
         per_T.append([np.array(part) for part in zip(*rows)])
     return per_T
 
@@ -507,7 +509,8 @@ def _assert_bits_equal(got, want):
 
 
 def _kept(records):
-    return records.est_c, records.est_b, records.truth, records.last
+    return (records.alpha, records.beta, records.est_c, records.est_b,
+            records.truth, records.last)
 
 
 def _assert_block_equal(got, want):
@@ -595,6 +598,18 @@ def _planned_calls(runs, rows_of):
     return want
 
 
+def _slab(runs):
+    """The values each of a group's two slabs holds: the largest chunk of its
+    segments, each of the rows rule's rows capped at the segment's T, and
+    the carry row."""
+    slab = 0
+    for end in range(1, len(runs) + 1):
+        T, c = runs[end - 1][0], sum(len(o) * k for _, k, o in runs[:end])
+        rows = max(1, min(T, harness.CHUNK_ELEMENTS // max(2 * c, harness.GROUP_COLUMNS)))
+        slab = max(slab, (rows + 1) * c)
+    return slab
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
     def test_matches_one_replication_at_a_time(self, fields):
@@ -668,23 +683,39 @@ class TestBlockKernel:
         _assert_block_equal(got, _one_at_a_time(task))
 
     @pytest.mark.parametrize(
-        "c", [1, 48, 2045, harness.GROUP_COLUMNS, harness.CHUNK_ELEMENTS // 2 + 1]
+        "e", [1, 48, 2045, harness.GROUP_COLUMNS, harness.CHUNK_ELEMENTS // 2 + 1]
     )
-    def test_workspace_is_two_slabs(self, c):
-        # x and terms are equal slabs of one allocation, each a chunk and its
-        # leading row: a group whose longest T is at most a chunk's rows
-        # plans T + 1 rows; a longer one max(CHUNK_ELEMENTS // 2, c) + c
-        # values, or the rows of a half-full group where c is narrower
-        chunk, half_full = harness.CHUNK_ELEMENTS, harness.GROUP_COLUMNS // 2
-        rows = max(1, chunk // (2 * max(c, half_full)))
-        for T in sorted({1, max(1, rows - 1), rows, rows + 1, 10**6}):
-            x, terms = harness._workspace(c, T)
-            if T <= rows:
-                slab = (T + 1) * c
-            else:
-                slab = (rows + 1) * c if c < half_full else max(chunk // 2, c) + c
-            assert x.size == terms.size == slab
-            assert x.base is terms.base and x.base.size == 2 * slab
+    def test_workspace_is_two_slabs(self, e):
+        # x and terms are equal slabs of e values, of one allocation
+        x, terms = harness._workspace(e)
+        assert x.size == terms.size == e
+        assert x.base is terms.base and x.base.size == 2 * e
+
+    @pytest.mark.parametrize("chunk", [harness.CHUNK_ELEMENTS, 4000])
+    @pytest.mark.parametrize("k, m", [(1, 1), (1, 48), (5, 409)])
+    def test_slab_is_the_largest_chunk_and_carry_row(self, monkeypatch, chunk, k, m):
+        # a group of c columns whose longest T is at most a chunk's rows
+        # plans T + 1 rows; a longer one a chunk's and the carry row: the
+        # rows that fill CHUNK_ELEMENTS terms, a half-full group's where c is
+        # narrower, or one where a row holds more
+        monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
+        slabs = []
+
+        class Planned(Exception):
+            pass
+
+        def traced(e):
+            slabs.append(e)
+            raise Planned
+
+        monkeypatch.setattr(harness, "_workspace", traced)
+        spec, c = _block_task(BLOCK_FIELDS[0], (20,), N=1)[0], k * m
+        rows = max(1, chunk // (2 * max(c, harness.GROUP_COLUMNS // 2)))
+        Ts = sorted({1, max(1, rows - 1), rows, rows + 1, 10**6})
+        for T in Ts:
+            with pytest.raises(Planned):
+                harness._run_group(spec, [(T, k, range(1, m + 1))], 0, None)
+        assert slabs == [(min(T, rows) + 1) * c for T in Ts]
 
     @pytest.mark.parametrize("chunk", [harness.CHUNK_ELEMENTS, 4000])
     def test_normal_calls_follow_the_uncapped_chunks(self, monkeypatch, chunk):
@@ -899,7 +930,7 @@ class TestBlockKernel:
         assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
             ("WARNING", "T=20: aborted 1 escaped replications: [7]")
         ]
-        [(est_c, est_b, truth, last)] = _one_at_a_time(task)
+        [(_, _, est_c, est_b, truth, last)] = _one_at_a_time(task)
         kept = np.arange(1001) != 6
         for report, est in zip(reports, (est_c, est_b), strict=True):
             inp = EfmseInput(estimates=est[kept], truth=truth[kept], last_coeffs=last[kept])
@@ -914,8 +945,8 @@ class TestBlockKernel:
         # groups that run to T = 4500 as for those that end at 1500, a
         # trajectory of whose 48 columns alone would take 1.7 MB, and holds
         # for long-T-ex3-fixed's narrow group of three segments
-        run_group = harness._run_group
-        widths, peaks = [], []
+        run_group, workspace = harness._run_group, harness._workspace
+        widths, peaks, slabs = [], [], []
 
         def traced(spec, runs, *rest):
             widths.append([(T, len(omegas) * k) for T, k, omegas in runs])
@@ -926,7 +957,12 @@ class TestBlockKernel:
                 peaks.append(tracemalloc.get_traced_memory()[1])
                 tracemalloc.stop()
 
+        def planned(e):
+            slabs.append(e)
+            return workspace(e)
+
         monkeypatch.setattr(harness, "_run_group", traced)
+        monkeypatch.setattr(harness, "_workspace", planned)
         for columns, task, planned_widths in (
             (48, _block_task({"example": 1, "kT_rule": "fixed:8"}, (1500, 3000, 4500), N=8),
              [[(4500, 48)], [(4500, 16), (3000, 32)], [(3000, 32)], [(1500, 48)], [(1500, 16)]]),
@@ -935,12 +971,12 @@ class TestBlockKernel:
             monkeypatch.setattr(harness, "GROUP_COLUMNS", columns)
             widths.clear()
             peaks.clear()
+            slabs.clear()
             got = _block_groups(task)
             assert widths == planned_widths
-            for runs, peak in zip(widths, peaks, strict=True):
+            for runs, peak, e in zip(widths, peaks, slabs, strict=True):
                 c = sum(w for _, w in runs)
-                planned = sum(slab.nbytes for slab in harness._workspace(c, runs[0][0]))
-                assert peak < planned + 8 * np.getbufsize() + 1024 * c
+                assert peak < 8 * 2 * e + 8 * np.getbufsize() + 1024 * c
             _assert_block_equal(harness._merge(got, task[1], task[0].law), _one_at_a_time(task))
 
     def test_group_keeps_nothing_allocated_past_its_scratch(self, monkeypatch):
@@ -978,13 +1014,14 @@ class TestBlockKernel:
         # group shorter than a full chunk (300 rows of 28 columns) and for
         # one longer (71 rows a chunk at 4000)
         workspace = harness._workspace
+        task = _block_task(BLOCK_FIELDS[1], (300,), N=7)
+        [[(_, k, omegas)]] = harness._plan(*task[1:4])
 
-        def short_x(c, T):
-            x, *rest = workspace(c, T)
-            return (x[: x.size - c], *rest)
+        def short_x(e):
+            x, terms = workspace(e)
+            return x[: e - len(omegas) * k], terms
 
         monkeypatch.setattr(harness, "_workspace", short_x)
-        task = _block_task(BLOCK_FIELDS[1], (300,), N=7)
         for chunk in (harness.CHUNK_ELEMENTS, 4000):
             monkeypatch.setattr(harness, "CHUNK_ELEMENTS", chunk)
             with pytest.raises(ValueError, match="reshape"):
