@@ -434,17 +434,17 @@ def _run_group(spec, runs, seed, fixed_real):
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
     # the chunk rows of the segment ending at each run's T: one under half of
     # GROUP_COLUMNS wide takes a half-full one's; a cap at T moves no boundary
-    steps = [max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS)))
-             for (T, _, _), ca in zip(runs, edges[1:])]
+    chunk_rows = [max(1, min(T, CHUNK_ELEMENTS // max(2 * ca, GROUP_COLUMNS)))
+                  for (T, _, _), ca in zip(runs, edges[1:])]
     # what the group returns is allocated before its scratch, so nothing it
     # keeps lies past the scratch, whose memory the next group reuses whole
     sums, last = np.zeros((2, edges[-1])), np.empty(edges[-1])
-    x_part, terms_part = _workspace(max((r + 1) * ca for r, ca in zip(steps, edges[1:])))
+    x_part, terms_part = _workspace(max((r + 1) * ca for r, ca in zip(chunk_rows, edges[1:])))
     done = 0
     out = {}
     for end in range(len(runs), 0, -1):
         T, k, omegas = runs[end - 1]
-        ca, rows = edges[end], steps[end - 1]
+        ca, rows = edges[end], chunk_rows[end - 1]
         # row 0 carries the states on: the front of the same buffer, which
         # _view never regrows (it raises)
         x = _view(x_part, (rows + 1, ca))
@@ -487,7 +487,7 @@ def usable_cpus() -> int:
 class Records:
     """One T's replications as ``collect`` keeps them: the kept ones' (m, kT)
     arrays in replication order, and the dropped ones' numbers by fault name.
-    ``est_c`` is derived from the sums alpha and beta, as ``estimate_columns``."""
+    ``est_c`` is derived: alpha / beta, the division ``estimate_columns`` makes."""
 
     T: int
     kT: int

@@ -709,7 +709,7 @@ class TestBlockKernel:
             raise Planned
 
         monkeypatch.setattr(harness, "_workspace", traced)
-        spec, c = _block_task(BLOCK_FIELDS[0], (20,), N=1)[0], k * m
+        spec, c = ExperimentConfig(example=1, T_grid=(20,), N=1).spec, k * m
         rows = max(1, chunk // (2 * max(c, harness.GROUP_COLUMNS // 2)))
         Ts = sorted({1, max(1, rows - 1), rows, rows + 1, 10**6})
         for T in Ts:
@@ -1011,10 +1011,10 @@ class TestBlockKernel:
         # x must hold a row chunk and the row that carries the states into
         # the next: planned one row short, the kernel raises rather than
         # regrowing x and returning records from a lost carried row, for a
-        # group shorter than a full chunk (300 rows of 28 columns) and for
-        # one longer (71 rows a chunk at 4000)
+        # group shorter than a full chunk (100 rows of 21 columns) and for
+        # one longer (1 row a chunk at 4000)
         workspace = harness._workspace
-        task = _block_task(BLOCK_FIELDS[1], (300,), N=7)
+        task = _block_task(BLOCK_FIELDS[1], (100,), N=7)
         [[(_, k, omegas)]] = harness._plan(*task[1:4])
 
         def short_x(e):
