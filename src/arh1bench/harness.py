@@ -15,10 +15,11 @@ block into kernel groups (``_plan``), which line up as one plan.
 ``collect`` maps ``_run_group`` over the plan, in plan order: inline for
 one block, else one group a task on a pool of at most ``usable_cpus()``
 processes.  ``_merge`` stacks each T's sums once, from every group in
-replication order, estimates them, ranks each replication's fault, keeps
-the good ones' sums and drops the bad ones, which ``collect`` logs per T
-and reason before it fails a run past ABORT_THRESHOLD or with a T that
-keeps none.
+replication order, ranks each replication's fault, keeps the good ones
+and drops the bad ones, which ``collect`` logs per T and reason before it
+fails a run past ABORT_THRESHOLD or with a T that keeps none.  A T's
+``Records`` keeps four arrays a replication (alpha and beta sums, truths,
+last states) and derives both estimates from them.
 ``build_reports`` makes the reports from what ``collect`` returns, so each
 emitted byte depends only on (config, seed), not on workers or scheduling.
 
@@ -27,7 +28,7 @@ groups (``_run_group``) that may mix T: one time loop over the columns of
 every stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
 beta's through one slab of the group's own scratch, sized to its largest
-chunk and carry row.  ``_merge`` runs the elementwise estimators on them.
+chunk and carry row.  The elementwise estimators run on those sums.
 That is the arithmetic that ``simulate``, ``sufficient_stats`` and
 ``estimate_all`` run for a single replication, so both routes give the
 same bits.
@@ -422,7 +423,7 @@ def _run_group(spec, runs, seed, fixed_real):
 
     Returns, by T, the alpha and beta sums, true coefficients and last
     states of the run's m replications, each (m, k), which ``_merge``
-    estimates and judges: views of the group's sums, rho and last states,
+    judges: views of the group's sums, rho and last states,
     allocated before its scratch and not written once the run ends.
     """
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
@@ -485,15 +486,16 @@ def usable_cpus() -> int:
 
 @dataclass(frozen=True, eq=False)
 class Records:
-    """One T's replications as ``collect`` keeps them: the kept ones' (m, kT)
-    arrays in replication order, and the dropped ones' numbers by fault name.
-    ``est_c`` is derived: alpha / beta, the division ``estimate_columns`` makes."""
+    """One T's replications as ``collect`` keeps them: its (kT,) eigenvalues C,
+    the kept ones' alpha and beta sums, truths and last states, each (m, kT) in
+    replication order, and the dropped ones' numbers by fault name.  Both
+    estimates are derived, as ``estimate_columns`` makes them, bit for bit."""
 
     T: int
     kT: int
+    C: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    est_b: np.ndarray
     truth: np.ndarray
     last: np.ndarray
     dropped: dict[str, list[int]]
@@ -502,23 +504,29 @@ class Records:
     def est_c(self) -> np.ndarray:
         return self.alpha / self.beta
 
+    @property
+    def est_b(self) -> np.ndarray:
+        sigma2 = innovation_variance(self.C, self.truth)
+        return estimate_columns(self.alpha, self.beta, sigma2, *prior_shapes(self.kT))[1]
+
 
 def _merge(groups, levels, law) -> list[Records]:
     """Per T of levels, ``Records`` from the plan's ``_run_group`` outputs:
-    stacked in replication order, popped as stacked, and estimated in one
-    call with sigma2 recomputed from the truths and ``law``; each fault
-    ranked, the faulty dropped; the rest keep their sums, not est_c."""
+    stacked in replication order, popped as stacked, and judged in one call
+    with sigma2 recomputed from the truths and ``law``'s eigenvalues; each
+    fault ranked, the faulty dropped; the rest keep their sums, not estimates."""
     merged = []
     for T, k_T in levels:
         # the groups run on from replication 1: row j is replication j + 1's
         alpha, beta, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
-        sigma2 = innovation_variance(eigenvalues(law, k_T), kept[0])
-        _, est_b, fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))
+        C = eigenvalues(law, k_T)
+        sigma2 = innovation_variance(C, kept[0])
+        fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))[2]
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}
         keep = reason == 0 if reason.any() else slice(None)  # a slice copies nothing
-        merged.append(Records(T, k_T, *(r[keep] for r in (alpha, beta, est_b, *kept)), dropped))
+        merged.append(Records(T, k_T, C, *(r[keep] for r in (alpha, beta, *kept)), dropped))
     return merged
 
 

@@ -31,8 +31,8 @@ import numpy as np
 from .estimators import estimate_columns, fold_lag_terms
 from .simulator import ar1_steps, simulate
 from .spectral_model import (
-    EigenvalueLaw, ModelRealization, PriorSpec, eigenvalues, prior_mean_sq, prior_shapes,
-    truncate_realization,
+    EigenvalueLaw, ModelRealization, PriorSpec, eigenvalues, innovation_variance,
+    prior_mean_sq, prior_shapes, truncate_realization,
 )
 
 # Monte Carlo paths are generated in fixed-size batches; the constant is
@@ -345,7 +345,8 @@ def ergodic_check(key, rho: float, C: float, n: int) -> tuple[dict, dict, bool]:
         raise ValueError(f"C must be positive and finite, got {C}")
     if n < 2:
         raise ValueError(f"ergodic averages need n >= 2, got {n}")
-    real = ModelRealization(C=[C], rho=[rho], sigma2=[C * (1.0 - rho * rho)])
+    sigma2 = innovation_variance(np.array([C]), np.array([rho]))
+    real = ModelRealization(C=[C], rho=[rho], sigma2=sigma2)
     c_hat, d_hat = ergodic_estimates(simulate(real, n, np.random.default_rng(key)).coeffs[:, 0])
     ratio = rho * n / (n - 1)
     return (

@@ -45,6 +45,8 @@ from arh1bench.spectral_model import (
     EigenvalueLaw,
     PriorSpec,
     SpectralModelSpec,
+    eigenvalues,
+    prior_shapes,
     realize,
     truncate_realization,
 )
@@ -408,11 +410,13 @@ class TestRunExperiment:
 
 
 def _records(T, rows, k, seed):
-    """A hand-built T's records: rows kept replications of k components."""
+    """A hand-built T's records: rows kept replications of k components,
+    with truths in (-1, 1), so that sigma2 > 0."""
     rng = np.random.default_rng(seed)
-    alpha, est_b, truth, last = rng.uniform(-1.0, 1.0, (4, rows, k))
-    return harness.Records(T=T, kT=k, alpha=alpha, beta=rng.uniform(1.0, 2.0, (rows, k)),
-                           est_b=est_b, truth=truth, last=last, dropped={})
+    alpha, truth, last = rng.uniform(-1.0, 1.0, (3, rows, k))
+    return harness.Records(T=T, kT=k, C=rng.uniform(0.1, 1.0, k), alpha=alpha,
+                           beta=rng.uniform(1.0, 2.0, (rows, k)), truth=truth, last=last,
+                           dropped={})
 
 
 class TestBuildReports:
@@ -618,6 +622,32 @@ class TestBlockKernel:
         for grid in ((300,), (15, 100, 300)):
             task = _block_task(fields, grid, N=7)
             _assert_block_equal(_run_block(task), _one_at_a_time(task))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rho_mode": "redraw"},
+            {"rho_mode": "fixed"},
+            {"rho_mode": "explicit", "rho_values": [0.9, 0.8, 0.7, 0.6, 0.5]},
+        ],
+        ids=["redraw", "fixed", "explicit"],
+    )
+    def test_records_hold_four_arrays_and_the_eigenvalues(self, fields):
+        # a T keeps its (kT,) eigenvalues and four (m, kT) arrays, and
+        # est_b is estimate_columns' minus root on them, bit for bit
+        config = config_from_dict({"example": 1, "T_grid": [20, 60], "N": 6, "seed": 5, **fields})
+        _, records = collect(config)
+        for r in records:
+            arrays = {f.name for f in dataclasses.fields(r)
+                      if isinstance(getattr(r, f.name), np.ndarray)}
+            assert arrays == {"C", "alpha", "beta", "truth", "last"}
+            _assert_bits_equal([r.C], [eigenvalues(config.spec.law, r.kT)])
+            for v in (r.alpha, r.beta, r.truth, r.last):
+                assert v.dtype == np.float64 and v.shape == (6, r.kT)
+            sigma2 = r.C * (1.0 - r.truth**2)
+            hat, minus, _ = estimators.estimate_columns(r.alpha, r.beta, sigma2,
+                                                        *prior_shapes(r.kT))
+            _assert_bits_equal([r.est_c, r.est_b], [hat, minus])
 
     @pytest.mark.parametrize("columns", [2048, 48, 5, 1])
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
