@@ -51,6 +51,13 @@ from arh1bench.spectral_model import (
     truncate_realization,
 )
 
+# The config fields of each rho mode, for a model of five components.
+RHO_MODE_FIELDS = [
+    {"rho_mode": "redraw"},
+    {"rho_mode": "fixed"},
+    {"rho_mode": "explicit", "rho_values": [0.9, 0.8, 0.7, 0.6, 0.5]},
+]
+
 # Config fields of the wrong type, none of which may be coerced.
 BAD_CONFIG_FIELDS = [
     {"N": "5"},
@@ -323,15 +330,7 @@ class TestRunExperiment:
                 assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"rho_mode": "redraw"},
-            {"rho_mode": "fixed"},
-            {"rho_mode": "explicit", "rho_values": [0.9, 0.8, 0.7, 0.6, 0.5]},
-        ],
-        ids=["redraw", "fixed", "explicit"],
-    )
+    @pytest.mark.parametrize("fields", RHO_MODE_FIELDS, ids=["redraw", "fixed", "explicit"])
     def test_grid_split_invariance(self, fields, workers):
         # a T's replications give the same floats whether the T runs alone or
         # shares its blocks and groups with the rest of the grid
@@ -623,15 +622,7 @@ class TestBlockKernel:
             task = _block_task(fields, grid, N=7)
             _assert_block_equal(_run_block(task), _one_at_a_time(task))
 
-    @pytest.mark.parametrize(
-        "fields",
-        [
-            {"rho_mode": "redraw"},
-            {"rho_mode": "fixed"},
-            {"rho_mode": "explicit", "rho_values": [0.9, 0.8, 0.7, 0.6, 0.5]},
-        ],
-        ids=["redraw", "fixed", "explicit"],
-    )
+    @pytest.mark.parametrize("fields", RHO_MODE_FIELDS, ids=["redraw", "fixed", "explicit"])
     def test_records_hold_four_arrays_and_the_eigenvalues(self, fields):
         # a T keeps its (kT,) eigenvalues and four (m, kT) arrays, and
         # est_b is estimate_columns' minus root on them, bit for bit
