@@ -51,11 +51,11 @@ import numpy as np
 from .simulator import Trajectory
 from .spectral_model import ModelRealization, PriorSpec, prior_shapes, truncate_realization
 
-# Slack for the internal shrinkage-bound verification in estimate_all;
-# covers independent rounding of the two estimators, nothing more.
+# Slack for the shrinkage-bound check of column_faults; covers
+# independent rounding of the two estimators, nothing more.
 PROXIMITY_SLACK = 1e-9
 
-# estimate_all's checks for one component: a fault code is the first check
+# column_faults' checks for one component: a fault code is the first check
 # the component fails, 0 when it passes them all.  NON_FINITE (sums not
 # finite) runs first and outranks the others in ``deciding_component``.
 DEGENERATE, ESCAPED, NON_FINITE = 1, 2, 3
@@ -115,7 +115,7 @@ def sufficient_stats(traj: Trajectory, j: int) -> tuple[float, float]:
     return float(alpha[0]), float(beta[0])
 
 
-def _minus_root(alpha, beta, sigma2, a, b):
+def minus_root(alpha, beta, sigma2, a, b):
     """The minus root of the penalized quadratic, elementwise.
 
     With s = alpha + beta and c0 = alpha + sigma2*(2 - (a + b)), it is
@@ -140,33 +140,29 @@ class EstimateSet:
     rho_tilde_minus: np.ndarray
 
 
-def estimate_columns(alpha, beta, sigma2, a, b):
-    """Classical and minus-root estimates of columns with sums (alpha, beta).
+def column_faults(alpha, beta, sigma2, a, b):
+    """The int8 fault code of each column with sums (alpha, beta): the first
+    of estimate_all's checks it fails (NON_FINITE, DEGENERATE, ESCAPED), 0
+    where it passes them all.
 
     The inputs broadcast, so a run's (m, k) sums and sigma2 (m
     replications, k components) take its (k,) prior shapes as they are.
-    Returns (rho_hat, rho_tilde_minus, fault), elementwise; fault is the
-    int8 code of the first of estimate_all's checks a column fails
-    (NON_FINITE, DEGENERATE, ESCAPED), 0 where it passes, and the estimates
-    of a faulty column are meaningless.  The inputs must have sigma2 > 0 and
-    a + b >= 2, as the prior's shapes do (a + b >= 3.01), and the shrinkage
-    check is
+    They must have sigma2 > 0 and a + b >= 2, as the prior's shapes do
+    (a + b >= 3.01), and the shrinkage check is
 
-        0 <= rho_hat - rho_tilde_minus <= sqrt(sigma2*(a+b-2)/beta)
+        0 <= alpha/beta - minus_root <= sqrt(sigma2*(a+b-2)/beta)
 
-    whenever rho_hat <= 1.
+    whenever alpha/beta <= 1.
     """
-    minus = _minus_root(alpha, beta, sigma2, a, b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         hat = alpha / beta
         bound = np.sqrt(sigma2 * (a + b - 2.0) / beta)
-        delta = hat - minus
+        delta = hat - minus_root(alpha, beta, sigma2, a, b)
         slack = PROXIMITY_SLACK * (1.0 + bound)
         escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
     finite = np.isfinite(alpha) & np.isfinite(beta)
-    fault = np.select([~finite, beta == 0.0, escaped],
-                      [NON_FINITE, DEGENERATE, ESCAPED], np.int8(0))
-    return hat, minus, fault
+    return np.select([~finite, beta == 0.0, escaped],
+                     [NON_FINITE, DEGENERATE, ESCAPED], np.int8(0))
 
 
 def deciding_component(fault):
@@ -189,7 +185,7 @@ def first_fault(fault, T: int, alpha, beta, sigma2, a, b) -> Exception | None:
             f"component {i + 1} carries no energy (beta = 0) over T={T}"
         )
     alpha, beta, sigma2, a, b = (float(v[i]) for v in (alpha, beta, sigma2, a, b))
-    minus = _minus_root(alpha, beta, sigma2, a, b)
+    minus = minus_root(alpha, beta, sigma2, a, b)
     bound = math.sqrt(sigma2 * (a + b - 2.0) / beta)
     delta = alpha / beta - float(minus)
     return RuntimeError(f"component {i + 1}: shrinkage {delta} escapes [0, {bound}]")
@@ -206,7 +202,7 @@ def estimate_all(
     The Bayes estimates consume the true innovation variances from the
     realization (they enter the estimator as known constants).  Each
     component is verified against the shrinkage bound (see
-    ``estimate_columns``); a violation indicates numerical trouble and
+    ``column_faults``); a violation indicates numerical trouble and
     raises rather than contaminating downstream error summaries, as do
     sums that are not finite (RuntimeError) and a component with beta = 0
     (DegenerateTrajectoryError).  ``priors`` is unused: the prior is the
@@ -221,10 +217,9 @@ def estimate_all(
     if not np.all(sigma2 > 0.0):
         raise ValueError(f"innovation variances must be positive, got {sigma2}")
     alpha, beta = lag_sums(traj.coeffs[:, :k_T])
-    a, b = prior_shapes(k_T)
-    rho_hat, rho_minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
-    error = first_fault(fault, traj.T, alpha, beta, sigma2, a, b)
+    cols = (alpha, beta, sigma2, *prior_shapes(k_T))
+    error = first_fault(column_faults(*cols), traj.T, *cols)
     if error is not None:
         raise error
-    return EstimateSet(rho_hat=rho_hat, rho_tilde_minus=rho_minus)
+    return EstimateSet(rho_hat=alpha / beta, rho_tilde_minus=minus_root(*cols))
 

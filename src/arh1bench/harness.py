@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import FAULT_NAMES, deciding_component, estimate_columns, fold_lag_terms
+from .estimators import FAULT_NAMES, column_faults, deciding_component, fold_lag_terms, minus_root
 from .metrics import (
     EfmseInput,
     EfmseReport,
@@ -66,6 +66,7 @@ from .metrics import (
 from .simulator import ar1_steps, positivity_diagnostic, simulate
 from .spectral_model import (
     MAX_CLAMPED_SHARE,
+    MAX_PRIOR_EXPONENT,
     RHO_CLAMP_EPS,
     EigenvalueLaw,
     SpectralModelSpec,
@@ -151,16 +152,19 @@ def example_model(
 
     ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
     components that rule keeps at sample size ``T_max``, which covers every
-    smaller T because k_T never decreases in T.  Drawn coefficients are refused
-    where ``draw_rho``'s clamp rewrites over MAX_CLAMPED_SHARE of component k_T's
-    draws, about a_kT * RHO_CLAMP_EPS of them (0.81% at k_T = 33, 1.6% at 34).
+    smaller T because k_T never decreases in T.  A k_T past MAX_PRIOR_EXPONENT
+    is refused, and drawn coefficients where ``draw_rho``'s clamp rewrites over
+    MAX_CLAMPED_SHARE of component k_T's draws, about a_kT * RHO_CLAMP_EPS of
+    them (0.81% at k_T = 33, 1.6% at 34).
     """
     if not _is_int(example) or example not in EXAMPLE_EXPONENTS:
         raise ValueError(f"example must be 1, 2 or 3, got {example!r}")
     rule = EXAMPLE_KT_RULES[example] if kT_rule is None else kT_rule
+    if (k_T := truncation_order(T_max, rule)) > MAX_PRIOR_EXPONENT:
+        raise ValueError(f"k_T={k_T} at T={T_max}: the prior covers k_T <= {MAX_PRIOR_EXPONENT}")
     spec = SpectralModelSpec(
         law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
-        k_max=truncation_order(T_max, rule),
+        k_max=k_T,
         rho_mode=rho_mode,
         rho_values=rho_values,
     )
@@ -419,7 +423,7 @@ def _run_group(spec, runs, seed, fixed_real):
     sums through the terms slab.
 
     Every state enters a lag product of its column, so a non-finite state
-    leaves a non-finite sum, which ``estimate_columns`` codes NON_FINITE.
+    leaves a non-finite sum, which ``column_faults`` codes NON_FINITE.
 
     Returns, by T, the alpha and beta sums, true coefficients and last
     states of the run's m replications, each (m, k), which ``_merge``
@@ -489,7 +493,7 @@ class Records:
     """One T's replications as ``collect`` keeps them: its (kT,) eigenvalues C,
     the kept ones' alpha and beta sums, truths and last states, each (m, kT) in
     replication order, and the dropped ones' numbers by fault name.  Both
-    estimates are derived, as ``estimate_columns`` makes them, bit for bit."""
+    estimates are derived from them: alpha / beta and its ``minus_root``."""
 
     T: int
     kT: int
@@ -507,7 +511,7 @@ class Records:
     @property
     def est_b(self) -> np.ndarray:
         sigma2 = innovation_variance(self.C, self.truth)
-        return estimate_columns(self.alpha, self.beta, sigma2, *prior_shapes(self.kT))[1]
+        return minus_root(self.alpha, self.beta, sigma2, *prior_shapes(self.kT))
 
 
 def _merge(groups, levels, law) -> list[Records]:
@@ -521,7 +525,7 @@ def _merge(groups, levels, law) -> list[Records]:
         alpha, beta, *kept = map(np.concatenate, zip(*(g.pop(T) for g in groups if T in g)))
         C = eigenvalues(law, k_T)
         sigma2 = innovation_variance(C, kept[0])
-        fault = estimate_columns(alpha, beta, sigma2, *prior_shapes(k_T))[2]
+        fault = column_faults(alpha, beta, sigma2, *prior_shapes(k_T))
         reason = fault[np.arange(len(fault)), deciding_component(fault)]
         dropped = {name: bad for code, name in FAULT_NAMES.items()
                    if (bad := (np.flatnonzero(reason == code) + 1).tolist())}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import estimate_columns, fold_lag_terms
+from .estimators import fold_lag_terms, minus_root
 from .simulator import ar1_steps, simulate
 from .spectral_model import (
     EigenvalueLaw, ModelRealization, PriorSpec, eigenvalues, innovation_variance,
@@ -108,8 +108,8 @@ def _finite_t_shrink(real, k_T: int, T: int):
     component has on average, beta = T * C_j and alpha = rho_j * beta."""
     real = truncate_realization(real, k_T)
     beta = T * real.C
-    hat, minus, _ = estimate_columns(real.rho * beta, beta, real.sigma2, *prior_shapes(k_T))
-    return real, hat - minus
+    alpha = real.rho * beta
+    return real, alpha / beta - minus_root(alpha, beta, real.sigma2, *prior_shapes(k_T))
 
 
 def finite_t_param_reference(real, k_T: int, T: int) -> float:

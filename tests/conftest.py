@@ -13,8 +13,9 @@ from scipy.optimize import brentq
 
 from arh1bench.estimators import (
     DegenerateTrajectoryError,
-    estimate_columns,
+    column_faults,
     first_fault,
+    minus_root,
 )
 
 
@@ -72,12 +73,11 @@ def bayes_estimate(
     The package solves only the minus root; the plus root is the larger of
     ``_real_quadratic_roots``."""
     cols = [np.array([v], dtype=float) for v in (alpha, beta, sigma2, a, b)]
-    _, minus, fault = estimate_columns(*cols)
-    error = first_fault(fault, None, *cols)
+    error = first_fault(column_faults(*cols), None, *cols)
     if error is not None:
         raise error
     if root == "minus":
-        return float(minus[0])
+        return float(minus_root(*cols)[0])
     c0 = alpha + sigma2 * (2.0 - (a + b))
     return max(_real_quadratic_roots(beta, -(alpha + beta), c0))
 

@@ -198,6 +198,18 @@ class TestRunErrors:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("mode", ["redraw", "fixed", "explicit"])
+    def test_k_t_past_the_prior_names_t(self, tmp_path, capsys, mode):
+        # example 3's power:4.1 rule keeps 844 components at T = 10**12
+        if mode == "explicit":
+            (tmp_path / "rho.json").write_text(json.dumps([0.5] * 5))
+            mode = f"explicit:{tmp_path / 'rho.json'}"
+        assert _run(["run", "--example", "3", "--T", str(10**12), "--N", "1",
+                     "--rho-mode", mode, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: k_T=844 at T=1000000000000: the prior covers k_T <= 511\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, prefix, digits", [
         ("--T", "", 5001), ("--N", "", 5001), ("--seed", "", 5001),
         ("--kT", "fixed:", 5001), ("--N", "", 4001),
@@ -336,14 +348,14 @@ class TestRunErrors:
     def test_proximity_error_is_one_line(self, tmp_path, monkeypatch, capsys, caplog):
         # an escaped replication is dropped and counted; one of three is
         # past the abort threshold
-        estimate_columns = harness.estimate_columns
+        column_faults = harness.column_faults
 
         def escaped(*args):
-            hat, minus, fault = estimate_columns(*args)
+            fault = column_faults(*args)
             fault[1, 2] = ESCAPED  # replication 2, component 3
-            return hat, minus, fault
+            return fault
 
-        monkeypatch.setattr(harness, "estimate_columns", escaped)
+        monkeypatch.setattr(harness, "column_faults", escaped)
         code = _run([
             "run", "--example", "1", "--T", "20", "--N", "3",
             "--out", str(tmp_path), "--workers", "1",

@@ -11,14 +11,14 @@ from arh1bench.estimators import (
     ESCAPED,
     NON_FINITE,
     DegenerateTrajectoryError,
-    _minus_root,
+    column_faults,
     deciding_component,
     estimate_all,
-    estimate_columns,
     first_fault,
     fold_lag_terms,
     fold_rows,
     lag_sums,
+    minus_root,
     sufficient_stats,
 )
 from arh1bench.harness import example_model
@@ -63,9 +63,8 @@ def _classical(values) -> float:
     """The classical estimate alpha / beta of one column, as the kernel
     forms it (flat prior, unit innovation variance)."""
     alpha, beta = lag_sums(np.asarray(values, dtype=float)[:, None])
-    hat, _, fault = estimate_columns(alpha, beta, np.ones(1), np.ones(1), np.ones(1))
-    assert fault[0] == 0
-    return float(hat[0])
+    assert column_faults(alpha, beta, np.ones(1), np.ones(1), np.ones(1))[0] == 0
+    return float(alpha[0] / beta[0])
 
 
 class TestSufficientStats:
@@ -359,8 +358,8 @@ class TestBayes:
         x = simulate(real, T, np.random.default_rng(0)).coeffs
         alpha, beta = lag_sums(x)
         full = [np.full(n, v) for v in (sigma2, a, b)]
-        _, minus, fault = estimate_columns(alpha, beta, *full)
-        assert not fault.any()
+        assert not column_faults(alpha, beta, *full).any()
+        minus = minus_root(alpha, beta, *full)
         assert minus.min() < -10.0
         x0 = x[0]
         settled = np.abs(x0) >= 100.0 * math.sqrt(T * sigma2)
@@ -371,7 +370,7 @@ class TestBayes:
 
 def _three_way_minus(alpha, beta, sigma2, a, b):
     """The minus root as the three-way product form on the sign of
-    s = alpha + beta gave it, the reference for ``_minus_root``."""
+    s = alpha + beta gave it, the reference for ``minus_root``."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shift = 2.0 - (a + b)
         diff = alpha - beta
@@ -398,7 +397,7 @@ class TestMinusRoot:
         assert np.all(np.sign(alpha + beta) == sign)
         sigma2 = rng.uniform(1e-4, 5.0, n)
         a, b = _component_shapes(k)
-        got = _minus_root(alpha, beta, sigma2, a, b)
+        got = minus_root(alpha, beta, sigma2, a, b)
         want = _three_way_minus(alpha, beta, sigma2, a, b)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -419,10 +418,11 @@ class TestShrink:
         rho, C = self.RHO, j**-1.5
         T = factor * 4.0 * (a + b - 2.0) * (1.0 + rho) / (1.0 - rho)
         beta, sigma2 = T * C, C * (1.0 - rho**2)
-        shapes = (np.full(rho.size, v) for v in (a, b))
-        hat, minus, fault = estimate_columns(rho * beta, beta, sigma2, *shapes)
-        assert not fault.any()
-        return hat, hat - minus, sigma2 * (a + b - 2.0) / beta
+        alpha = rho * beta
+        cols = (alpha, beta, sigma2, *(np.full(rho.size, v) for v in (a, b)))
+        assert not column_faults(*cols).any()
+        hat = alpha / beta
+        return hat, hat - minus_root(*cols), sigma2 * (a + b - 2.0) / beta
 
     @pytest.mark.parametrize("factor", [1e-4, 1.0, 100.0])
     @pytest.mark.parametrize("j", range(1, 6))
@@ -490,11 +490,10 @@ class TestEstimateAll:
     def test_constant_column_unit_estimates(self):
         alpha, beta = lag_sums(np.full((4, 1), 3.0))
         # dyadic shapes summing to exactly 2 (cap regime)
-        a, b = np.array([0.9921875]), np.array([1.0078125])
-        rho_hat, rho_minus, fault = estimate_columns(alpha, beta, np.array([0.75]), a, b)
-        assert fault[0] == 0
-        assert rho_hat[0] == 1.0
-        assert rho_minus[0] == 1.0
+        cols = (alpha, beta, np.array([0.75]), np.array([0.9921875]), np.array([1.0078125]))
+        assert column_faults(*cols)[0] == 0
+        assert alpha[0] / beta[0] == 1.0
+        assert minus_root(*cols)[0] == 1.0
 
     def test_deterministic(self):
         spec = SpectralModelSpec(law=EigenvalueLaw.power_law(1.5), k_max=5)
@@ -564,8 +563,8 @@ class TestEstimateAll:
         alpha, beta = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
         sigma2 = np.array([0.5, 0.25, 0.125])
         a, b = prior_shapes(3)
-        _, minus, fault = estimate_columns(alpha, beta, sigma2, a, b)
-        assert not fault.any()
+        assert not column_faults(alpha, beta, sigma2, a, b).any()
+        minus = minus_root(alpha, beta, sigma2, a, b)
         error = first_fault(np.array([0, ESCAPED, ESCAPED]), 7, alpha, beta, sigma2, a, b)
         assert type(error) is RuntimeError
         delta = 2.0 / 5.0 - float(minus[1])
@@ -592,7 +591,7 @@ class TestEstimateAll:
         alpha = np.array([np.inf, 1.0, np.nan, -np.inf, 1.0, 0.0])
         beta = np.array([np.inf, np.inf, 0.0, 2.0, 2.0, 0.0])
         ones = np.ones(alpha.size)
-        _, _, fault = estimate_columns(alpha, beta, ones, 2.0 * ones, ones)
+        fault = column_faults(alpha, beta, ones, 2.0 * ones, ones)
         assert fault.tolist() == [NON_FINITE] * 4 + [0, DEGENERATE]
         assert fault.dtype == np.int8  # the narrowest codes to ship from a pool worker
 

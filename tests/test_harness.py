@@ -423,6 +423,21 @@ class TestBuildReports:
     config = ExperimentConfig(example=1, T_grid=(30, 50), N=5)
     records = (_records(30, 5, 2, seed=1), _records(50, 3, 3, seed=2))
 
+    @pytest.mark.parametrize("fields", RHO_MODE_FIELDS, ids=["redraw", "fixed", "explicit"])
+    def test_reports_judge_nothing_again(self, monkeypatch, fields):
+        # the collect step judges each replication once; the report step
+        # derives both estimates from the kept sums and runs no fault check
+        config = config_from_dict({"example": 1, "T_grid": [20, 40], "N": 6, "seed": 3, **fields})
+        want = run_experiment(config)
+        collected = collect(config)
+
+        def judged(*args):
+            raise AssertionError("build_reports judged a replication again")
+
+        monkeypatch.setattr(harness, "column_faults", judged)
+        got = harness.build_reports(config, *collected)
+        assert [_float_bits(r) for r in got] == [_float_bits(r) for r in want]
+
     def test_efmse_over_the_rows(self):
         reports = harness.build_reports(self.config, None, self.records)
         assert [(r.T, r.kT, r.estimator) for r in reports] == [
@@ -538,17 +553,17 @@ def _alpha(task, T, omega, j):
 
 
 def _inject_faults(monkeypatch, faults):
-    """Make estimate_columns report fault code faults[v] for a column whose
+    """Make column_faults report fault code faults[v] for a column whose
     alpha is v."""
-    estimate_columns = harness.estimate_columns
+    column_faults = harness.column_faults
 
     def faulty(alpha, *rest):
-        hat, minus, fault = estimate_columns(alpha, *rest)
+        fault = column_faults(alpha, *rest)
         for value, code in faults.items():
             fault[alpha == value] = code
-        return hat, minus, fault
+        return fault
 
-    monkeypatch.setattr(harness, "estimate_columns", faulty)
+    monkeypatch.setattr(harness, "column_faults", faulty)
 
 
 def _long_t_task():
@@ -625,7 +640,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("fields", RHO_MODE_FIELDS, ids=["redraw", "fixed", "explicit"])
     def test_records_hold_four_arrays_and_the_eigenvalues(self, fields):
         # a T keeps its (kT,) eigenvalues and four (m, kT) arrays, and
-        # est_b is estimate_columns' minus root on them, bit for bit
+        # est_b is the minus root on them, bit for bit
         config = config_from_dict({"example": 1, "T_grid": [20, 60], "N": 6, "seed": 5, **fields})
         _, records = collect(config)
         for r in records:
@@ -636,9 +651,8 @@ class TestBlockKernel:
             for v in (r.alpha, r.beta, r.truth, r.last):
                 assert v.dtype == np.float64 and v.shape == (6, r.kT)
             sigma2 = r.C * (1.0 - r.truth**2)
-            hat, minus, _ = estimators.estimate_columns(r.alpha, r.beta, sigma2,
-                                                        *prior_shapes(r.kT))
-            _assert_bits_equal([r.est_c, r.est_b], [hat, minus])
+            minus = estimators.minus_root(r.alpha, r.beta, sigma2, *prior_shapes(r.kT))
+            _assert_bits_equal([r.est_c, r.est_b], [r.alpha / r.beta, minus])
 
     @pytest.mark.parametrize("columns", [2048, 48, 5, 1])
     @pytest.mark.parametrize("fields", BLOCK_FIELDS)
@@ -814,8 +828,8 @@ class TestBlockKernel:
         # the law, the bits the kernel scaled its innovations by, in every
         # rho mode and across groups of one or two replications
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
-        coefficients, estimate_columns, kernel, merged = (
-            harness._coefficients, harness.estimate_columns, [], [])
+        coefficients, column_faults, kernel, merged = (
+            harness._coefficients, harness.column_faults, [], [])
 
         def kernels(*args):
             C, rho, sigma2 = coefficients(*args)
@@ -824,10 +838,10 @@ class TestBlockKernel:
 
         def merges(alpha, beta, sigma2, a, b):
             merged.append(sigma2)
-            return estimate_columns(alpha, beta, sigma2, a, b)
+            return column_faults(alpha, beta, sigma2, a, b)
 
         monkeypatch.setattr(harness, "_coefficients", kernels)
-        monkeypatch.setattr(harness, "estimate_columns", merges)
+        monkeypatch.setattr(harness, "column_faults", merges)
         config = config_from_dict({**fields, "T_grid": [40], "N": 5, "seed": 0})
         collect(config)
         [sigma2] = merged
@@ -913,14 +927,14 @@ class TestBlockKernel:
     def test_every_drop_counted_before_the_verdict(self, monkeypatch, caplog):
         # with every replication dropped, every T's drops are counted and
         # logged before the run fails, not just those of the first T
-        estimate_columns = harness.estimate_columns
+        column_faults = harness.column_faults
 
         def escaped(*args):
-            hat, minus, fault = estimate_columns(*args)
+            fault = column_faults(*args)
             fault[:, 0] = ESCAPED
-            return hat, minus, fault
+            return fault
 
-        monkeypatch.setattr(harness, "estimate_columns", escaped)
+        monkeypatch.setattr(harness, "column_faults", escaped)
         with pytest.raises(AbortedReplicationsError) as exc:
             run_experiment(ExperimentConfig(example=1, T_grid=(20, 40), N=4))
         assert (exc.value.aborted, exc.value.total) == (8, 8)

@@ -53,6 +53,16 @@ def test_public_top_level_names():
     assert len(names) == 29
 
 
+# The summed line count of src/arh1bench/*.py, as `wc -l` counts it, so
+# that every change to the package's size shows in the diff of this pin.
+PACKAGE_LINES = 1884
+
+
+def test_package_line_count():
+    modules = Path(arh1bench.__file__).parent.glob("*.py")
+    assert sum(p.read_bytes().count(b"\n") for p in modules) == PACKAGE_LINES
+
+
 def _run_python(code: str) -> str:
     src = str(Path(arh1bench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
