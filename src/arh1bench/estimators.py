@@ -40,6 +40,9 @@ and folds alpha's, then beta's, onto running sums, for a whole block
 (``lag_sums``) or a row chunk (the block kernel and the diagnostics' path
 engine).  The estimators run elementwise over arrays of columns, so one
 replication and a block of replications share every operation.
+``minus_root`` and ``column_faults`` step through a few reused buffers, not
+a new array per operation, because the harness judges each T's stacked
+records with them where a run's resident memory peaks.
 """
 from __future__ import annotations
 
@@ -115,21 +118,35 @@ def sufficient_stats(traj: Trajectory, j: int) -> tuple[float, float]:
     return float(alpha[0]), float(beta[0])
 
 
-def minus_root(alpha, beta, sigma2, a, b):
-    """The minus root of the penalized quadratic, elementwise.
+def minus_root(alpha, beta, sigma2, a, b) -> np.ndarray:
+    """The minus root of the penalized quadratic, elementwise, as float64.
 
     With s = alpha + beta and c0 = alpha + sigma2*(2 - (a + b)), it is
     2*c0/(s + sqrt(disc)) where s > 0, else (s - sqrt(disc))/(2*beta): each
     adds sqrt(disc) to s's magnitude, so neither cancels.  With
     a + b >= 2 and sigma2 > 0, disc is a square plus a term >= 0, never negative.
+    The inputs broadcast; Python floats give a 0-d array.
     """
+    shape = np.broadcast_shapes(*map(np.shape, (alpha, beta, sigma2, a, b)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         shift = 2.0 - (a + b)
-        diff = alpha - beta
-        root = np.sqrt(diff * diff - 4.0 * beta * sigma2 * shift)
-        s = alpha + beta
-        return np.where(s > 0.0, 2.0 * (alpha + sigma2 * shift) / (s + root),
-                        (s - root) / (2.0 * beta))
+        root = np.subtract(alpha, beta, out=np.empty(shape))
+        np.multiply(root, root, out=root)
+        t = np.multiply(4.0, beta, out=np.empty(shape))
+        np.multiply(t, sigma2, out=t)
+        np.multiply(t, shift, out=t)
+        np.sqrt(np.subtract(root, t, out=root), out=root)
+        s = np.add(alpha, beta, out=t)
+        plus = s > 0.0
+        np.add(s, root, out=s)
+        out = np.multiply(sigma2, shift, out=np.empty(shape))
+        np.add(alpha, out, out=out)
+        np.multiply(2.0, out, out=out)
+        np.divide(out, s, out=out)
+        np.subtract(np.add(alpha, beta, out=s), root, out=s)
+        np.divide(s, np.multiply(2.0, beta, out=root), out=s)
+        np.copyto(s, out, where=plus)
+        return s
 
 
 @dataclass(frozen=True)
@@ -155,11 +172,15 @@ def column_faults(alpha, beta, sigma2, a, b):
     whenever alpha/beta <= 1.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        hat = alpha / beta
-        bound = np.sqrt(sigma2 * (a + b - 2.0) / beta)
-        delta = hat - minus_root(alpha, beta, sigma2, a, b)
-        slack = PROXIMITY_SLACK * (1.0 + bound)
-        escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
+        delta = minus_root(alpha, beta, sigma2, a, b)
+        hat = np.divide(alpha, beta, out=np.empty_like(delta))
+        np.subtract(hat, delta, out=delta)
+        escaped = hat <= 1.0
+        bound = np.multiply(sigma2, a + b - 2.0, out=np.empty_like(delta))
+        np.sqrt(np.divide(bound, beta, out=bound), out=bound)
+        slack = np.multiply(PROXIMITY_SLACK, np.add(1.0, bound, out=hat), out=hat)
+        np.add(bound, slack, out=bound)
+        escaped &= (delta < np.negative(slack, out=slack)) | (delta > bound)
     finite = np.isfinite(alpha) & np.isfinite(beta)
     return np.select([~finite, beta == 0.0, escaped],
                      [NON_FINITE, DEGENERATE, ESCAPED], np.int8(0))

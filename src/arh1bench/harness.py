@@ -153,7 +153,8 @@ def example_model(
     ``kT_rule`` defaults to the example's own rule; the spec holds the k_T
     components that rule keeps at sample size ``T_max``, which covers every
     smaller T because k_T never decreases in T.  A k_T past MAX_PRIOR_EXPONENT
-    is refused, and drawn coefficients where ``draw_rho``'s clamp rewrites over
+    is refused, as are explicit coefficients missing or fewer than k_T, and
+    drawn coefficients where ``draw_rho``'s clamp rewrites over
     MAX_CLAMPED_SHARE of component k_T's draws, about a_kT * RHO_CLAMP_EPS of
     them (0.81% at k_T = 33, 1.6% at 34).
     """
@@ -162,6 +163,13 @@ def example_model(
     rule = EXAMPLE_KT_RULES[example] if kT_rule is None else kT_rule
     if (k_T := truncation_order(T_max, rule)) > MAX_PRIOR_EXPONENT:
         raise ValueError(f"k_T={k_T} at T={T_max}: the prior covers k_T <= {MAX_PRIOR_EXPONENT}")
+    if rho_mode == "explicit":
+        if not rho_values:
+            raise ValueError(f"explicit rho_mode requires rho_values, got {rho_values!r}: give "
+                             f"them as --rho-mode explicit:FILE or as rho_values in the config")
+        if isinstance(rho_values, (tuple, list)) and len(rho_values) < k_T:
+            raise ValueError(f"k_T={k_T} at T={T_max}: the explicit coefficients cover "
+                             f"{len(rho_values)} components")
     spec = SpectralModelSpec(
         law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
         k_max=k_T,

@@ -3,8 +3,11 @@
 The oracles deliberately avoid the library's code paths (plain Python
 loops, no fsum, no closed-form quadratic in the cubic solver) so agreement
 between the two routes is meaningful.  ``bayes_estimate`` is the opposite:
-a scalar front end to the package's own estimator and checks.  scipy is a
-test-only dependency; the package never imports it.
+a scalar front end to the package's own estimator and checks.
+``reference_minus_root`` and ``reference_column_faults`` are the estimators
+as one new array per operation, the form the package's buffered versions
+must match bit for bit.  scipy is a test-only dependency; the package never
+imports it.
 """
 import math
 
@@ -12,6 +15,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from arh1bench.estimators import (
+    DEGENERATE,
+    ESCAPED,
+    NON_FINITE,
+    PROXIMITY_SLACK,
     DegenerateTrajectoryError,
     column_faults,
     first_fault,
@@ -80,6 +87,31 @@ def bayes_estimate(
         return float(minus_root(*cols)[0])
     c0 = alpha + sigma2 * (2.0 - (a + b))
     return max(_real_quadratic_roots(beta, -(alpha + beta), c0))
+
+
+def reference_minus_root(alpha, beta, sigma2, a, b):
+    """``minus_root`` with a new array for each operation and both branches
+    evaluated everywhere."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        shift = 2.0 - (a + b)
+        diff = alpha - beta
+        root = np.sqrt(diff * diff - 4.0 * beta * sigma2 * shift)
+        s = alpha + beta
+        return np.where(s > 0.0, 2.0 * (alpha + sigma2 * shift) / (s + root),
+                        (s - root) / (2.0 * beta))
+
+
+def reference_column_faults(alpha, beta, sigma2, a, b):
+    """``column_faults`` with a new array for each operation."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hat = alpha / beta
+        bound = np.sqrt(sigma2 * (a + b - 2.0) / beta)
+        delta = hat - reference_minus_root(alpha, beta, sigma2, a, b)
+        slack = PROXIMITY_SLACK * (1.0 + bound)
+        escaped = (hat <= 1.0) & ((delta < -slack) | (delta > bound + slack))
+    finite = np.isfinite(alpha) & np.isfinite(beta)
+    return np.select([~finite, beta == 0.0, escaped],
+                     [NON_FINITE, DEGENERATE, ESCAPED], np.int8(0))
 
 
 def _real_quadratic_roots(c2: float, c1: float, c0: float):

@@ -210,6 +210,33 @@ class TestRunErrors:
             "error: k_T=844 at T=1000000000000: the prior covers k_T <= 511\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_too_few_explicit_values_name_k_t(self, tmp_path, capsys, source):
+        # example 3's power:4.1 rule keeps 9 components at T = 10000
+        fields = {"example": 3, "T_grid": [10000], "N": 2}
+        values = [0.5, 0.4, 0.3, 0.2, 0.1]
+        (tmp_path / "rho.json").write_text(json.dumps(values))
+        (tmp_path / "cfg.json").write_text(
+            json.dumps({**fields, "rho_mode": "explicit", "rho_values": values}))
+        args = (["--example", "3", "--T", "10000", "--N", "2",
+                 "--rho-mode", f"explicit:{tmp_path / 'rho.json'}"]
+                if source == "flags" else ["--config", str(tmp_path / "cfg.json")])
+        assert _run(["run", *args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: k_T=9 at T=10000: the explicit coefficients cover 5 components\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_explicit_without_values_names_both_ways(self, tmp_path, capsys, source):
+        (tmp_path / "cfg.json").write_text(json.dumps({"example": 1, "rho_mode": "explicit"}))
+        args = (["--example", "1", "--rho-mode", "explicit"]
+                if source == "flags" else ["--config", str(tmp_path / "cfg.json")])
+        assert _run(["run", *args, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: explicit rho_mode requires rho_values, got None: give them as "
+            "--rho-mode explicit:FILE or as rho_values in the config\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, prefix, digits", [
         ("--T", "", 5001), ("--N", "", 5001), ("--seed", "", 5001),
         ("--kT", "fixed:", 5001), ("--N", "", 4001),

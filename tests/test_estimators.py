@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,14 @@ from arh1bench.spectral_model import (
     realize,
     truncate_realization,
 )
-from conftest import bayes_estimate, cubic_score_solve, naive_sums, reference_ar1
+from conftest import (
+    bayes_estimate,
+    cubic_score_solve,
+    naive_sums,
+    reference_ar1,
+    reference_column_faults,
+    reference_minus_root,
+)
 
 
 def _component_shapes(k):
@@ -401,6 +409,84 @@ class TestMinusRoot:
         want = _three_way_minus(alpha, beta, sigma2, a, b)
         assert np.all(np.isfinite(got))
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# Values at the edges of float64: signed zeros, infinities, NaN, the
+# smallest subnormals and normal, and magnitudes whose products overflow.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1e300, -1e300, 1.0, 2.0]),
+    st.floats(),
+)
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestBufferedEstimators:
+    """``minus_root`` and ``column_faults`` reuse a few buffers; every bit
+    they return is the one-array-per-operation reference's, for every
+    input shape a caller passes."""
+
+    @staticmethod
+    def _columns(data, shape):
+        """(alpha, beta, sigma2) of ``shape`` and (a, b) of its last axis."""
+        k = shape[-1]
+        floats = st.lists(_EDGE_FLOATS, min_size=math.prod(shape), max_size=math.prod(shape))
+        sums = [np.array(data.draw(floats)).reshape(shape) for _ in range(3)]
+        shapes = data.draw(st.one_of(
+            st.lists(_SHAPES, min_size=k, max_size=k).map(lambda p: [*zip(*p)]),
+            st.lists(st.lists(_EDGE_FLOATS, min_size=k, max_size=k), min_size=2, max_size=2),
+        ))
+        return (*sums, *(np.array(v, dtype=float) for v in shapes))
+
+    @given(data=st.data(), m=st.integers(1, 4), k=st.integers(1, 4), rows=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_arrays_match_reference(self, data, m, k, rows):
+        # (m, k) sums with (k,) prior shapes, as _merge and Records.est_b
+        # pass them, or (k,) columns, as metrics._finite_t_shrink does
+        cols = self._columns(data, (m, k) if rows else (k,))
+        _same_bits(minus_root(*cols), reference_minus_root(*cols))
+        got, want = column_faults(*cols), reference_column_faults(*cols)
+        assert got.dtype == want.dtype == np.int8
+        assert np.array_equal(got, want)
+
+    @given(cols=st.tuples(*[_EDGE_FLOATS] * 5))
+    @settings(max_examples=300, deadline=None)
+    @example(cols=(1.0, 0.0, 1.0, 2.0, 1.01))  # beta == 0
+    @example(cols=(-0.0, -0.0, 5e-324, 1e300, -1e300))
+    def test_python_floats_match_reference(self, cols):
+        # first_fault passes one column's values as Python floats; where two
+        # NaNs of opposite sign meet, CPython's float arithmetic and numpy's
+        # keep different ones, so a NaN is matched as a NaN
+        got, want = minus_root(*cols), reference_minus_root(*cols)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        if np.isnan(want):
+            assert np.isnan(got)
+        else:
+            _same_bits(got, want)
+
+    @pytest.mark.parametrize("name, limit", [(minus_root, 4.0), (column_faults, 6.0)],
+                             ids=["minus_root", "column_faults"])
+    def test_transient_memory_in_result_sizes(self, name, limit):
+        # one short-T-ex1 T=100 record, (2500, 5) float64; one new array per
+        # operation peaked at 7.14 (minus_root) and 9.14 (column_faults)
+        # result-array sizes
+        rng = np.random.default_rng(3)
+        beta = rng.uniform(1.0, 100.0, (2500, 5))
+        cols = (beta * rng.uniform(-0.5, 1.2, beta.shape), beta,
+                rng.uniform(0.1, 1.0, beta.shape), *prior_shapes(5))
+        name(*cols)
+        tracemalloc.start()
+        try:
+            name(*cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * beta.nbytes
 
 
 class TestShrink:
