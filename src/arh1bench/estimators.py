@@ -138,6 +138,7 @@ def minus_root(alpha, beta, sigma2, a, b) -> np.ndarray:
         np.sqrt(np.subtract(root, t, out=root), out=root)
         s = np.add(alpha, beta, out=t)
         plus = s > 0.0
+        # the s > 0 branch into out, then the other into s, from s recomputed
         np.add(s, root, out=s)
         out = np.multiply(sigma2, shift, out=np.empty(shape))
         np.add(alpha, out, out=out)
