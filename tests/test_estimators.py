@@ -458,6 +458,7 @@ class TestBufferedEstimators:
     @settings(max_examples=300, deadline=None)
     @example(cols=(1.0, 0.0, 1.0, 2.0, 1.01))  # beta == 0
     @example(cols=(-0.0, -0.0, 5e-324, 1e300, -1e300))
+    @example(cols=(0.0, 0.0, math.inf, 0.0, math.nan))  # -nan here, nan in CPython
     def test_python_floats_match_reference(self, cols):
         # first_fault passes one column's values as Python floats; where two
         # NaNs of opposite sign meet, CPython's float arithmetic and numpy's
@@ -469,9 +470,9 @@ class TestBufferedEstimators:
         else:
             _same_bits(got, want)
 
-    @pytest.mark.parametrize("name, limit", [(minus_root, 4.0), (column_faults, 6.0)],
+    @pytest.mark.parametrize("fn, limit", [(minus_root, 4.0), (column_faults, 6.0)],
                              ids=["minus_root", "column_faults"])
-    def test_transient_memory_in_result_sizes(self, name, limit):
+    def test_transient_memory_in_result_sizes(self, fn, limit):
         # one short-T-ex1 T=100 record, (2500, 5) float64; one new array per
         # operation peaked at 7.14 (minus_root) and 9.14 (column_faults)
         # result-array sizes
@@ -479,10 +480,10 @@ class TestBufferedEstimators:
         beta = rng.uniform(1.0, 100.0, (2500, 5))
         cols = (beta * rng.uniform(-0.5, 1.2, beta.shape), beta,
                 rng.uniform(0.1, 1.0, beta.shape), *prior_shapes(5))
-        name(*cols)
+        fn(*cols)
         tracemalloc.start()
         try:
-            name(*cols)
+            fn(*cols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
