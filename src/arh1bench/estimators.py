@@ -37,9 +37,10 @@ estimation of floating-point summation and dot product", BIT 52, 2012), far
 below the Monte Carlo error of any EFMSE built on it.  ``fold_rows`` is
 that fold, down to one column wide; ``fold_lag_terms`` forms the lag terms
 and folds alpha's, then beta's, onto running sums, for a whole block
-(``lag_sums``) or a row chunk (the block kernel and the diagnostics' path
-engine).  The estimators run elementwise over arrays of columns, so one
-replication and a block of replications share every operation.
+(``lag_sums``) or a row chunk (``harness.fold_runs``, the time loop of the
+study and of the Bartlett and normality diagnostics).  The estimators run
+elementwise over arrays of columns, so one replication and a block of
+replications share every operation.
 ``minus_root`` and ``column_faults`` step through a few reused buffers, not
 a new array per operation, because the harness judges each T's stacked
 records with them where a run's resident memory peaks.

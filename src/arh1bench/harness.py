@@ -24,8 +24,9 @@ last states) and derives both estimates from them.
 emitted byte depends only on (config, seed), not on workers or scheduling.
 
 Within a block, the (T, omega) streams run longest T first, packed into
-groups (``_run_group``) that may mix T: one time loop over the columns of
-every stream in the group, a stream's columns dropping out at its T, column
+groups (``_run_group``) that may mix T: one time loop (``fold_runs``, which
+the Bartlett and normality diagnostics run too) over the columns of every
+stream in the group, a stream's columns dropping out at its T, column
 sums folded in time order a row chunk at a time, alpha's terms and then
 beta's through one slab of the group's own scratch, sized to its largest
 chunk and carry row.  The elementwise estimators run on those sums.
@@ -75,6 +76,7 @@ from .spectral_model import (
     innovation_variance,
     prior_shapes,
     realize,
+    rho_sequence,
 )
 
 logger = logging.getLogger("arh1bench")
@@ -164,12 +166,13 @@ def example_model(
     if (k_T := truncation_order(T_max, rule)) > MAX_PRIOR_EXPONENT:
         raise ValueError(f"k_T={k_T} at T={T_max}: the prior covers k_T <= {MAX_PRIOR_EXPONENT}")
     if rho_mode == "explicit":
-        if not rho_values:
+        if not (values := rho_sequence(rho_values)):
             raise ValueError(f"explicit rho_mode requires rho_values, got {rho_values!r}: give "
                              f"them as --rho-mode explicit:FILE or as rho_values in the config")
-        if isinstance(rho_values, (tuple, list)) and len(rho_values) < k_T:
+        if len(values) < k_T:
             raise ValueError(f"k_T={k_T} at T={T_max}: the explicit coefficients cover "
-                             f"{len(rho_values)} components")
+                             f"{len(values)} components")
+        rho_values = values
     spec = SpectralModelSpec(
         law=EigenvalueLaw.power_law(EXAMPLE_EXPONENTS[example]),
         k_max=k_T,
@@ -414,36 +417,40 @@ def _coefficients(spec, k, rngs, fixed_real):
 
 
 def _run_group(spec, runs, seed, fixed_real):
-    """Simulate the streams of ``runs`` together into their sufficient statistics.
-
-    A run (T, k, omegas) is replications omegas at sample size T, k columns
-    each; the runs come longest T first, one per T.  Each replication seeds
-    its own stream, realizes its coefficients (unless they are shared) and
-    draws its normals chunk by chunk, in the order ``simulate`` draws them.
-    The rows run in segments, each ending at a run's T, where that run's
-    columns, the last ones, drop out; the columns still running are laid
-    out again at the front of the scratch, in chunks of as many rows as
-    fill CHUNK_ELEMENTS alpha and beta terms, or a half-full group's where
-    fewer columns run, but no more than the segment's T.  Every array the
-    size of a row chunk is a view into the two slabs of ``_workspace``,
-    each the group's largest chunk and its leading row.  ``fold_lag_terms``
-    folds each chunk's alpha terms, then its beta terms, onto their running
-    sums through the terms slab.
-
-    Every state enters a lag product of its column, so a non-finite state
-    leaves a non-finite sum, which ``column_faults`` codes NON_FINITE.
-
-    Returns, by T, the alpha and beta sums, true coefficients and last
-    states of the run's m replications, each (m, k), which ``_merge``
-    judges: views of the group's sums, rho and last states,
-    allocated before its scratch and not written once the run ends.
-    """
+    """The sums, true coefficients and last states by T of ``runs``, the
+    replications of one kernel group, which ``_merge`` judges: each seeds
+    its own stream and realizes its coefficients (unless they are shared),
+    and ``fold_runs`` simulates and folds their columns together."""
     rngs = [_replication_rngs(seed, T, omegas) for T, _, omegas in runs]
     C, rho, sigma2 = (
         np.concatenate(v)
         for v in zip(*(_coefficients(spec, k, r, fixed_real) for (_, k, _), r in zip(runs, rngs)))
     )
-    sd = np.sqrt(sigma2)
+    return fold_runs(runs, rngs, np.sqrt(C), rho, np.sqrt(sigma2))
+
+
+def fold_runs(runs, rngs, sd0, rho, sd):
+    """Simulate AR(1) columns, stationary from initial scale ``sd0`` with
+    coefficients ``rho`` and innovation scales ``sd``, into their lag sums.
+
+    A run (T, k, omegas) is T transitions of k columns of each of its streams,
+    ``rngs[i]``; the runs come longest T first, one per T.  Each stream draws
+    its normals chunk by chunk, in the order ``simulate`` draws them.  The
+    rows run in segments, each ending at a run's T, where that run's columns,
+    the last ones, drop out; the columns still running are laid out again at
+    the front of the scratch, in chunks of as many rows as fill CHUNK_ELEMENTS
+    alpha and beta terms, or a half-full group's where fewer columns run, but
+    no more than the segment's T.  Every array the size of a row chunk is a
+    view into the two slabs of ``_workspace``, each the group's largest chunk
+    and its leading row.  ``fold_lag_terms`` folds each chunk's alpha terms,
+    then its beta terms, onto their running sums through the terms slab.  A
+    non-finite state leaves a non-finite sum, which ``column_faults`` codes
+    NON_FINITE.
+
+    Returns, by T, the alpha and beta sums, rho and last states of the run's
+    streams, each (len(omegas), k): views allocated before the scratch and
+    not written once the run ends.
+    """
     edges = np.cumsum([0] + [len(omegas) * k for _, k, omegas in runs]).tolist()
     # the chunk rows of the segment ending at each run's T: one under half of
     # GROUP_COLUMNS wide takes a half-full one's; a cap at T moves no boundary
@@ -473,7 +480,7 @@ def _run_group(spec, runs, seed, fixed_real):
                     rng.standard_normal(out=row)
                 x[1 - lead : n + 1, a:b].reshape(n + lead, len(o), kr)[...] = zr.transpose(1, 0, 2)
             if lead:
-                x[0] *= np.sqrt(C)
+                x[0] *= sd0
             x[1 : n + 1] *= sd[:ca]
             ar1_steps(x[: n + 1], rho[:ca])
             # the terms go through the slab once the normals are out of it

@@ -14,10 +14,9 @@ scalar AR(1) machinery those limits rest on.  Each is one function
 (``bartlett_check``, ``normality_check``, ``ergodic_check``) that
 range-checks its parameters, draws from ``default_rng(key)`` and returns
 its outputs, targets and pass verdict; ``harness.DIAGNOSTICS`` runs it as
-it is.  The ergodic check runs ``simulate``, the other two a path engine
-sharing ``ar1_steps`` and ``fold_lag_terms``, whose bit-for-bit oracles in
-the tests are ``scipy.signal.lfilter`` for the paths and a plain loop for
-the sums.
+it is.  The ergodic check runs ``simulate``; the other two run the study's
+time loop, ``harness.fold_runs``, whose bit-for-bit oracles in the tests
+are ``scipy.signal.lfilter`` for the paths and a plain loop for the sums.
 """
 from __future__ import annotations
 
@@ -28,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import fold_lag_terms, minus_root
-from .simulator import ar1_steps, simulate
+from .estimators import minus_root
+from .simulator import simulate
 from .spectral_model import (
     EigenvalueLaw, ModelRealization, PriorSpec, eigenvalues, innovation_variance,
     prior_mean_sq, prior_shapes, truncate_realization,
@@ -38,9 +37,6 @@ from .spectral_model import (
 # Monte Carlo paths are generated in fixed-size batches; the constant is
 # part of the draw-order contract for seeded diagnostics.
 AR1_PATH_CHUNK = 512
-
-# Rows of a batch of paths stepped per chunk; it bounds memory only.
-AR1_ROW_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -227,31 +223,21 @@ def truncation_order(T: int, rule: KtRule) -> int:
 def _ar1_rho_hat_samples(
     rho: float, sigma: float, T: int, N: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Moment estimates from N independent stationary scalar AR(1) paths.
+    """Moment estimates from N independent stationary scalar AR(1) paths,
+    each AR1_PATH_CHUNK of them one stream's run of ``harness.fold_runs``,
+    a column a path, so memory does not grow with T."""
+    from .harness import fold_runs  # harness imports this module
 
-    The path engine: paths run in chunks of AR1_PATH_CHUNK and their rows
-    in chunks of AR1_ROW_CHUNK, so memory does not grow with T.  Each row
-    chunk is stepped by ``ar1_steps`` and folded by ``fold_lag_terms``;
-    row 0 of x carries the state in from the chunk before.
-    """
     out = np.empty(N)
-    scale0 = sigma / math.sqrt(1.0 - rho * rho)
     for lo in range(0, N, AR1_PATH_CHUNK):
         m = min(AR1_PATH_CHUNK, N - lo)
-        x = np.empty((AR1_ROW_CHUNK + 1, m))
-        p = np.empty((AR1_ROW_CHUNK + 1, m))
-        sums = np.zeros((2, m))
-        x[0] = scale0 * rng.standard_normal(m)
-        for t in range(0, T, AR1_ROW_CHUNK):
-            n = min(AR1_ROW_CHUNK, T - t)
-            np.multiply(sigma, rng.standard_normal((n, m)), out=x[1 : n + 1])
-            ar1_steps(x[: n + 1], rho)
-            fold_lag_terms(x[: n + 1], sums, p[: n + 1])
-            x[0] = x[n]
+        alpha, beta, *_ = fold_runs([(T, m, range(1))], [[rng]],
+                                    np.full(m, sigma / math.sqrt(1.0 - rho * rho)),
+                                    np.full(m, rho), np.full(m, sigma))[T]
         # the fold raises no warning, so an overflow is caught here
-        if not np.isfinite(sums).all():
+        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()):
             raise FloatingPointError("overflow encountered in the lag sums")
-        out[lo : lo + m] = sums[0] / sums[1]
+        out[lo : lo + m] = alpha[0] / beta[0]
     return out
 
 

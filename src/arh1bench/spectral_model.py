@@ -112,6 +112,17 @@ def draw_rho(a, b, rngs) -> np.ndarray:
     return np.minimum(np.maximum(rho, RHO_CLAMP_EPS, out=rho), 1.0 - RHO_CLAMP_EPS, out=rho)
 
 
+def rho_sequence(values):
+    """Explicit rho values as a tuple, from a list, a tuple or a 1-D array of
+    real numbers; None stays None, and anything else is refused."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if values is not None and (not isinstance(values, (tuple, list)) or not all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values)):
+        raise ValueError(f"explicit rho values must be a sequence of numbers, got {values!r}")
+    return None if values is None else tuple(values)
+
+
 @dataclass(frozen=True)
 class SpectralModelSpec:
     """Static description of a simulatable model family.
@@ -143,19 +154,12 @@ class SpectralModelSpec:
                 f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}"
             )
         if self.rho_mode == "explicit":
-            if not self.rho_values:
+            if not (vals := rho_sequence(self.rho_values)):
                 raise ValueError(f"explicit rho_mode requires rho_values, got {self.rho_values!r}")
-            if not isinstance(self.rho_values, (tuple, list)) or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in self.rho_values
-            ):
-                raise ValueError(
-                    f"explicit rho values must be a sequence of numbers, got {self.rho_values!r}"
-                )
             # v before float(v), which overflows past float range and can round to 0 or 1
-            if any(not (0 < v < 1 and 0 < float(v) < 1) for v in self.rho_values):
+            if any(not (0 < v < 1 and 0 < float(v) < 1) for v in vals):
                 raise ValueError("explicit rho values must lie strictly in (0, 1)")
-            vals = tuple(float(v) for v in self.rho_values)
+            vals = tuple(float(v) for v in vals)
             if len(vals) < self.k_max:
                 raise ValueError(
                     f"explicit rho values cover {len(vals)} components, "

@@ -124,6 +124,24 @@ class TestConfig:
         )
         assert cfg.rho_values == (0.5, 0.4, 0.3, 0.2, 0.1)
 
+    def test_explicit_values_as_array(self):
+        # a 1-D array gives the spec the list's values; it is measured by
+        # its length, not by its truth value, which numpy refuses
+        values = [0.5, 0.4, 0.3, 0.2, 0.1]
+        for array in (np.array(values), np.array(values, dtype=object)):
+            cfg = ExperimentConfig(example=1, rho_mode="explicit", rho_values=array)
+            want = ExperimentConfig(example=1, rho_mode="explicit", rho_values=values)
+            assert cfg.spec.rho_values == cfg.rho_values == want.spec.rho_values
+            assert all(type(v) is float for v in cfg.spec.rho_values)
+        with pytest.raises(ValueError, match=r"^k_T=5 at T=2000: the explicit coefficients "
+                                             r"cover 4 components$"):
+            ExperimentConfig(example=1, rho_mode="explicit", rho_values=np.array(values[:4]))
+        with pytest.raises(ValueError, match=r"^explicit rho_mode requires rho_values"):
+            ExperimentConfig(example=1, rho_mode="explicit", rho_values=np.array([]))
+        for shape in (np.array(0.5), np.full((1, 5), 0.5)):
+            with pytest.raises(ValueError, match=r"^explicit rho values must be a sequence"):
+                ExperimentConfig(example=1, rho_mode="explicit", rho_values=shape)
+
     @pytest.mark.parametrize("rho_mode", ["redraw", "fixed"])
     def test_drawn_prior_past_clamp_rejected(self, rho_mode):
         # the clamp rewrites 0.81% of Beta(2**33, 1.01) draws and 1.63% of
@@ -258,7 +276,8 @@ class TestRunExperiment:
 
     def test_workspace_per_group_inline_and_pooled(self, monkeypatch, pool):
         # inline and pooled alike, each group of the plan plans one workspace
-        # of its own largest chunk and carry row, and collect plans none; no
+        # of its own largest chunk and carry row, in fold_runs, the time loop
+        # _run_group hands its streams to, and collect plans none; no
         # workspace is left when the sums are stacked
         monkeypatch.setattr(harness, "GROUP_COLUMNS", 4)
         workspace, merge, calls, buffers = harness._workspace, harness._merge, [], []
@@ -282,7 +301,7 @@ class TestRunExperiment:
             run_experiment(config, workers=workers)
             plan = [g for lo, hi in harness._partition(5, workers)
                     for g in harness._plan(levels, lo, hi)]
-            assert calls == [("_run_group", _slab(g)) for g in plan]
+            assert calls == [("fold_runs", _slab(g)) for g in plan]
         # only the pooled run used the pool, with the same plan
         assert pool.tasks == [plan]
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from arh1bench import harness
 from arh1bench.metrics import (
     AR1_PATH_CHUNK,
     EfmseInput,
@@ -413,6 +414,27 @@ class TestBartlett:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+@pytest.mark.parametrize("check, args", [
+    (bartlett_check, (0.6, 1.0, 130)),
+    (normality_check, (0.6, 130)),
+])
+def test_checks_run_the_study_time_loop(monkeypatch, check, args):
+    # the Bartlett and normality checks run the study's time loop: each
+    # chunk of AR1_PATH_CHUNK paths is one single-stream run of fold_runs,
+    # a column a path, with the same outputs
+    fold_runs, runs = harness.fold_runs, []
+
+    def counted(group, rngs, *rest):
+        runs.append([(T, k, len(omegas), len(r)) for (T, k, omegas), r in zip(group, rngs)])
+        return fold_runs(group, rngs, *rest)
+
+    N = 2 * AR1_PATH_CHUNK + 3
+    plain = check([4], *args, N)
+    monkeypatch.setattr(harness, "fold_runs", counted)
+    assert check([4], *args, N) == plain
+    assert runs == [[(130, m, 1, 1)] for m in (AR1_PATH_CHUNK, AR1_PATH_CHUNK, 3)]
 
 
 class TestNormality:

@@ -247,3 +247,10 @@ class TestRealize:
                 SpectralModelSpec(law=law, k_max=2, rho_mode="explicit", rho_values=(0.5, bad))
         with pytest.raises(ValueError):
             SpectralModelSpec(law=law, k_max=3, rho_values=(0.5, 0.5, 0.5))
+        # a bare spec takes a 1-D array as the equal list, and no other shape
+        spec = SpectralModelSpec(law=law, k_max=2, rho_mode="explicit",
+                                 rho_values=np.array([0.5, 0.4]))
+        assert spec.rho_values == (0.5, 0.4)
+        for bad in (np.array(0.5), np.full((2, 2), 0.5)):
+            with pytest.raises(ValueError, match=r"^explicit rho values must be a sequence"):
+                SpectralModelSpec(law=law, k_max=2, rho_mode="explicit", rho_values=bad)
