@@ -426,8 +426,7 @@ def _run_group(spec, runs, seed, fixed_real):
         np.concatenate(v)
         for v in zip(*(_coefficients(spec, k, r, fixed_real) for (_, k, _), r in zip(runs, rngs)))
     )
-    # C is the group's own copy: its root takes its place, not a new array
-    return fold_runs(runs, rngs, np.sqrt(C, out=C), rho, np.sqrt(sigma2))
+    return fold_runs(runs, rngs, np.sqrt(C), rho, np.sqrt(sigma2))
 
 
 def fold_runs(runs, rngs, sd0, rho, sd):

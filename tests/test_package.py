@@ -55,7 +55,7 @@ def test_public_top_level_names():
 
 # The summed line count of src/arh1bench/*.py, as `wc -l` counts it, so
 # that every change to the package's size shows in the diff of this pin.
-PACKAGE_LINES = 1913
+PACKAGE_LINES = 1912
 
 
 def test_package_line_count():
